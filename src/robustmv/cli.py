@@ -227,7 +227,8 @@ def _cmd_fit_mv(args):
                 "solver": args.solver,
                 "iterations": model.trace.iterations_run,
                 "converged": model.trace.converged,
-                "final_objective": model.trace.objective[-1],
+                "reason": model.trace.reason,
+                "final_objective": model.trace.final_objective,
             }
         )
     )
@@ -258,6 +259,8 @@ def _cmd_embed(args):
         "config": cfg_dict,
         "ingest_report": report,
         "eigenvalue_head": [float(x) for x in result.eigenvalues[:5]],
+        "converged": result.trace.converged,
+        "reason": result.trace.reason,
     }
     write_json(out / "meta.json", meta)
     _echo(out, f"embed {args.solver}", {"seed": args.seed, "config": cfg_dict}, args.views)
@@ -266,9 +269,9 @@ def _cmd_embed(args):
             {
                 "solver": args.solver,
                 "iterations": result.trace.iterations_run,
-                "final_objective": result.trace.objective[-1]
-                if result.trace.objective
-                else None,
+                "converged": result.trace.converged,
+                "reason": result.trace.reason,
+                "final_objective": result.trace.final_objective,
             }
         )
     )
@@ -438,12 +441,13 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except (NumericalError, np.linalg.LinAlgError) as exc:
+        # LinAlgError (also scipy's) subclasses ValueError, so this clause goes first.
+        print(json.dumps({"error": "numerical", "message": str(exc)}), file=sys.stderr)
+        return 3
     except (ValueError, TypeError) as exc:
         print(json.dumps({"error": "validation", "message": str(exc)}), file=sys.stderr)
         return 2
-    except NumericalError as exc:
-        print(json.dumps({"error": "numerical", "message": str(exc)}), file=sys.stderr)
-        return 3
 
 
 if __name__ == "__main__":

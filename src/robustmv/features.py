@@ -13,7 +13,11 @@ auxiliary weights ``A`` are refreshed in the outer loop:
 Weights are kept negative (each is ``-exp(-nonnegative)`` or an IRLS
 analogue) so that the half-quadratic surrogate traced by the correntropy
 solvers is maximized; the inner x/W updates are ridge solves in the
-equivalent positive-weight form.
+equivalent positive-weight form.  Every update that has one weighted-ridge
+system per instance (the x-updates) or per map row (the entrywise W-update)
+builds those systems as one ``(n, d, d)`` stack and solves them together;
+only the per-view W-update of the instance-weighted solvers solves one
+system per view.
 """
 
 import math
@@ -163,6 +167,28 @@ def _solve_spd(mat, rhs):
     return cho_solve(cho_factor(mat, lower=True), rhs)
 
 
+def _solve_spd_stack(lhs, rhs):
+    """Solve ``lhs[k] @ x[k] = rhs[k]`` for a ``(n, d, d)`` stack of SPD systems.
+
+    ``rhs`` is ``(n, d)``.  The batched Cholesky factorization is the
+    definiteness check: a system that is not positive definite raises
+    ``LinAlgError`` instead of being solved.
+    """
+    if not np.all(np.isfinite(lhs)):
+        raise NumericalError("linear system overflowed to non-finite values")
+    np.linalg.cholesky(lhs)
+    return np.linalg.solve(lhs, rhs[..., None])[..., 0]
+
+
+def _weighted_sum(p, mats):
+    """``out[n] = sum_j p[j, n] * mats[j]`` for ``p`` ``(J, N)`` and ``mats`` ``(J, d, d)``.
+
+    Same sum as ``einsum("jn,jde->nde")``, but as one BLAS matmul.
+    """
+    d = mats.shape[-1]
+    return (p.T @ mats.reshape(len(mats), d * d)).reshape(-1, d, d)
+
+
 def _residuals(fs, X, W):
     return [fs.views[v] - W[v] @ X for v in range(fs.n_views)]
 
@@ -191,17 +217,11 @@ def cmv_update_x(fs, W, a, c2):
     """
     p = -np.asarray(a)
     d = W[0].shape[1]
-    grams = [wv.T @ wv for wv in W]
+    grams = np.stack([wv.T @ wv for wv in W])  # (M, d, d)
     rhs = np.stack([wv.T @ zv for wv, zv in zip(W, fs.views)])  # (M, d, N)
-    rhs = np.einsum("vn,vdn->dn", p, rhs)
-    X = np.empty((d, fs.n_instances))
-    eye = c2 * np.eye(d)
-    for i in range(fs.n_instances):
-        lhs = eye.copy()
-        for v in range(fs.n_views):
-            lhs += p[v, i] * grams[v]
-        X[:, i] = _solve_spd(lhs, rhs[:, i])
-    return X
+    rhs = np.einsum("vn,vdn->nd", p, rhs)
+    lhs = _weighted_sum(p, grams) + c2 * np.eye(d)
+    return _solve_spd_stack(lhs, rhs).T
 
 
 def cmv_update_w(fs, X, a, c1):
@@ -385,35 +405,28 @@ def cemv_update_a(fs, X, W, sigmas):
 
 def cemv_update_x(fs, W, a, c2):
     """Latent update with entrywise weights and 1/d_v view balancing."""
-    p = [-np.asarray(av) for av in a]
     d = W[0].shape[1]
-    inv_dims = [1.0 / dv for dv in fs.view_dims]
-    rhs = np.zeros((d, fs.n_instances))
-    for v in range(fs.n_views):
-        rhs += inv_dims[v] * (W[v].T @ (p[v] * fs.views[v]))
-    X = np.empty((d, fs.n_instances))
-    eye = c2 * np.eye(d)
-    for i in range(fs.n_instances):
-        lhs = eye.copy()
-        for v in range(fs.n_views):
-            lhs += inv_dims[v] * ((W[v] * p[v][:, i : i + 1]).T @ W[v])
-        X[:, i] = _solve_spd(lhs, rhs[:, i])
-    return X
+    p = [-np.asarray(av) / dv for av, dv in zip(a, fs.view_dims)]
+    rhs = sum(wv.T @ (pv * zv) for wv, pv, zv in zip(W, p, fs.views))
+    # Row j of W_v contributes p_v[j, i] * outer(W_v[j], W_v[j]) to system i.
+    outers = np.concatenate([wv[:, :, None] * wv[:, None, :] for wv in W])
+    lhs = _weighted_sum(np.concatenate(p), outers) + c2 * np.eye(d)
+    return _solve_spd_stack(lhs, rhs.T).T
 
 
 def cemv_update_w(fs, X, a, c1):
-    """Row-by-row map update; no view balancing enters here."""
-    d = X.shape[0]
-    eye = c1 * np.eye(d)
+    """Map update with one weighted ridge system per map row, solved as a stack.
+
+    No view balancing enters here.
+    """
+    eye = c1 * np.eye(X.shape[0])
+    # Instance i contributes p[j, i] * outer(x_i, x_i) to the system of row j.
+    outers = X.T[:, :, None] * X.T[:, None, :]
     W = []
-    for v in range(fs.n_views):
-        p = -np.asarray(a[v])
-        wv = np.empty((fs.view_dims[v], d))
-        for j in range(fs.view_dims[v]):
-            lhs = (X * p[j]) @ X.T + eye
-            rhs = X @ (p[j] * fs.views[v][j])
-            wv[j] = _solve_spd(lhs, rhs)
-        W.append(wv)
+    for av, zv in zip(a, fs.views):
+        p = -np.asarray(av)
+        lhs = _weighted_sum(p.T, outers) + eye
+        W.append(_solve_spd_stack(lhs, (p * zv) @ X.T))
     return W
 
 

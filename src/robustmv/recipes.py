@@ -244,7 +244,7 @@ def _pointset_25(seed, out, full_scale):
         results[method] = {
             "rmse_all": procrustes_rmse(coords, points),
             "rmse_corrupted": procrustes_rmse(coords, points, subset=corrupted),
-            "final_objective": res.trace.objective[-1],
+            "final_objective": res.trace.final_objective,
         }
 
     params = {
@@ -316,7 +316,7 @@ def _cluster_retrieval(seed, out, full_scale):
         score = retrieval_topk(labels, configuration=coords, k=k)
         results[method] = {
             "total_correct": score.total,
-            "final_objective": res.trace.objective[-1],
+            "final_objective": res.trace.final_objective,
         }
 
     params = {

@@ -25,6 +25,11 @@ class SolverTrace:
     converged: bool = False
     reason: str = ""
 
+    @property
+    def final_objective(self):
+        """The last recorded objective, or None when nothing was recorded."""
+        return self.objective[-1] if self.objective else None
+
     def record(self, value: float):
         self.objective.append(float(value))
         self.iterations_run += 1

@@ -15,6 +15,7 @@ from robustmv import (
     normalize_views,
 )
 from robustmv.datagen import NoiseSpec, corrupt_instances, gen_planted_multiview
+from robustmv.trace import NumericalError
 from robustmv.features import (
     cemv_objective,
     cemv_sigmas,
@@ -455,3 +456,114 @@ class TestBaselines:
                 _, acc = knn_classify(split, features=model.X.T, k=1)
                 diffs[name].append(acc)
         assert np.median(diffs["l2mv"]) <= np.median(diffs["cmv"])
+
+
+def _loop_cmv_x(fs, W, a, c2):
+    p = -a
+    X = np.empty((W[0].shape[1], fs.n_instances))
+    for i in range(fs.n_instances):
+        lhs = c2 * np.eye(X.shape[0])
+        rhs = np.zeros(X.shape[0])
+        for v, (wv, zv) in enumerate(zip(W, fs.views)):
+            lhs += p[v, i] * wv.T @ wv
+            rhs += p[v, i] * wv.T @ zv[:, i]
+        X[:, i] = np.linalg.solve(lhs, rhs)
+    return X
+
+
+def _loop_cemv_x(fs, W, a, c2):
+    X = np.empty((W[0].shape[1], fs.n_instances))
+    for i in range(fs.n_instances):
+        lhs = c2 * np.eye(X.shape[0])
+        rhs = np.zeros(X.shape[0])
+        for wv, av, zv in zip(W, a, fs.views):
+            p = -av[:, i] / wv.shape[0]
+            lhs += wv.T @ (p[:, None] * wv)
+            rhs += wv.T @ (p * zv[:, i])
+        X[:, i] = np.linalg.solve(lhs, rhs)
+    return X
+
+
+def _loop_cemv_w(fs, X, a, c1):
+    W = []
+    for av, zv in zip(a, fs.views):
+        rows = []
+        for j in range(zv.shape[0]):
+            p = -av[j]
+            lhs = (X * p) @ X.T + c1 * np.eye(X.shape[0])
+            rows.append(np.linalg.solve(lhs, X @ (p * zv[j])))
+        W.append(np.array(rows))
+    return W
+
+
+def _rel_err(got, ref):
+    return np.max(np.abs(got - ref)) / np.max(np.abs(ref))
+
+
+def _ridge_problem(seed, view_dims, n, d):
+    rng = np.random.default_rng(seed)
+    fs = _random_fs(rng, view_dims, n)
+    W = [rng.standard_normal((dv, d)) for dv in view_dims]
+    X = rng.standard_normal((d, n))
+    # U[0, 1) - 1 lies in [-1, 0), the range of every solver weight.
+    a_inst = rng.uniform(0.0, 1.0, size=(len(view_dims), n)) - 1.0
+    a_entry = [rng.uniform(0.0, 1.0, size=(dv, n)) - 1.0 for dv in view_dims]
+    return fs, W, X, a_inst, a_entry
+
+
+class TestBatchedRidge:
+    """The stacked solves against a per-instance / per-row reference loop."""
+
+    @pytest.mark.parametrize(
+        "view_dims,n,d",
+        [
+            ([7, 3], 60, 4),  # uneven views
+            ([5], 6, 5),  # single view, latent_dim = N - 1
+            ([1, 3], 8, 2),  # d_v = 1
+            ([1], 5, 4),  # single scalar view, latent_dim = N - 1
+        ],
+    )
+    def test_matches_reference_loop(self, view_dims, n, d):
+        fs, W, X, a_inst, a_entry = _ridge_problem(40, view_dims, n, d)
+        c1, c2 = 1e-3, 1e-3
+        assert _rel_err(cmv_update_x(fs, W, a_inst, c2), _loop_cmv_x(fs, W, a_inst, c2)) <= 1e-12
+        assert (
+            _rel_err(cemv_update_x(fs, W, a_entry, c2), _loop_cemv_x(fs, W, a_entry, c2))
+            <= 1e-12
+        )
+        got = cemv_update_w(fs, X, a_entry, c1)
+        ref = _loop_cemv_w(fs, X, a_entry, c1)
+        for gv, rv in zip(got, ref):
+            assert gv.shape == rv.shape
+            assert _rel_err(gv, rv) <= 1e-12
+
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf])
+    def test_non_finite_weight_raises(self, bad):
+        fs, W, X, a_inst, a_entry = _ridge_problem(41, [7, 3], 50, 4)
+        a_inst[1, 17] = bad
+        a_entry[0][2, 17] = bad
+        with pytest.raises(NumericalError):
+            cmv_update_x(fs, W, a_inst, 1e-3)
+        with pytest.raises(NumericalError):
+            cemv_update_x(fs, W, a_entry, 1e-3)
+        with pytest.raises(NumericalError):
+            cemv_update_w(fs, X, a_entry, 1e-3)
+
+    def test_indefinite_system_fails_loudly(self):
+        # Positive weights make the ridge systems indefinite; the batched
+        # Cholesky must refuse them rather than return a solution.
+        fs, W, X, a_inst, a_entry = _ridge_problem(42, [7, 3], 50, 4)
+        with pytest.raises(np.linalg.LinAlgError):
+            cmv_update_x(fs, W, -10.0 * a_inst, 1e-3)
+        with pytest.raises(np.linalg.LinAlgError):
+            cemv_update_w(fs, X, [-10.0 * av for av in a_entry], 1e-3)
+
+    @pytest.mark.parametrize("fit", [cmv_fit, cemv_fit, l2mv_fit, cauchymv_fit])
+    @pytest.mark.parametrize("view_dims", [[1], [4], [1, 3]])
+    def test_degenerate_fits_run(self, fit, view_dims):
+        rng = np.random.default_rng(43)
+        fs = normalize_views(_random_fs(rng, view_dims, 6))
+        model = fit(fs, CmvConfig(latent_dim=5, max_outer=4))  # latent_dim = N - 1
+        assert model.X.shape == (5, 6)
+        assert all(np.all(np.isfinite(wv)) for wv in model.W)
+        assert np.all(np.isfinite(model.X))

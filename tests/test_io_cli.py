@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+import robustmv.cli
 from robustmv.cli import main
 from robustmv.io import (
     ingest_dissimilarities,
@@ -186,6 +187,50 @@ class TestCli:
             "--out", str(tmp_path / "out"), "--config", '{"latent_dim": 2, "max_outer": 2}',
         ])
         assert code == 3
+
+    def test_linalg_error_is_numerical_failure(self, tmp_path, monkeypatch, capsys):
+        # LinAlgError subclasses ValueError; it must still exit 3, not 2.
+        def failing_solver(fs, cfg):
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+        monkeypatch.setitem(robustmv.cli._FIT_SOLVERS, "cmv", failing_solver)
+        f = tmp_path / "v.csv"
+        write_matrix_csv(f, np.arange(12.0).reshape(3, 4))
+        code = main([
+            "fit-mv", "--solver", "cmv", "--views", str(f), str(f),
+            "--out", str(tmp_path / "out"), "--config", '{"latent_dim": 2}',
+        ])
+        assert code == 3
+        assert json.loads(capsys.readouterr().err)["error"] == "numerical"
+
+    def test_embed_records_stop_reason(self, tmp_path, capsys):
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal((6, 2))
+        f = tmp_path / "d.csv"
+        write_matrix_csv(f, np.sum((x[:, None] - x[None]) ** 2, axis=2))
+        out = tmp_path / "emb"
+        capsys.readouterr()
+        assert main([
+            "embed", "--solver", "cmvree", "--views", str(f), str(f), "--out", str(out),
+            "--config", '{"sigma": 1.0, "step": 1e12, "max_iter": 10}',
+        ]) == 0
+        echo = json.loads(capsys.readouterr().out)
+        assert echo["reason"] == "no ascent step" and echo["converged"] is True
+        assert echo["iterations"] == 0 and echo["final_objective"] is None
+        meta = json.loads((out / "meta.json").read_text())
+        assert meta["reason"] == "no ascent step" and meta["converged"] is True
+
+    def test_fit_records_stop_reason(self, tmp_path, capsys):
+        f = tmp_path / "v.csv"
+        write_matrix_csv(f, np.random.default_rng(6).standard_normal((4, 9)))
+        capsys.readouterr()
+        assert main([
+            "fit-mv", "--solver", "cemv", "--views", str(f), str(f),
+            "--out", str(tmp_path / "out"),
+            "--config", '{"latent_dim": 2, "max_outer": 2, "rel_tol": 0}',
+        ]) == 0
+        echo = json.loads(capsys.readouterr().out)
+        assert echo["reason"] == "max_outer reached" and echo["converged"] is False
 
     def test_cmds_requires_single_view(self, tmp_path):
         rng = np.random.default_rng(5)
