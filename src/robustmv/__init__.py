@@ -8,7 +8,7 @@ and evaluation utilities round out an experiment harness driven by the
 ``robustmv`` command-line tool.
 """
 
-from .losses import CauchyScale, GgdParams, KernelSize, cauchy_loss, correntropy_kernel, gc_loss, ggd
+from .losses import CauchyScale, GgdParams, cauchy_loss, correntropy_kernel, gc_loss, ggd
 from .trace import NumericalError, SolverTrace
 from .features import (
     CmvConfig,
@@ -25,12 +25,10 @@ from .embedding import (
     DissimilarityViews,
     EmbedConfig,
     EmbeddingResult,
-    GramState,
     b_to_d,
     cmds,
     cmvree_gradient,
     double_center,
-    extract_configuration,
     f0_objective,
     f_objective,
     hadamard_combine,

@@ -10,6 +10,7 @@ diagnostic on stderr.
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -54,6 +55,7 @@ from .io import (
     write_labels,
     write_matrix_csv,
     write_trace_csv,
+    write_views,
 )
 from .recipes import RECIPE_NAMES, run_recipe
 from .trace import NumericalError
@@ -68,11 +70,11 @@ _EMBED_SOLVERS = ("cmds", "ree", "mvree", "cmvree")
 
 
 def _parse_config(raw):
+    # Inline JSON (text starting with "{") is never looked up on disk.
     if raw is None:
         return {}
-    path = Path(raw)
-    if path.exists():
-        with open(path, "r", encoding="utf-8") as fh:
+    if not raw.lstrip().startswith("{") and os.path.isfile(raw):
+        with open(raw, "r", encoding="utf-8") as fh:
             raw = fh.read()
     try:
         cfg = json.loads(raw)
@@ -89,32 +91,41 @@ def _out_dir(args):
     return out
 
 
-def _echo(out, command, args_dict, input_files):
+def _echo(out, command, args_dict, input_files, summary=None):
     payload = {
         "command": command,
         "params": args_dict,
         "package_version": __version__,
         "inputs": {str(f): file_sha256(f) for f in input_files},
     }
+    if summary is not None:
+        payload["summary"] = summary
     write_json(out / "run.json", payload)
+
+
+def _solver_summary(solver, trace):
+    """What a solver run did: printed on stdout and recorded in ``run.json``."""
+    return {
+        "solver": solver,
+        "iterations": trace.iterations_run,
+        "converged": trace.converged,
+        "reason": trace.reason,
+        "final_objective": trace.final_objective,
+    }
 
 
 def _cmd_synth(args):
     out = _out_dir(args)
     params = _parse_config(args.params)
     files = []
-    manifest = {"views": []}
+    labels = None
     if args.kind == "planted":
         p = {"n_views": 2, "n_instances": 50, "latent_dim": 3, "view_dims": [6, 5]}
         p.update(params)
         fs, w_true, x_true = gen_planted_multiview(
             p["n_views"], p["n_instances"], p["latent_dim"], p["view_dims"], seed=args.seed
         )
-        for v, z in enumerate(fs.views):
-            f = out / f"view{v + 1}.csv"
-            write_matrix_csv(f, z)
-            files.append(f)
-            manifest["views"].append(f.name)
+        matrices = fs.views
         write_matrix_csv(out / "true_latents.csv", x_true)
         for v, w in enumerate(w_true):
             write_matrix_csv(out / f"true_map{v + 1}.csv", w)
@@ -122,40 +133,28 @@ def _cmd_synth(args):
         p = {"classes": 10, "per_class": 40, "view_dims": [64, 32], "latent_dim": 8}
         p.update(params)
         labels, fs = gen_labeled_multiview(seed=args.seed, **p)
-        fs = _apply_corruption(fs, args)
-        for v, z in enumerate(fs.views):
-            f = out / f"view{v + 1}.csv"
-            write_matrix_csv(f, z)
-            files.append(f)
-            manifest["views"].append(f.name)
-        write_labels(out / "labels.csv", labels)
-        files.append(out / "labels.csv")
-        manifest["labels"] = "labels.csv"
+        matrices = _apply_corruption(fs, args).views
     elif args.kind == "pointset":
         p = {"box": 4.5, "magnitude": 10.0, "noise_on": "squared"}
         p.update(params)
         points, views = gen_point_set_views(seed=args.seed, **p)
         write_matrix_csv(out / "points.csv", points)
         files.append(out / "points.csv")
-        for v, delta in enumerate(views.deltas):
-            f = out / f"view{v + 1}.csv"
-            write_matrix_csv(f, delta)
-            files.append(f)
-            manifest["views"].append(f.name)
+        matrices = views.deltas
     elif args.kind == "clusters":
         p = {"classes": 9, "per_class": 11, "corrupt_per_view": 10, "magnitude": 10.0}
         p.update(params)
         labels, views = gen_cluster_retrieval_views(seed=args.seed, **p)
-        for v, delta in enumerate(views.deltas):
-            f = out / f"view{v + 1}.csv"
-            write_matrix_csv(f, delta)
-            files.append(f)
-            manifest["views"].append(f.name)
+        matrices = views.deltas
+    else:  # pragma: no cover - argparse restricts choices
+        raise ValueError(f"unknown synth kind {args.kind!r}")
+    view_files = write_views(out, matrices)
+    files.extend(view_files)
+    manifest = {"views": [f.name for f in view_files]}
+    if labels is not None:
         write_labels(out / "labels.csv", labels)
         files.append(out / "labels.csv")
         manifest["labels"] = "labels.csv"
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(f"unknown synth kind {args.kind!r}")
     write_json(out / "manifest.json", manifest)
     _echo(out, f"synth {args.kind}", {"seed": args.seed, "params": p}, files)
     print(json.dumps({"written": [str(f) for f in files]}))
@@ -215,23 +214,10 @@ def _cmd_fit_mv(args):
     write_matrix_csv(out / "X.csv", model.X)
     write_trace_csv(out / "trace.csv", model.trace)
     write_matrix_csv(out / "weights.csv", instance_weight_profile(model))
-    _echo(
-        out,
-        f"fit-mv {args.solver}",
-        {"seed": args.seed, "normalize": args.normalize, "config": cfg_dict},
-        files,
-    )
-    print(
-        json.dumps(
-            {
-                "solver": args.solver,
-                "iterations": model.trace.iterations_run,
-                "converged": model.trace.converged,
-                "reason": model.trace.reason,
-                "final_objective": model.trace.final_objective,
-            }
-        )
-    )
+    summary = _solver_summary(args.solver, model.trace)
+    params = {"seed": args.seed, "normalize": args.normalize, "config": cfg_dict}
+    _echo(out, f"fit-mv {args.solver}", params, files, summary)
+    print(json.dumps(summary))
     return 0
 
 
@@ -254,27 +240,16 @@ def _cmd_embed(args):
     write_matrix_csv(out / "eigenvalues.csv", result.eigenvalues)
     write_matrix_csv(out / "gram.csv", result.gram)
     write_trace_csv(out / "trace.csv", result.trace)
+    summary = _solver_summary(args.solver, result.trace)
     meta = {
-        "solver": args.solver,
+        **summary,
         "config": cfg_dict,
         "ingest_report": report,
         "eigenvalue_head": [float(x) for x in result.eigenvalues[:5]],
-        "converged": result.trace.converged,
-        "reason": result.trace.reason,
     }
     write_json(out / "meta.json", meta)
-    _echo(out, f"embed {args.solver}", {"seed": args.seed, "config": cfg_dict}, args.views)
-    print(
-        json.dumps(
-            {
-                "solver": args.solver,
-                "iterations": result.trace.iterations_run,
-                "converged": result.trace.converged,
-                "reason": result.trace.reason,
-                "final_objective": result.trace.final_objective,
-            }
-        )
-    )
+    _echo(out, f"embed {args.solver}", {"seed": args.seed, "config": cfg_dict}, args.views, summary)
+    print(json.dumps(summary))
     return 0
 
 

@@ -7,8 +7,9 @@ agrees with the views.  Classical MDS does it in closed form for a single
 view; the iterative solvers trade the quadratic fit for an L1 cost
 (subgradient steps) or a bounded correntropy score (L1 warm start, then
 backtracking gradient ascent), each step followed by projection back onto
-the PSD cone.  Coordinates come out of the final eigendecomposition,
-ordered by descending eigenvalue.
+the PSD cone.  The correntropy kernel and its derivative come from
+:mod:`robustmv.losses`.  Coordinates come out of the final
+eigendecomposition, ordered by descending eigenvalue.
 
 Entry convention: matrices hold *squared* dissimilarities throughout, and
 objectives/gradients sum over ordered index pairs exactly the way the
@@ -20,11 +21,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .losses import correntropy_derivative, correntropy_kernel
 from .trace import NumericalError, SolverTrace
 
 __all__ = [
     "DissimilarityViews",
-    "GramState",
     "EmbedConfig",
     "EmbeddingResult",
     "b_to_d",
@@ -36,16 +37,10 @@ __all__ = [
     "f0_objective",
     "f_objective",
     "ree_fit",
-    "extract_configuration",
     "hadamard_combine",
     "median_kernel_size",
-    "KERNEL_PRESETS",
 ]
 
-# Kernel sizes used by the reference experiments on each data family.
-KERNEL_PRESETS = {"pointset": 3.0, "kimia": 1.5, "lidar": 2.0, "fish": 1.0}
-
-_EIG_FLOOR = 1e-8  # relative floor for "numerically PSD"
 _MIN_STEP_SCALE = 2.0**-20  # backtracking floor of correntropy ascent
 
 
@@ -113,24 +108,6 @@ class DissimilarityViews:
     @property
     def n_points(self) -> int:
         return self.deltas[0].shape[0]
-
-
-@dataclass
-class GramState:
-    """Symmetric PSD matrix together with its induced squared distances."""
-
-    b: np.ndarray
-
-    def __post_init__(self):
-        self.b = _check_square_symmetric(self.b, "B", atol=1e-10)
-        w = np.linalg.eigvalsh(self.b)
-        top = max(w[-1], 0.0)
-        if w[0] < -_EIG_FLOOR * max(top, 1.0):
-            raise ValueError(f"B is not PSD: min eigenvalue {w[0]:.3e}")
-
-    @property
-    def d(self) -> np.ndarray:
-        return b_to_d(self.b)
 
 
 @dataclass
@@ -281,26 +258,6 @@ def mvree_subgradient(views: DissimilarityViews, d) -> np.ndarray:
     return g
 
 
-def _kernel_and_slope(err, sigma, alpha):
-    # kernel exp(-lam |e|^alpha) with lam = 1/(2 sigma^alpha), and the
-    # derivative of the kernel w.r.t. D (err = delta - D):
-    #   d/dD exp(-lam|e|^alpha) = lam*alpha*|e|^(alpha-1)*sign(e)*kernel.
-    lam = 1.0 / (2.0 * sigma**alpha)
-    abs_e = np.abs(err)
-    if alpha == 2.0:
-        kern = np.exp(-lam * abs_e * abs_e)
-        slope = (err / (sigma * sigma)) * kern
-        return kern, slope
-    pow_a = np.zeros_like(abs_e)
-    pow_am1 = np.zeros_like(abs_e)
-    nz = abs_e > 0
-    pow_a[nz] = np.exp(alpha * np.log(abs_e[nz]))
-    pow_am1[nz] = np.exp((alpha - 1.0) * np.log(abs_e[nz]))
-    kern = np.exp(-lam * pow_a)
-    slope = lam * alpha * pow_am1 * np.sign(err) * kern
-    return kern, slope
-
-
 def cmvree_gradient(views: DissimilarityViews, d, sigma: float, alpha: float = 2.0):
     """Gradient of the correntropy score with respect to the Gram matrix.
 
@@ -310,15 +267,11 @@ def cmvree_gradient(views: DissimilarityViews, d, sigma: float, alpha: float = 2
     general shape exponent replaces the Gaussian kernel by
     ``exp(-|e|^alpha / (2 sigma^alpha))`` with the matching chain rule.
     """
-    if not sigma > 0:
-        raise ValueError("sigma must be > 0")
-    if not alpha > 0:
-        raise ValueError("alpha must be > 0")
     d = np.asarray(d, dtype=float)
     t = np.zeros_like(d)
     for w, delta in zip(views.weights, views.deltas):
-        _, slope = _kernel_and_slope(delta - d, sigma, alpha)
-        t += w * slope
+        # e = delta - D, so the slope in D is minus the kernel's derivative.
+        t -= w * correntropy_derivative(delta - d, sigma, alpha)
     g = -t
     np.fill_diagonal(g, t.sum(axis=1))
     return g
@@ -337,13 +290,10 @@ def f_objective(views: DissimilarityViews, d, sigma: float, alpha: float = 2.0) 
 
     Bounded above by the total weight mass sum_v sum_ij W_ij.
     """
-    if not sigma > 0:
-        raise ValueError("sigma must be > 0")
     d = np.asarray(d, dtype=float)
     total = 0.0
     for w, delta in zip(views.weights, views.deltas):
-        kern, _ = _kernel_and_slope(delta - d, sigma, alpha)
-        total += np.sum(w * kern)
+        total += np.sum(w * correntropy_kernel(delta - d, sigma, alpha))
     return float(total)
 
 
@@ -460,14 +410,6 @@ def _l1_step(views, b, d, eta):
 def _check_finite(obj, loss, it):
     if not np.isfinite(obj):
         raise NumericalError(f"ree_fit({loss}): non-finite objective at iter {it}")
-
-
-def extract_configuration(result: EmbeddingResult, k: int) -> np.ndarray:
-    """First k coordinate columns (the k dominant eigendirections)."""
-    n = result.coords.shape[0]
-    if not 1 <= k <= n:
-        raise ValueError(f"k={k} out of range for N={n}")
-    return result.coords[:, :k]
 
 
 def hadamard_combine(delta_a, delta_b) -> np.ndarray:

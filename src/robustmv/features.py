@@ -10,14 +10,14 @@ auxiliary weights ``A`` are refreshed in the outer loop:
 * ``l2mv_fit``     -- plain least squares, weights frozen at -1;
 * ``cauchymv_fit`` -- Cauchy loss via iteratively reweighted least squares.
 
-Weights are kept negative (each is ``-exp(-nonnegative)`` or an IRLS
-analogue) so that the half-quadratic surrogate traced by the correntropy
-solvers is maximized; the inner x/W updates are ridge solves in the
-equivalent positive-weight form.  Every update that has one weighted-ridge
-system per instance (the x-updates) or per map row (the entrywise W-update)
-builds those systems as one ``(n, d, d)`` stack and solves them together;
-only the per-view W-update of the instance-weighted solvers solves one
-system per view.
+Weights are kept negative (minus a correntropy kernel or Cauchy IRLS
+weight from :mod:`robustmv.losses`) so that the half-quadratic surrogate
+traced by the correntropy solvers is maximized; the inner x/W updates are
+ridge solves in the equivalent positive-weight form.  Every update that has
+one weighted-ridge system per instance (the x-updates) or per map row (the
+entrywise W-update) builds those systems as one ``(n, d, d)`` stack and
+solves them together; only the per-view W-update of the instance-weighted
+solvers solves one system per view.
 """
 
 import math
@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
+from .losses import CauchyScale, cauchy_loss, cauchy_weight, correntropy_kernel
 from .trace import NumericalError, SolverTrace
 
 __all__ = [
@@ -48,9 +49,6 @@ __all__ = [
     "cauchymv_fit",
     "instance_weight_profile",
 ]
-
-# Floor keeping weights strictly negative when exp(-b) underflows.
-_WEIGHT_FLOOR = np.finfo(float).tiny
 
 
 @dataclass
@@ -122,7 +120,7 @@ class CmvConfig:
             raise ValueError("iteration caps must be >= 1")
         if self.rel_tol < 0:
             raise ValueError("rel_tol must be >= 0")
-        if self.view_sigmas is not None and any(s <= 0 for s in self.view_sigmas):
+        if self.view_sigmas is not None and any(not s > 0 for s in self.view_sigmas):
             raise ValueError("view_sigmas must all be > 0")
 
 
@@ -193,6 +191,16 @@ def _residuals(fs, X, W):
     return [fs.views[v] - W[v] @ X for v in range(fs.n_views)]
 
 
+def _res2(fs, X, W):
+    # Squared residual norm of every (view, instance) pair, shape (M, N).
+    return np.stack([np.sum(r * r, axis=0) for r in _residuals(fs, X, W)])
+
+
+def _hq_weight(e, sigma):
+    # Minus the correntropy kernel, floored to stay negative where it underflows.
+    return -np.maximum(correntropy_kernel(e, sigma), np.finfo(float).tiny)
+
+
 def _g(a):
     # Convex HQ potential evaluated on negative weights.
     return -a * np.log(-a) + a
@@ -205,8 +213,7 @@ def _g(a):
 
 def cmv_update_a(fs, X, W, sigma):
     """Per-instance weights a[v, i] = -exp(-||z_i^v - W_v x_i||^2 / 2 sigma^2)."""
-    res2 = np.stack([np.sum(r * r, axis=0) for r in _residuals(fs, X, W)])
-    return -np.maximum(np.exp(-res2 / (2.0 * sigma * sigma)), _WEIGHT_FLOOR)
+    return _hq_weight(np.sqrt(_res2(fs, X, W)), sigma)
 
 
 def cmv_update_x(fs, W, a, c2):
@@ -259,9 +266,7 @@ def cmv_objective(fs, X, W, A, cfg: CmvConfig) -> float:
     if not np.all(A < 0):
         raise ValueError("auxiliary weights must be strictly negative")
     two_s2 = 2.0 * cfg.sigma * cfg.sigma
-    res2 = np.stack([np.sum(r * r, axis=0) for r in _residuals(fs, X, W)])
-    b = res2 / two_s2
-    hq = np.sum(b * A - _g(A))
+    hq = np.sum(_res2(fs, X, W) / two_s2 * A - _g(A))
     return float(hq - _penalty(W, X, cfg.c1, cfg.c2) / two_s2)
 
 
@@ -271,11 +276,8 @@ def _l2_objective(fs, X, W, A, cfg):
 
 
 def _cauchy_objective(fs, X, W, A, cfg):
-    c2sq = cfg.sigma * cfg.sigma
-    loss = sum(
-        np.sum(np.log1p(np.sum(r * r, axis=0) / c2sq)) for r in _residuals(fs, X, W)
-    )
-    return float(loss + _penalty(W, X, cfg.c1, cfg.c2) / c2sq)
+    loss = np.sum(cauchy_loss(np.sqrt(_res2(fs, X, W)), CauchyScale(cfg.sigma)))
+    return float(loss + _penalty(W, X, cfg.c1, cfg.c2) / (cfg.sigma * cfg.sigma))
 
 
 def _init_maps(fs, cfg):
@@ -365,8 +367,7 @@ def l2mv_fit(fs: MultiViewFeatureSet, cfg: CmvConfig) -> IntactSpaceModel:
 
 def _cauchy_update_a(fs, X, W, cfg):
     # IRLS weight of log(1 + res^2/c^2); cfg.sigma plays the role of c.
-    res2 = np.stack([np.sum(r * r, axis=0) for r in _residuals(fs, X, W)])
-    return -1.0 / (1.0 + res2 / (cfg.sigma * cfg.sigma))
+    return -cauchy_weight(np.sqrt(_res2(fs, X, W)), CauchyScale(cfg.sigma))
 
 
 def cauchymv_fit(fs: MultiViewFeatureSet, cfg: CmvConfig) -> IntactSpaceModel:
@@ -397,10 +398,7 @@ def cemv_sigmas(fs, cfg):
 
 def cemv_update_a(fs, X, W, sigmas):
     """Entrywise weights a[v][j, i] = -exp(-(z_ji^v - W_j^v x_i)^2 / 2 sigma_v^2)."""
-    out = []
-    for r, s in zip(_residuals(fs, X, W), sigmas):
-        out.append(-np.maximum(np.exp(-(r * r) / (2.0 * s * s)), _WEIGHT_FLOOR))
-    return out
+    return [_hq_weight(r, s) for r, s in zip(_residuals(fs, X, W), sigmas)]
 
 
 def cemv_update_x(fs, W, a, c2):

@@ -18,6 +18,7 @@ from .features import MultiViewFeatureSet
 __all__ = [
     "read_matrix_csv",
     "write_matrix_csv",
+    "write_views",
     "read_labels",
     "write_labels",
     "ingest_features",
@@ -74,6 +75,14 @@ def _is_float(cell):
 def write_matrix_csv(path, matrix):
     matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
     np.savetxt(path, matrix, fmt=_FMT, delimiter=",")
+
+
+def write_views(directory, matrices):
+    """Write ``view1.csv``, ``view2.csv``, ... into ``directory``; returns the paths."""
+    paths = [Path(directory) / f"view{v}.csv" for v in range(1, len(matrices) + 1)]
+    for path, matrix in zip(paths, matrices):
+        write_matrix_csv(path, matrix)
+    return paths
 
 
 def read_labels(path):

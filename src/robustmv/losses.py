@@ -1,10 +1,13 @@
-"""Scalar loss and kernel functions shared by all solvers.
+"""Loss and kernel functions: the one definition every solver uses.
 
 The central object is the generalized Gaussian density ``g(e) = gamma *
 exp(-lam * |e|**alpha)`` with shape ``alpha`` and bandwidth ``beta``.  Its
 induced loss ``g(0) - g(e)`` is bounded, which is what makes the multi-view
-solvers in this package robust to gross outliers.  The Cauchy loss and plain
-L1/L2 weights used by the baseline solvers live here as well.
+solvers in this package robust to gross outliers.  The solvers use it
+unnormalized, as the correntropy kernel ``exp(-|e|**alpha / (2 sigma**alpha))``
+(``alpha = 2`` for the feature solvers, ``EmbedConfig.alpha`` for the
+embedding solvers), together with its derivative.  The Cauchy loss and its
+IRLS weight, used by the Cauchy baseline, live here as well.
 """
 
 import math
@@ -14,12 +17,13 @@ import numpy as np
 
 __all__ = [
     "GgdParams",
-    "KernelSize",
     "CauchyScale",
     "ggd",
     "gc_loss",
     "cauchy_loss",
+    "cauchy_weight",
     "correntropy_kernel",
+    "correntropy_derivative",
 ]
 
 
@@ -53,17 +57,6 @@ class GgdParams:
 
 
 @dataclass(frozen=True)
-class KernelSize:
-    """Bandwidth of a Gaussian kernel, in the units of the error."""
-
-    sigma: float
-
-    def __post_init__(self):
-        if not self.sigma > 0:
-            raise ValueError(f"sigma must be > 0, got {self.sigma}")
-
-
-@dataclass(frozen=True)
 class CauchyScale:
     """Scale of the Cauchy loss log(1 + e**2 / c**2)."""
 
@@ -77,11 +70,17 @@ class CauchyScale:
 def _abs_pow(e, alpha):
     # |e|**alpha via exp(alpha*log|e|); e == 0 short-circuited to 0 so that
     # non-integer alpha never sees log(0).
-    e = np.asarray(e, dtype=float)
     out = np.zeros_like(e)
     nz = e != 0
     out[nz] = np.exp(alpha * np.log(np.abs(e[nz])))
     return out
+
+
+def _exponent(e, lam, alpha):
+    # -lam * |e|**alpha; alpha == 2, the solvers' hot path, skips the power.
+    if alpha == 2.0:
+        return -lam * e * e
+    return -lam * _abs_pow(e, alpha)
 
 
 def _maybe_scalar(x, arr):
@@ -94,7 +93,8 @@ def ggd(e, p: GgdParams):
     Even in ``e``, strictly positive, maximal at ``e = 0`` where it equals
     ``p.gamma``.  Accepts scalars or arrays.
     """
-    val = p.gamma * np.exp(-p.lam * _abs_pow(e, p.alpha))
+    e = np.asarray(e, dtype=float)
+    val = p.gamma * np.exp(_exponent(e, p.lam, p.alpha))
     return _maybe_scalar(e, val)
 
 
@@ -104,7 +104,8 @@ def gc_loss(e, p: GgdParams):
     Zero iff ``e == 0``, monotone nondecreasing in ``|e|``, bounded above by
     ``p.gamma``.
     """
-    val = p.gamma * (-np.expm1(-p.lam * _abs_pow(e, p.alpha)))
+    e = np.asarray(e, dtype=float)
+    val = p.gamma * (-np.expm1(_exponent(e, p.lam, p.alpha)))
     return _maybe_scalar(e, val)
 
 
@@ -115,14 +116,40 @@ def cauchy_loss(e, s: CauchyScale):
     return _maybe_scalar(e, val)
 
 
-def correntropy_kernel(e, sigma: float):
-    """Unnormalized Gaussian kernel exp(-e**2 / (2 * sigma**2)).
+def cauchy_weight(e, s: CauchyScale):
+    """IRLS weight 1 / (1 + e**2 / c**2) of the Cauchy loss, in (0, 1]."""
+    e = np.asarray(e, dtype=float)
+    val = 1.0 / (1.0 + (e / s.c) ** 2)
+    return _maybe_scalar(e, val)
 
-    This is the form all solver objectives use; the ggd normalizing constant
-    is deliberately left out.
+
+def correntropy_kernel(e, sigma: float, alpha: float = 2.0):
+    """Unnormalized correntropy kernel exp(-|e|**alpha / (2 * sigma**alpha)).
+
+    ``alpha = 2`` is the Gaussian kernel exp(-e**2 / (2 * sigma**2)).  This
+    is the form all solver objectives and weights use; the ggd normalizing
+    constant is deliberately left out.
     """
     if not sigma > 0:
         raise ValueError(f"sigma must be > 0, got {sigma}")
+    if not alpha > 0:
+        raise ValueError(f"alpha must be > 0, got {alpha}")
     e = np.asarray(e, dtype=float)
-    val = np.exp(-(e * e) / (2.0 * sigma * sigma))
+    val = np.exp(_exponent(e, 1.0 / (2.0 * sigma**alpha), alpha))
+    return _maybe_scalar(e, val)
+
+
+def correntropy_derivative(e, sigma: float, alpha: float = 2.0):
+    """Derivative of :func:`correntropy_kernel` with respect to ``e``.
+
+    ``-alpha * |e|**(alpha - 1) * sign(e) * kernel / (2 * sigma**alpha)``,
+    which is ``-e * kernel / sigma**2`` for ``alpha = 2``.
+    """
+    kern = correntropy_kernel(e, sigma, alpha)
+    e = np.asarray(e, dtype=float)
+    if alpha == 2.0:
+        val = (e / -(sigma * sigma)) * kern
+    else:
+        lam = 1.0 / (2.0 * sigma**alpha)
+        val = -lam * alpha * _abs_pow(e, alpha - 1.0) * np.sign(e) * kern
     return _maybe_scalar(e, val)

@@ -35,7 +35,9 @@ from .features import (
     instance_weight_profile,
     l2mv_fit,
 )
-from .io import file_sha256, write_json, write_labels, write_matrix_csv, write_trace_csv
+from .io import (
+    file_sha256, write_json, write_labels, write_matrix_csv, write_trace_csv, write_views
+)
 
 __all__ = ["run_recipe", "RECIPE_NAMES", "FEATURE_METHODS", "fit_feature_method"]
 
@@ -121,11 +123,7 @@ def _uci_noise_grid(seed, out, full_scale, condition):
     )
     data_dir = out / "data"
     data_dir.mkdir(exist_ok=True)
-    files = []
-    for v, z in enumerate(fs.views):
-        f = data_dir / f"view{v + 1}.csv"
-        write_matrix_csv(f, z)
-        files.append(f)
+    files = write_views(data_dir, fs.views)
     labels_file = data_dir / "labels.csv"
     write_labels(labels_file, labels)
     files.append(labels_file)
@@ -216,12 +214,8 @@ def _pointset_25(seed, out, full_scale):
     )
     data_dir = out / "data"
     data_dir.mkdir(exist_ok=True)
-    files = [data_dir / "points.csv"]
-    write_matrix_csv(files[0], points)
-    for v, delta in enumerate(views.deltas):
-        f = data_dir / f"view{v + 1}.csv"
-        write_matrix_csv(f, delta)
-        files.append(f)
+    write_matrix_csv(data_dir / "points.csv", points)
+    files = [data_dir / "points.csv", *write_views(data_dir, views.deltas)]
 
     corrupted = sorted({*POINTSET_VIEW1, *POINTSET_VIEW2})
     runs = {
@@ -275,11 +269,7 @@ def _cluster_retrieval(seed, out, full_scale):
 
     data_dir = out / "data"
     data_dir.mkdir(exist_ok=True)
-    files = []
-    for v, delta in enumerate(views.deltas):
-        f = data_dir / f"view{v + 1}.csv"
-        write_matrix_csv(f, delta)
-        files.append(f)
+    files = write_views(data_dir, views.deltas)
     labels_file = data_dir / "labels.csv"
     write_labels(labels_file, labels)
     files.append(labels_file)

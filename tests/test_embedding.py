@@ -2,16 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from robustmv import (
     DissimilarityViews,
     EmbedConfig,
-    GramState,
     b_to_d,
     cmds,
     cmvree_gradient,
     double_center,
-    extract_configuration,
     f0_objective,
     f_objective,
     hadamard_combine,
@@ -20,6 +19,7 @@ from robustmv import (
     psd_project,
     ree_fit,
 )
+from robustmv.losses import correntropy_kernel
 
 
 def _sq_dists(points):
@@ -86,14 +86,6 @@ class TestGramDistance:
         with pytest.raises(ValueError, match="symmetric"):
             b_to_d(np.array([[0.0, 1.0], [2.0, 0.0]]))
 
-    def test_gram_state_checks_psd(self):
-        rng = np.random.default_rng(1)
-        x = rng.standard_normal((5, 2))
-        state = GramState(x @ x.T)
-        np.testing.assert_allclose(state.d, _sq_dists(x), atol=1e-10)
-        with pytest.raises(ValueError, match="PSD"):
-            GramState(np.diag([1.0, -1.0]))
-
 
 class TestDoubleCenter:
     def test_zero(self):
@@ -131,7 +123,7 @@ class TestCmds:
         rng = np.random.default_rng(5)
         delta = _sq_dists(rng.standard_normal((5, 2)))
         res = cmds(delta, 5)
-        np.testing.assert_allclose(extract_configuration(res, 5), res.coords)
+        np.testing.assert_allclose(res.configuration, res.coords)
 
 
 class TestPsdProject:
@@ -250,6 +242,29 @@ class TestObjectives:
         for _ in range(10):
             d = _sq_dists(rng.uniform(0, 4, size=(6, 2)))
             assert f_objective(views, d, sigma=1.7) <= mass + 1e-12
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([1.5, 2.0]),
+        st.floats(0.1, 10.0),
+    )
+    def test_f_is_weighted_sum_of_shared_kernel(self, seed, alpha, sigma):
+        rng = np.random.default_rng(seed)
+        weights = [(w + w.T) / 2 for w in rng.uniform(0, 1, size=(2, 5, 5))]
+        views = DissimilarityViews(_random_views(rng, 5).deltas, weights)
+        d = _sq_dists(rng.uniform(0, 3, size=(5, 2)))
+        got = f_objective(views, d, sigma, alpha)
+        shared = sum(
+            np.sum(w * correntropy_kernel(delta - d, sigma, alpha))
+            for w, delta in zip(views.weights, views.deltas)
+        )
+        direct = sum(
+            np.sum(w * np.exp(-np.abs(delta - d) ** alpha / (2.0 * sigma**alpha)))
+            for w, delta in zip(views.weights, views.deltas)
+        )
+        assert got == shared
+        assert got == pytest.approx(direct, rel=1e-12)
 
     def test_f_decreases_moving_away(self):
         rng = np.random.default_rng(17)
@@ -391,7 +406,7 @@ class TestExtractConfiguration:
         x -= x.mean(axis=0)
         b = x @ x.T
         res = cmds(b_to_d(b), 2)
-        x2 = extract_configuration(res, 2)
+        x2 = res.configuration
         np.testing.assert_allclose(_sq_dists(x2), b_to_d(b), atol=1e-8)
 
     def test_column_norms_non_increasing(self):
@@ -400,14 +415,6 @@ class TestExtractConfiguration:
         res = cmds(delta, 4)
         norms = np.linalg.norm(res.coords, axis=0)
         assert np.all(np.diff(norms) <= 1e-10)
-
-    def test_range_checked(self):
-        rng = np.random.default_rng(27)
-        res = cmds(_sq_dists(rng.standard_normal((4, 2))), 2)
-        with pytest.raises(ValueError, match="out of range"):
-            extract_configuration(res, 5)
-        with pytest.raises(ValueError, match="out of range"):
-            extract_configuration(res, 0)
 
 
 class TestHadamard:

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.optimize import minimize
 
 from robustmv import (
@@ -15,6 +16,7 @@ from robustmv import (
     normalize_views,
 )
 from robustmv.datagen import NoiseSpec, corrupt_instances, gen_planted_multiview
+from robustmv.losses import correntropy_kernel
 from robustmv.trace import NumericalError
 from robustmv.features import (
     cemv_objective,
@@ -83,6 +85,45 @@ class TestCmvUpdateA:
         fs = MultiViewFeatureSet([np.array([[np.sqrt(100.0) * sigma], [0.0]])])
         a = cmv_update_a(fs, np.zeros((2, 1)), [np.eye(2)], sigma)
         assert -1e-6 < a[0, 0] < 0
+
+
+class TestSharedKernelWeights:
+    """The A-updates are minus the shared correntropy kernel of the residual."""
+
+    @staticmethod
+    def _case(seed, log_scale, view_dims=(4, 2), n=7, d=2):
+        # Residuals spread over many kernel sizes, far enough out that some
+        # kernels underflow to the weight floor.
+        rng = np.random.default_rng(seed)
+        fs = MultiViewFeatureSet(
+            [rng.standard_normal((dv, n)) * 10.0**log_scale for dv in view_dims]
+        )
+        x = rng.standard_normal((d, n))
+        w = [rng.standard_normal((dv, d)) for dv in view_dims]
+        return fs, x, w, [z - wv @ x for z, wv in zip(fs.views, w)]
+
+    @staticmethod
+    def _check(a, e, sigma):
+        a = np.asarray(a)
+        assert np.all(a >= -1.0) and np.all(a < 0.0)
+        kern = correntropy_kernel(e, sigma)
+        np.testing.assert_allclose(-a, np.maximum(kern, np.finfo(float).tiny), rtol=1e-12)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.floats(-2.0, 2.0), st.floats(0.05, 5.0))
+    def test_cmv_weights(self, seed, log_scale, sigma):
+        fs, x, w, res = self._case(seed, log_scale)
+        a = cmv_update_a(fs, x, w, sigma)
+        for v, r in enumerate(res):
+            self._check(a[v], np.linalg.norm(r, axis=0), sigma)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.floats(-2.0, 2.0), st.floats(0.05, 5.0))
+    def test_cemv_weights(self, seed, log_scale, sigma):
+        fs, x, w, res = self._case(seed, log_scale)
+        sigmas = [sigma, 2.0 * sigma]
+        for av, r, s in zip(cemv_update_a(fs, x, w, sigmas), res, sigmas):
+            self._check(av, r, s)
 
 
 class TestCmvUpdateX:

@@ -7,6 +7,7 @@ import pytest
 
 import robustmv.cli
 from robustmv.cli import main
+from robustmv.features import CmvConfig
 from robustmv.io import (
     ingest_dissimilarities,
     ingest_features,
@@ -231,6 +232,56 @@ class TestCli:
         ]) == 0
         echo = json.loads(capsys.readouterr().out)
         assert echo["reason"] == "max_outer reached" and echo["converged"] is False
+
+    @pytest.mark.parametrize("command", ["fit-mv", "embed"])
+    def test_run_json_records_solver_summary(self, tmp_path, capsys, command):
+        rng = np.random.default_rng(7)
+        f = tmp_path / "v.csv"
+        if command == "fit-mv":
+            write_matrix_csv(f, rng.standard_normal((4, 9)))
+            argv = ["fit-mv", "--solver", "cmv", "--config", '{"latent_dim": 2, "max_outer": 3}']
+        else:
+            x = rng.standard_normal((6, 2))
+            write_matrix_csv(f, np.sum((x[:, None] - x[None]) ** 2, axis=2))
+            argv = ["embed", "--solver", "cmvree", "--config", '{"max_iter": 6}']
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main(argv + ["--views", str(f), str(f), "--out", str(out)]) == 0
+        printed = json.loads(capsys.readouterr().out)
+        recorded = json.loads((out / "run.json").read_text())["summary"]
+        assert recorded == printed
+        assert recorded["reason"] == printed["reason"] != ""
+
+    def test_long_inline_config_is_json_not_a_path(self, tmp_path):
+        # Longer than a file name may be, and without a "/".
+        params = '{"classes": 3, "per_class": 4, "view_dims": [5, 4], "latent_dim": 2' + (
+            " " * 400 + "}"
+        )
+        assert len(params) > 400 and "/" not in params
+        out = tmp_path / "syn"
+        assert main(["synth", "--kind", "labeled", "--out", str(out), "--params", params]) == 0
+        assert json.loads((out / "run.json").read_text())["params"]["params"]["per_class"] == 4
+
+    def test_config_file_path_still_read(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"classes": 3, "per_class": 5, "view_dims": [5, 4], "latent_dim": 2}')
+        out = tmp_path / "syn"
+        assert main(["synth", "--kind", "labeled", "--out", str(out), "--params", str(cfg)]) == 0
+        assert read_matrix_csv(out / "view1.csv").shape == (5, 15)
+
+    def test_nan_view_sigma_is_validation_error(self, tmp_path, capsys):
+        with pytest.raises(ValueError, match="view_sigmas"):
+            CmvConfig(latent_dim=2, view_sigmas=[float("nan"), 1.0])
+        f = tmp_path / "v.csv"
+        write_matrix_csv(f, np.random.default_rng(8).standard_normal((4, 9)))
+        capsys.readouterr()
+        code = main([
+            "fit-mv", "--solver", "cemv", "--views", str(f), str(f),
+            "--out", str(tmp_path / "out"),
+            "--config", '{"latent_dim": 2, "view_sigmas": [NaN, 1]}',
+        ])
+        assert code == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "validation"
 
     def test_cmds_requires_single_view(self, tmp_path):
         rng = np.random.default_rng(5)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from robustmv import CauchyScale, GgdParams, cauchy_loss, correntropy_kernel, gc_loss, ggd
+from robustmv.losses import cauchy_weight, correntropy_derivative
 
 
 class TestGgd:
@@ -105,3 +106,57 @@ class TestCauchyLoss:
         grid = np.linspace(-0.05 * c, 0.05 * c, 101)
         gap = np.abs(cauchy_loss(grid, s) - (1.0 - np.exp(-((grid / c) ** 2))))
         assert np.all(gap <= 2.0 * np.abs(grid / c) ** 6 + 1e-16)
+
+
+class TestCorrentropyKernel:
+    @given(st.floats(-1e3, 1e3, allow_nan=False), st.floats(1e-3, 1e3))
+    def test_alpha_two_is_gaussian(self, e, sigma):
+        # Both sides round the exponent e^2 / (2 sigma^2) differently, and exp
+        # scales that rounding by the exponent; inside |e| <= sigma*sqrt(2)
+        # (exponent <= 1) the bound is a plain 1e-15 relative.
+        expo = e * e / (2.0 * sigma * sigma)
+        ref = math.exp(-expo)
+        got = correntropy_kernel(e, sigma)
+        assert abs(got - ref) <= 1e-15 * max(1.0, expo) * ref
+
+    @given(st.floats(-50, 50, allow_nan=False), st.sampled_from([1.0, 1.5, 2.0, 3.0]))
+    def test_general_shape(self, e, alpha):
+        sigma = 1.7
+        ref = math.exp(-abs(e) ** alpha / (2.0 * sigma**alpha))
+        assert correntropy_kernel(e, sigma, alpha) == pytest.approx(ref, rel=1e-12, abs=1e-300)
+
+    @pytest.mark.parametrize("alpha", [1.5, 2.0, 3.0])
+    def test_derivative_matches_finite_differences(self, alpha):
+        sigma, h = 0.8, 1e-6
+        grid = np.linspace(-3.0, 3.0, 61) + 0.013  # clear of the kink at e = 0
+        fd = (correntropy_kernel(grid + h, sigma, alpha)
+              - correntropy_kernel(grid - h, sigma, alpha)) / (2 * h)
+        np.testing.assert_allclose(
+            correntropy_derivative(grid, sigma, alpha), fd, rtol=1e-6, atol=1e-9
+        )
+
+    def test_derivative_is_zero_at_zero(self):
+        assert correntropy_derivative(0.0, 1.0) == 0.0
+        assert correntropy_derivative(0.0, 1.0, 1.5) == 0.0
+
+    def test_invalid_kernel_size(self):
+        for bad in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError, match="sigma"):
+                correntropy_kernel(1.0, bad)
+            with pytest.raises(ValueError, match="sigma"):
+                correntropy_derivative(1.0, bad)
+        with pytest.raises(ValueError, match="alpha"):
+            correntropy_kernel(1.0, 1.0, 0.0)
+
+
+class TestCauchyWeight:
+    @given(st.floats(-1e3, 1e3, allow_nan=False), st.floats(1e-2, 1e2))
+    def test_irls_weight_is_loss_slope_over_e(self, e, c):
+        # d/de log(1 + e^2/c^2) = 2e/c^2 * w(e): the IRLS weight of the loss.
+        s = CauchyScale(c)
+        w = cauchy_weight(e, s)
+        assert 0.0 < w <= 1.0
+        assert w == pytest.approx(1.0 / (1.0 + (e / c) ** 2), rel=1e-15)
+        h = 1e-6 * max(c, abs(e))
+        slope = (cauchy_loss(e + h, s) - cauchy_loss(e - h, s)) / (2 * h)
+        assert slope == pytest.approx(2.0 * e / c**2 * w, rel=1e-5, abs=1e-9 / c)
