@@ -51,6 +51,7 @@ from .io import (
     load_manifest,
     read_labels,
     read_matrix_csv,
+    run_environment,
     write_json,
     write_labels,
     write_matrix_csv,
@@ -97,6 +98,7 @@ def _echo(out, command, args_dict, input_files, summary=None):
         "params": args_dict,
         "package_version": __version__,
         "inputs": {str(f): file_sha256(f) for f in input_files},
+        "environment": run_environment(),
     }
     if summary is not None:
         payload["summary"] = summary
@@ -178,14 +180,12 @@ def _apply_corruption(fs, args):
 
 
 def _load_feature_inputs(args):
+    # A manifest's labels are for evaluation; fitting never reads them.
     files = []
-    labels = None
     config = {}
     if args.manifest:
         manifest = load_manifest(args.manifest)
         files = manifest["views"]
-        if manifest.get("labels"):
-            labels = read_labels(manifest["labels"])
         config = manifest.get("config", {})
         fs = ingest_features(files, duplicate_single=args.duplicate)
     elif args.uci_dir:
@@ -198,12 +198,12 @@ def _load_feature_inputs(args):
         fs = ingest_features(files, duplicate_single=args.duplicate)
     else:
         raise ValueError("give --views, --manifest or --uci-dir")
-    return fs, labels, config, [Path(f) for f in files]
+    return fs, config, [Path(f) for f in files]
 
 
 def _cmd_fit_mv(args):
     out = _out_dir(args)
-    fs, _, manifest_cfg, files = _load_feature_inputs(args)
+    fs, manifest_cfg, files = _load_feature_inputs(args)
     if args.normalize:
         fs = normalize_views(fs)
     cfg_dict = {"latent_dim": 10, "seed": args.seed}

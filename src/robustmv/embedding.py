@@ -45,14 +45,20 @@ _MIN_STEP_SCALE = 2.0**-20  # backtracking floor of correntropy ascent
 
 
 def _check_square_symmetric(m, name, atol=0.0):
+    """``m`` as a float array; raise unless it is square and symmetric.
+
+    Exact equality is tested first and the entrywise ``atol`` tolerance only
+    when that fails.  The solver iterates are exactly symmetric by
+    construction, so inside ``ree_fit`` the check costs one comparison; the
+    verdict is the same as the tolerance test's alone for every input (NaN
+    fails both, symmetric infinities pass both).
+    """
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"{name} must be square, got shape {m.shape}")
-    if atol == 0.0:
-        ok = np.array_equal(m, m.T)
-    else:
-        ok = np.allclose(m, m.T, atol=atol, rtol=0.0)
-    if not ok:
+    if not np.array_equal(m, m.T) and not (
+        atol > 0 and np.allclose(m, m.T, atol=atol, rtol=0.0)
+    ):
         raise ValueError(f"{name} must be symmetric")
     return m
 
@@ -188,11 +194,18 @@ def double_center(delta) -> np.ndarray:
 
 
 def psd_project(b) -> np.ndarray:
-    """Frobenius-nearest PSD matrix: eigendecompose and clip negatives."""
+    """Frobenius-nearest PSD matrix: eigendecompose and clip negatives.
+
+    The result is rebuilt from the positive eigenpairs only, so the product
+    costs N x N x r for r positive eigenvalues rather than N^3; a matrix
+    with none projects to zero.
+    """
     b = _check_square_symmetric(b, "B", atol=1e-10)
     w, v = np.linalg.eigh(b)
-    w = np.maximum(w, 0.0)
-    out = (v * w) @ v.T
+    # eigh sorts ascending, so the positive eigenpairs are the tail.
+    k = np.searchsorted(w, 0.0, side="right")
+    vp = v[:, k:]
+    out = (vp * w[k:]) @ vp.T
     return (out + out.T) / 2.0
 
 

@@ -8,9 +8,11 @@ full-precision scientific notation so a write/read round trip is exact.
 
 import hashlib
 import json
+import os
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from .embedding import DissimilarityViews
 from .features import MultiViewFeatureSet
@@ -28,6 +30,7 @@ __all__ = [
     "write_json",
     "write_trace_csv",
     "file_sha256",
+    "run_environment",
 ]
 
 _FMT = "%.17g"
@@ -220,3 +223,19 @@ def file_sha256(path):
         for chunk in iter(lambda: fh.read(1 << 16), b""):
             h.update(chunk)
     return h.hexdigest()
+
+
+def run_environment():
+    """Where a run happened, for the ``environment`` block of ``run.json``.
+
+    numpy/scipy versions, the core count and the BLAS thread settings
+    (``None`` when the variable is unset), so timings and traces from
+    different machines can be read side by side.
+    """
+    return {
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "cpu_count": os.cpu_count(),
+        "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
+        "OMP_NUM_THREADS": os.environ.get("OMP_NUM_THREADS"),
+    }

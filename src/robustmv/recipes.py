@@ -36,7 +36,8 @@ from .features import (
     l2mv_fit,
 )
 from .io import (
-    file_sha256, write_json, write_labels, write_matrix_csv, write_trace_csv, write_views
+    file_sha256, run_environment, write_json, write_labels, write_matrix_csv, write_trace_csv,
+    write_views,
 )
 
 __all__ = ["run_recipe", "RECIPE_NAMES", "FEATURE_METHODS", "fit_feature_method"]
@@ -97,6 +98,7 @@ def _echo(out, name, seed, params, data_files):
         "params": params,
         "package_version": __version__,
         "inputs": {Path(f).name: file_sha256(f) for f in data_files},
+        "environment": run_environment(),
     }
     write_json(out / "run.json", payload)
     return payload

@@ -1,5 +1,7 @@
 """Embedding solvers against planted configurations and finite differences."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -58,6 +60,30 @@ def _pair_objective_corr(views, b, sigma, alpha):
                 d_ij = b[i, i] + b[j, j] - b[i, j] - b[j, i]
                 total += w[i, j] * np.exp(-lam * abs(delta[i, j] - d_ij) ** alpha)
     return total
+
+
+def _recipe_runs(loss):
+    """A point-set and a cluster-retrieval instance at the recipes' settings."""
+    from robustmv.datagen import gen_cluster_retrieval_views, gen_point_set_views
+
+    _, points = gen_point_set_views(
+        seed=3, box=4.5, view1_points=(0, 1, 2, 3), view2_points=(23, 24),
+        magnitude=10.0, noise_on="squared",
+    )
+    _, raw = gen_cluster_retrieval_views(
+        classes=9, per_class=11, corrupt_per_view=10, magnitude=10.0, seed=3
+    )
+    clusters = DissimilarityViews([d / median_kernel_size(raw) for d in raw.deltas])
+    corr = loss == "correntropy"
+    return [
+        (points, EmbedConfig(
+            target_dim=2, sigma=3.0, step=0.1 if corr else 0.05, max_iter=500
+        )),
+        (clusters, EmbedConfig(
+            target_dim=8, sigma=median_kernel_size(clusters), step=0.01 if corr else 0.02,
+            max_iter=400,
+        )),
+    ]
 
 
 def _fd_gradient(fun, b, h=1e-6):
@@ -144,6 +170,39 @@ class TestPsdProject:
         b = (b + b.T) / 2
         once = psd_project(b)
         np.testing.assert_allclose(psd_project(once), once, atol=1e-10)
+
+    def test_negative_definite_projects_to_zero(self):
+        rng = np.random.default_rng(9)
+        x = rng.standard_normal((6, 6))
+        out = psd_project(-(x @ x.T) - np.eye(6))
+        assert out.shape == (6, 6)
+        assert np.array_equal(out, np.zeros((6, 6)))
+
+    def test_rank_deficient_matches_full_reconstruction(self):
+        rng = np.random.default_rng(10)
+        x = rng.standard_normal((30, 4))
+        y = rng.standard_normal((30, 3))
+        b = x @ x.T - y @ y.T  # 4 positive, 3 negative, 23 zero eigenvalues
+        w, v = np.linalg.eigh(b)
+        full = (v * np.maximum(w, 0.0)) @ v.T
+        full = (full + full.T) / 2.0
+        out = psd_project(b)
+        assert np.linalg.norm(out - full) <= 1e-12 * np.linalg.norm(full)
+        assert np.array_equal(out, out.T)
+
+    def test_symmetry_tolerance_unchanged(self):
+        rng = np.random.default_rng(11)
+        x = rng.standard_normal((5, 2))
+        b = x @ x.T
+        for eps, ok in ((1e-11, True), (1e-9, False)):
+            skewed = b.copy()
+            skewed[0, 1] += eps
+            for fn in (b_to_d, psd_project):
+                if ok:
+                    assert np.all(np.isfinite(fn(skewed)))
+                else:
+                    with pytest.raises(ValueError, match="symmetric"):
+                        fn(skewed)
 
     def test_nearest_among_random_candidates(self):
         rng = np.random.default_rng(8)
@@ -346,27 +405,31 @@ class TestReeFit:
         assert np.all(diffs >= -slack)
 
     def test_correntropy_trace_non_decreasing_at_recipe_steps(self):
-        from robustmv.datagen import gen_cluster_retrieval_views, gen_point_set_views
-
-        _, points = gen_point_set_views(
-            seed=3, box=4.5, view1_points=(0, 1, 2, 3), view2_points=(23, 24),
-            magnitude=10.0, noise_on="squared",
-        )
-        _, raw = gen_cluster_retrieval_views(
-            classes=9, per_class=11, corrupt_per_view=10, magnitude=10.0, seed=3
-        )
-        clusters = DissimilarityViews([d / median_kernel_size(raw) for d in raw.deltas])
-        runs = [
-            (points, EmbedConfig(target_dim=2, sigma=3.0, step=0.1, max_iter=500)),
-            (clusters, EmbedConfig(
-                target_dim=8, sigma=median_kernel_size(clusters), step=0.01, max_iter=400
-            )),
-        ]
-        for views, cfg in runs:
+        for views, cfg in _recipe_runs("correntropy"):
             obj = np.asarray(ree_fit(views, cfg, loss="correntropy").trace.objective)
             assert len(obj) > 0
             slack = 1e-9 * np.maximum(1.0, np.abs(obj[:-1]))
             assert np.all(np.diff(obj) >= -slack)
+
+    @pytest.mark.parametrize("loss", ["l1", "correntropy"])
+    def test_iterates_exactly_symmetric_psd_and_repeatable(self, loss):
+        # psd_project and b_to_d test exact symmetry before their tolerance;
+        # the iterates must therefore be exactly symmetric, not nearly.
+        for views, cfg in _recipe_runs(loss):
+            runs = []
+            for _ in range(2):
+                digests = []
+
+                def watch(it, b, obj):
+                    assert np.array_equal(b, b.T)
+                    w = np.linalg.eigvalsh(b)
+                    assert w[0] / max(w[-1], 1e-30) >= -1e-8  # the c05 floor
+                    digests.append(hashlib.sha256(b.tobytes()).hexdigest())
+
+                res = ree_fit(views, cfg, loss=loss, callback=watch)
+                assert digests
+                runs.append((digests, res.gram.tobytes(), res.trace.objective))
+            assert runs[0] == runs[1]
 
     def test_correntropy_stops_when_no_step_ascends(self):
         rng = np.random.default_rng(29)

@@ -1,14 +1,17 @@
 """File ingestion, artifact round trips and the command-line surface."""
 
 import json
+import os
 
 import numpy as np
 import pytest
+import scipy
 
 import robustmv.cli
 from robustmv.cli import main
 from robustmv.features import CmvConfig
 from robustmv.io import (
+    file_sha256,
     ingest_dissimilarities,
     ingest_features,
     ingest_uci_directory,
@@ -17,6 +20,17 @@ from robustmv.io import (
     write_matrix_csv,
 )
 from robustmv.recipes import run_recipe
+
+
+def _check_environment(env):
+    # The test sets OPENBLAS_NUM_THREADS and unsets OMP_NUM_THREADS.
+    assert env == {
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "cpu_count": os.cpu_count(),
+        "OPENBLAS_NUM_THREADS": "1",
+        "OMP_NUM_THREADS": None,
+    }
 
 
 class TestMatrixCsv:
@@ -252,6 +266,31 @@ class TestCli:
         assert recorded == printed
         assert recorded["reason"] == printed["reason"] != ""
 
+    def test_run_json_records_environment(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        x = np.random.default_rng(9).standard_normal((5, 2))
+        f = tmp_path / "d.csv"
+        write_matrix_csv(f, np.sum((x[:, None] - x[None]) ** 2, axis=2))
+        out = tmp_path / "o"
+        assert main(["embed", "--solver", "cmds", "--views", str(f), "--out", str(out)]) == 0
+        run = json.loads((out / "run.json").read_text())
+        assert run["inputs"] == {str(f): file_sha256(f)}
+        _check_environment(run["environment"])
+
+    def test_fit_mv_ignores_manifest_labels(self, tmp_path):
+        data = tmp_path / "data"
+        assert main([
+            "synth", "--kind", "labeled", "--out", str(data),
+            "--params", '{"classes": 3, "per_class": 5, "view_dims": [5, 4], "latent_dim": 2}',
+        ]) == 0
+        with open(data / "labels.csv", "a", encoding="utf-8") as fh:
+            fh.write("1.5\n")
+        assert main([
+            "fit-mv", "--solver", "cmv", "--manifest", str(data / "manifest.json"),
+            "--out", str(tmp_path / "fit"), "--config", '{"latent_dim": 2, "max_outer": 3}',
+        ]) == 0
+
     def test_long_inline_config_is_json_not_a_path(self, tmp_path):
         # Longer than a file name may be, and without a "/".
         params = '{"classes": 3, "per_class": 4, "view_dims": [5, 4], "latent_dim": 2' + (
@@ -326,9 +365,15 @@ class TestRecipes:
         assert set(run["inputs"]) == {"view1.csv", "view2.csv", "labels.csv"}
         assert (tmp_path / "u1" / "latent" / "m1_f0.5_cmv.csv").exists()
 
-    def test_recipe_cli(self, tmp_path):
+    def test_recipe_cli(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
         assert main([
             "recipe", "--name", "pointset-25", "--seed", "2", "--out", str(tmp_path / "r"),
         ]) == 0
         summary = json.loads((tmp_path / "r" / "summary.json").read_text())
         assert set(summary["results"]) == {"ree-view1", "ree-view2", "mvree", "cmvree"}
+        run = json.loads((tmp_path / "r" / "run.json").read_text())
+        assert run == summary["run"]
+        assert set(run["inputs"]) == {"points.csv", "view1.csv", "view2.csv"}
+        _check_environment(run["environment"])
