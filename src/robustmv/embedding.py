@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .losses import correntropy_derivative, correntropy_kernel
+from .losses import check_kernel_size, correntropy_derivative, correntropy_kernel
 from .trace import NumericalError, SolverTrace
 
 __all__ = [
@@ -126,7 +126,9 @@ class EmbedConfig:
     gives the step at every iteration.  For the correntropy loss it gives
     the initial trial step of each ascent iteration, which backtracking may
     shrink; the L1 warm-start phase always uses "inverse-sqrt" at ``step``
-    (see ``ree_fit``).
+    (see ``ree_fit``).  A given ``sigma`` must lie in the range
+    ``losses.check_kernel_size`` accepts for ``alpha``, and integer fields
+    reject booleans.
     """
 
     target_dim: int = 2
@@ -138,12 +140,15 @@ class EmbedConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("target_dim", "max_iter", "seed"):
+            if isinstance(getattr(self, name), bool):
+                raise ValueError(f"{name} must be an integer, not a bool")
         if self.target_dim < 1:
             raise ValueError("target_dim must be >= 1")
-        if self.sigma is not None and not self.sigma > 0:
-            raise ValueError("sigma must be > 0")
         if not self.alpha > 0:
             raise ValueError("alpha must be > 0")
+        if self.sigma is not None:
+            check_kernel_size(self.sigma, self.alpha)
         if not self.step > 0:
             raise ValueError("step must be > 0")
         if self.schedule not in (None, "fixed", "inverse-sqrt"):

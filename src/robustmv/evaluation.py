@@ -2,7 +2,9 @@
 alignment error and confusion matrices.
 
 All evaluators are pure and deterministic; distance ties are broken by
-original index order.
+original index order.  The kNN and retrieval evaluators check that the
+distances or points have one row per label, and sort every query in one
+``np.argsort`` call rather than one query at a time.
 """
 
 from dataclasses import dataclass
@@ -84,9 +86,12 @@ def knn_classify(split: LabeledSplit, features=None, distances=None, k=1):
     """k-nearest-neighbour vote over the training set.
 
     Give either ``features`` (rows = instances) or a full ``distances``
-    matrix.  Vote ties go to the class with the smallest total distance
-    among the k neighbours, then to the smallest class id.  Returns
-    ``(predictions, accuracy)`` over the test indices.
+    matrix, one row per label.  Neighbours are the k smallest distances,
+    ties going to the lower training position.  The most votes win; vote
+    ties go to the class with the smallest total distance among the k
+    neighbours (summed in neighbour order), then to the smallest class id.
+    All test rows are sorted in one call.  Returns ``(predictions,
+    accuracy)`` over the test indices.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -94,47 +99,72 @@ def knn_classify(split: LabeledSplit, features=None, distances=None, k=1):
         raise ValueError("give exactly one of features or distances")
     if split.train_idx.size == 0:
         raise ValueError("empty training set")
-    if features is not None:
-        features = np.asarray(features, dtype=float)
-        dist = _pairwise_sq_dists(features)
-    else:
-        dist = np.asarray(distances, dtype=float)
+    if split.test_idx.size == 0:
+        raise ValueError("empty test set: no instance left to classify")
     labels = split.labels
-    kk = min(k, split.train_idx.size)
-    preds = np.empty(split.test_idx.size, dtype=labels.dtype)
-    for t, i in enumerate(split.test_idx):
-        cand = dist[i, split.train_idx]
-        order = np.argsort(cand, kind="stable")[:kk]
-        nn_labels = labels[split.train_idx[order]]
-        nn_dists = cand[order]
-        classes, votes = np.unique(nn_labels, return_counts=True)
-        best = classes[votes == votes.max()]
-        if best.size > 1:
-            totals = [nn_dists[nn_labels == c].sum() for c in best]
-            best = best[np.flatnonzero(totals == np.min(totals))]
-        preds[t] = np.min(best)
-    accuracy = float(np.mean(preds == labels[split.test_idx]))
+    dist = _distance_matrix(labels.shape[0], distances, features, "features")
+    train, test = split.train_idx, split.test_idx
+    block = dist[np.ix_(test, train)]
+    kk = min(k, train.size)
+    order = np.argsort(block, axis=1, kind="stable")[:, :kk]
+    classes, train_class = np.unique(labels[train], return_inverse=True)
+    nn_class = train_class[order]
+    nn_dist = np.take_along_axis(block, order, axis=1)
+    rows = np.arange(test.size)
+    votes = np.zeros((test.size, classes.size), dtype=int)
+    totals = np.zeros((test.size, classes.size))
+    for j in range(kk):
+        votes[rows, nn_class[:, j]] += 1
+        totals[rows, nn_class[:, j]] += nn_dist[:, j]
+    best = votes == votes.max(axis=1, keepdims=True)
+    tied = best.sum(axis=1) > 1
+    smallest = np.where(best, totals, np.inf).min(axis=1, keepdims=True)
+    best &= ~tied[:, None] | (totals == smallest)
+    if not best.any(axis=1).all():
+        raise ValueError("a tied kNN vote has a NaN distance total")
+    preds = classes[np.argmax(best, axis=1)]
+    accuracy = float(np.mean(preds == labels[test]))
     return preds, accuracy
 
 
 def retrieval_topk(labels, distances=None, configuration=None, k=10) -> RetrievalScore:
-    """Count same-class items among each query's k nearest (self excluded)."""
+    """Count same-class items among each query's k nearest (self excluded).
+
+    Give either a full ``distances`` matrix or a ``configuration`` (rows =
+    instances), one row per label.  Distance ties go to the lower index; all
+    queries are sorted in one call.
+    """
     labels = np.asarray(labels)
     n = labels.shape[0]
     if not 1 <= k < n:
         raise ValueError(f"k={k} out of range for N={n}")
     if (distances is None) == (configuration is None):
         raise ValueError("give exactly one of distances or configuration")
-    if configuration is not None:
-        dist = _pairwise_sq_dists(np.asarray(configuration, dtype=float))
-    else:
-        dist = np.asarray(distances, dtype=float).copy()
+    dist = _distance_matrix(n, distances, configuration, "configuration")
+    if configuration is None:
+        dist = dist.copy()
     np.fill_diagonal(dist, np.inf)
-    counts = np.empty(n, dtype=int)
-    for i in range(n):
-        top = np.argsort(dist[i], kind="stable")[:k]
-        counts[i] = int(np.sum(labels[top] == labels[i]))
+    top = np.argsort(dist, axis=1, kind="stable")[:, :k]
+    counts = np.sum(labels[top] == labels[:, None], axis=1)
     return RetrievalScore(per_query=counts, k=k)
+
+
+def _distance_matrix(n, distances, points, points_name):
+    # The n x n matrix to rank by: ``distances`` itself, or the squared
+    # distances between the rows of ``points``; either must have n rows.
+    if points is not None:
+        points = np.asarray(points, dtype=float)
+        if points.ndim != 2 or points.shape[0] != n:
+            raise ValueError(
+                f"{points_name} has shape {points.shape}, expected {n} rows, one per label"
+            )
+        return _pairwise_sq_dists(points)
+    dist = np.asarray(distances, dtype=float)
+    if dist.shape != (n, n):
+        raise ValueError(
+            f"distances have shape {dist.shape}, expected ({n}, {n}), one row per label"
+        )
+    return dist
 
 
 def procrustes_align(estimate, reference):

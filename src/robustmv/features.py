@@ -26,7 +26,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .losses import CauchyScale, cauchy_loss, cauchy_weight, correntropy_kernel
+from .losses import (
+    CauchyScale,
+    cauchy_loss,
+    cauchy_weight,
+    check_kernel_size,
+    correntropy_kernel,
+)
 from .trace import NumericalError, SolverTrace
 
 __all__ = [
@@ -96,7 +102,9 @@ class CmvConfig:
     ``c1``/``c2`` are the ridge coefficients appearing verbatim in the
     closed-form W/x updates.  ``sigma`` doubles as the Cauchy scale for
     ``cauchymv_fit``.  ``view_sigmas`` overrides the per-view kernel sizes
-    of ``cemv_fit`` (default ``sigma / sqrt(d_v)``).
+    of ``cemv_fit`` (default ``sigma / sqrt(d_v)``).  Kernel sizes must lie
+    in the range ``losses.check_kernel_size`` accepts, and integer fields
+    reject booleans.
     """
 
     latent_dim: int
@@ -110,18 +118,21 @@ class CmvConfig:
     view_sigmas: list = None
 
     def __post_init__(self):
+        for name in ("latent_dim", "max_outer", "max_inner", "seed"):
+            if isinstance(getattr(self, name), bool):
+                raise ValueError(f"{name} must be an integer, not a bool")
         if self.latent_dim < 1:
             raise ValueError("latent_dim must be >= 1")
-        if not self.sigma > 0:
-            raise ValueError("sigma must be > 0")
+        check_kernel_size(self.sigma)
         if not (self.c1 > 0 and self.c2 > 0):
             raise ValueError("c1 and c2 must be > 0")
         if self.max_outer < 1 or self.max_inner < 1:
             raise ValueError("iteration caps must be >= 1")
         if self.rel_tol < 0:
             raise ValueError("rel_tol must be >= 0")
-        if self.view_sigmas is not None and any(not s > 0 for s in self.view_sigmas):
-            raise ValueError("view_sigmas must all be > 0")
+        if self.view_sigmas is not None:
+            for s in self.view_sigmas:
+                check_kernel_size(s, name="view_sigmas")
 
 
 @dataclass

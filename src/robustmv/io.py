@@ -2,13 +2,17 @@
 
 Feature views are CSV with rows = feature dimensions and columns =
 instances; dissimilarity matrices are square CSV.  A JSON manifest can
-bundle view files, a labels file and a config block.  Writers use
-full-precision scientific notation so a write/read round trip is exact.
+bundle view files, a labels file and a config block.  The CSV reader runs
+numpy's C parser and falls back to a line-by-line parser only to report
+exactly where a file is malformed.  Writers use full-precision ``%.17g`` so
+a write/read round trip is exact, and JSON artifacts are strict JSON: a
+NaN or infinity in one is an error, not a ``NaN`` token.
 """
 
 import hashlib
 import json
 import os
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -37,10 +41,35 @@ _FMT = "%.17g"
 
 
 def read_matrix_csv(path, delimiter=","):
-    """Parse a numeric matrix, reporting file/line/column on bad cells."""
+    """Parse a numeric matrix, one row per non-blank line.
+
+    Cells are split on ``delimiter`` (``None``: runs of whitespace) and may
+    carry surrounding whitespace; blank lines are skipped and ``nan``,
+    ``inf`` and ``-inf`` cells are accepted.  ``#`` comment lines, empty
+    cells, ragged rows and files without a data row are rejected.  numpy's
+    C parser reads the file; whatever it refuses is parsed again line by
+    line, so every error names the file, the line and, for a bad cell, the
+    column.
+    """
     path = Path(path)
     if not path.exists():
         raise ValueError(f"missing input file: {path}")
+    try:
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", ".*input contained no data", UserWarning)
+            data = np.loadtxt(
+                path, delimiter=delimiter, comments=None, ndmin=2, encoding="utf-8"
+            )
+    except ValueError:
+        data = None
+    if data is None or data.size == 0:
+        return _read_matrix_lines(path, delimiter)
+    return data
+
+
+def _read_matrix_lines(path, delimiter):
+    # The reference parser: read_matrix_csv's result on every file it accepts,
+    # and the source of its file:line[:column] messages.
     rows = []
     width = None
     with open(path, "r", encoding="utf-8") as fh:
@@ -205,9 +234,13 @@ def load_manifest(path):
 
 
 def write_json(path, payload):
+    """Write strict JSON; a NaN or infinity raises before the file is opened."""
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def write_trace_csv(path, trace):

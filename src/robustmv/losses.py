@@ -24,7 +24,12 @@ __all__ = [
     "cauchy_weight",
     "correntropy_kernel",
     "correntropy_derivative",
+    "check_kernel_size",
 ]
+
+# 2 * sigma**alpha, the kernel's denominator, must be a finite normal float.
+_SCALE_MIN = float(np.finfo(float).tiny)
+_SCALE_MAX = float(np.finfo(float).max)
 
 
 @dataclass(frozen=True)
@@ -130,10 +135,7 @@ def correntropy_kernel(e, sigma: float, alpha: float = 2.0):
     is the form all solver objectives and weights use; the ggd normalizing
     constant is deliberately left out.
     """
-    if not sigma > 0:
-        raise ValueError(f"sigma must be > 0, got {sigma}")
-    if not alpha > 0:
-        raise ValueError(f"alpha must be > 0, got {alpha}")
+    check_kernel_size(sigma, alpha)
     e = np.asarray(e, dtype=float)
     val = np.exp(_exponent(e, 1.0 / (2.0 * sigma**alpha), alpha))
     return _maybe_scalar(e, val)
@@ -153,3 +155,25 @@ def correntropy_derivative(e, sigma: float, alpha: float = 2.0):
         lam = 1.0 / (2.0 * sigma**alpha)
         val = -lam * alpha * _abs_pow(e, alpha - 1.0) * np.sign(e) * kern
     return _maybe_scalar(e, val)
+
+
+def check_kernel_size(sigma, alpha=2.0, name="sigma"):
+    """Reject a kernel size whose ``2 * sigma**alpha`` is not a finite normal float.
+
+    Outside that range the kernel's exponent divides by zero or overflows.
+    For ``alpha = 2`` the usable sizes are about 1.05e-154 to 9.48e153.
+    """
+    if not alpha > 0:
+        raise ValueError(f"alpha must be > 0, got {alpha}")
+    if not sigma > 0:
+        raise ValueError(f"{name} must be > 0, got {sigma}")
+    try:
+        scale = 2.0 * float(sigma) ** float(alpha)
+    except OverflowError:
+        scale = math.inf
+    if not _SCALE_MIN <= scale <= _SCALE_MAX:
+        low, high = ((bound / 2.0) ** (1.0 / alpha) for bound in (_SCALE_MIN, _SCALE_MAX))
+        raise ValueError(
+            f"{name}={sigma} is out of range for alpha={alpha}: "
+            f"use a size between {low:.3g} and {high:.3g}"
+        )

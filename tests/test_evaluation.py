@@ -116,6 +116,146 @@ class TestRetrieval:
         assert score.total <= labels.size * 5
 
 
+def _knn_loop(split, dist, k):
+    # Per-query reference: one stable argsort per test row, np.unique votes,
+    # totals summed with np.sum over the class's neighbours in neighbour order.
+    labels = split.labels
+    kk = min(k, split.train_idx.size)
+    preds = np.empty(split.test_idx.size, dtype=labels.dtype)
+    for t, i in enumerate(split.test_idx):
+        cand = dist[i, split.train_idx]
+        order = np.argsort(cand, kind="stable")[:kk]
+        nn_labels = labels[split.train_idx[order]]
+        nn_dists = cand[order]
+        classes, votes = np.unique(nn_labels, return_counts=True)
+        best = classes[votes == votes.max()]
+        if best.size > 1:
+            totals = [nn_dists[nn_labels == c].sum() for c in best]
+            best = best[np.flatnonzero(totals == np.min(totals))]
+        preds[t] = np.min(best)
+    return preds
+
+
+def _retrieval_loop(labels, dist, k):
+    d = np.array(dist, dtype=float)
+    np.fill_diagonal(d, np.inf)
+    tops = [np.argsort(row, kind="stable")[:k] for row in d]
+    return np.array([np.sum(labels[top] == lab) for top, lab in zip(tops, labels)])
+
+
+class TestBatchedAgainstLoop:
+    """The one-call evaluators agree exactly with a per-query loop."""
+
+    @pytest.mark.parametrize("k", [1, 3, 10])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_knn_integer_ties(self, k, seed):
+        rng = np.random.default_rng(seed)
+        n = 60
+        labels = rng.integers(0, 5, size=n) * 3 + 2
+        dist = rng.integers(0, 4, size=(n, n)).astype(float)
+        split = seeded_split(labels, 0.5, seed=seed)
+        preds, acc = knn_classify(split, distances=dist, k=k)
+        want = _knn_loop(split, dist, k)
+        np.testing.assert_array_equal(preds, want)
+        assert preds.dtype == want.dtype
+        assert acc == float(np.mean(want == labels[split.test_idx]))
+
+    @pytest.mark.parametrize("k", [1, 3, 10])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_knn_float_ties_decided_by_rounding(self, k, seed):
+        # Cells drawn from values whose exact sums often coincide while
+        # their float sums do not: 0.1 + 0.2 + 0.3 != 0.3 + 0.3 in floats.
+        rng = np.random.default_rng(100 + seed)
+        n = 60
+        labels = rng.integers(0, 4, size=n)
+        dist = rng.choice([0.0, 0.1, 0.2, 0.3, 0.4, 0.6, 0.7], size=(n, n))
+        split = seeded_split(labels, 0.5, seed=seed)
+        preds, _ = knn_classify(split, distances=dist, k=k)
+        np.testing.assert_array_equal(preds, _knn_loop(split, dist, k))
+
+    def test_knn_totals_summed_in_neighbour_order(self):
+        # Class 1 holds 0.1, 0.2, 0.3 (sum 0.6000000000000001 in neighbour
+        # order), class 4 holds 0.0, 0.3, 0.3 (sum 0.6); three votes each.
+        # Summed in any other order class 1's total is 0.6 and would win
+        # on the class id.
+        train = np.array([0.1, 0.2, 0.3, 0.0, 0.3, 0.3])
+        labels = np.array([1, 1, 1, 4, 4, 4, 7])
+        dist = np.zeros((7, 7))
+        dist[6, :6] = train
+        split = LabeledSplit(labels, np.arange(6), [6])
+        preds, _ = knn_classify(split, distances=dist, k=6)
+        assert preds.tolist() == [4] == _knn_loop(split, dist, 6).tolist()
+
+    def test_knn_features_path_and_large_k(self):
+        rng = np.random.default_rng(7)
+        labels = np.repeat(np.arange(3), 9)
+        pts = np.round(rng.standard_normal((27, 2)) * 2.0)
+        split = seeded_split(labels, 0.5, seed=1)
+        diff = pts[:, None, :] - pts[None, :, :]
+        dist = np.sum(diff * diff, axis=2)  # exact: integer coordinates
+        for k in (1, 3, 10, 100):
+            preds, _ = knn_classify(split, features=pts, k=k)
+            np.testing.assert_array_equal(preds, _knn_loop(split, dist, k))
+
+    def test_knn_nan_in_tied_vote_rejected(self):
+        labels = np.array([0, 1, 2])
+        dist = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, np.nan], [1.0, np.nan, 0.0]])
+        split = LabeledSplit(labels, [0, 1], [2])
+        with pytest.raises(ValueError):
+            _knn_loop(split, dist, 2)
+        with pytest.raises(ValueError, match="NaN"):
+            knn_classify(split, distances=dist, k=2)
+        # Without a vote tie the NaN neighbour is harmless, as in the loop.
+        preds, _ = knn_classify(split, distances=dist, k=1)
+        np.testing.assert_array_equal(preds, _knn_loop(split, dist, 1))
+
+    @pytest.mark.parametrize("k", [1, 3, 10])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_retrieval_integer_ties(self, k, seed):
+        rng = np.random.default_rng(200 + seed)
+        n = 50
+        labels = rng.integers(0, 4, size=n)
+        dist = rng.integers(0, 3, size=(n, n)).astype(float)
+        dist[rng.random((n, n)) < 0.05] = np.inf
+        dist[rng.random((n, n)) < 0.02] = np.nan
+        score = retrieval_topk(labels, distances=dist, k=k)
+        np.testing.assert_array_equal(score.per_query, _retrieval_loop(labels, dist, k))
+        assert score.k == k
+
+    def test_retrieval_leaves_input_untouched(self):
+        labels = np.repeat(np.arange(3), 4)
+        d = _block_distances(labels) + 1.0
+        before = d.copy()
+        retrieval_topk(labels, distances=d, k=3)
+        np.testing.assert_array_equal(d, before)
+
+
+class TestSizeChecks:
+    def test_knn_distances_must_match_labels(self):
+        split = seeded_split(np.repeat([0, 1], 4), 0.5, seed=0)
+        for shape in ((9, 9), (7, 7), (8, 9)):
+            with pytest.raises(ValueError, match="one row per label"):
+                knn_classify(split, distances=np.zeros(shape))
+
+    def test_knn_features_must_match_labels(self):
+        split = seeded_split(np.repeat([0, 1], 4), 0.5, seed=0)
+        with pytest.raises(ValueError, match="one per label"):
+            knn_classify(split, features=np.zeros((9, 2)))
+
+    def test_knn_empty_test_set_rejected(self):
+        split = seeded_split(np.arange(5), 0.5, seed=0)
+        assert split.test_idx.size == 0
+        with pytest.raises(ValueError, match="empty test set"):
+            knn_classify(split, distances=np.zeros((5, 5)))
+
+    def test_retrieval_sizes_must_match_labels(self):
+        labels = np.repeat([0, 1], 4)
+        with pytest.raises(ValueError, match="one row per label"):
+            retrieval_topk(labels, distances=np.zeros((9, 9)), k=2)
+        with pytest.raises(ValueError, match="one per label"):
+            retrieval_topk(labels, configuration=np.zeros((7, 2)), k=2)
+
+
 class TestProcrustes:
     def test_rotation_translation_removed(self):
         rng = np.random.default_rng(3)

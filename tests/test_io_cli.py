@@ -2,13 +2,16 @@
 
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
 import scipy
 
 import robustmv.cli
+import robustmv.io
 from robustmv.cli import main
+from robustmv.embedding import EmbedConfig
 from robustmv.features import CmvConfig
 from robustmv.io import (
     file_sha256,
@@ -16,7 +19,10 @@ from robustmv.io import (
     ingest_features,
     ingest_uci_directory,
     load_manifest,
+    read_labels,
     read_matrix_csv,
+    write_json,
+    write_labels,
     write_matrix_csv,
 )
 from robustmv.recipes import run_recipe
@@ -56,6 +62,87 @@ class TestMatrixCsv:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ValueError, match="missing input file"):
             read_matrix_csv(tmp_path / "nope.csv")
+
+
+_RNG_ROWS = np.random.default_rng(11).standard_normal((6, 5)) * 10.0 ** np.arange(-40, 60, 20)
+_PARITY_CASES = {
+    "blank-lines": ("\n1,2\n\n3,4\n\n", ","),
+    "spaces-around-cells": (" 1 , 2\t\n3 ,4  \n", ","),
+    "crlf": ("1,2\r\n3,4\r\n", ","),
+    "nan-inf": ("nan,inf\n-inf,1\nNaN,-0\n", ","),
+    "one-row": ("1,2,3,4\n", ","),
+    "one-column": ("1\n2\n3\n", ","),
+    "uci-whitespace": ("  1   2\t3\n4 5 6\n\n", None),
+    "full-precision": (
+        "\n".join(",".join("%.17g" % x for x in row) for row in _RNG_ROWS) + "\n", ","
+    ),
+}
+
+
+class TestReaderParity:
+    """numpy's parser reads every well-formed file exactly as the line parser does."""
+
+    @pytest.mark.parametrize("case", sorted(_PARITY_CASES))
+    def test_fast_path_matches_line_parser(self, tmp_path, monkeypatch, case):
+        text, delimiter = _PARITY_CASES[case]
+        path = tmp_path / "m.csv"
+        path.write_bytes(text.encode("utf-8"))
+        want = robustmv.io._read_matrix_lines(path, delimiter)
+
+        def refuse(*args):
+            raise AssertionError("well-formed file fell back to the line parser")
+
+        monkeypatch.setattr(robustmv.io, "_read_matrix_lines", refuse)
+        got = read_matrix_csv(path, delimiter=delimiter)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+        if case == "full-precision":
+            assert np.array_equal(got, _RNG_ROWS)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("1,2\n3\n", ":2: expected 2 columns, found 1"),
+            ("1,2\n# a,b\n3,4\n", ":2: non-numeric value in column 1"),
+            ("# header\n1,2\n", ":1: non-numeric value in column 1"),
+            ("1,2,\n3,4,\n", ":1: non-numeric value in column 3"),
+            ("1,,2\n", ":1: non-numeric value in column 2"),
+            ("", ": no data rows"),
+            ("\n  \n\n", ": no data rows"),
+        ],
+        ids=["ragged", "comment-line", "comment-first", "trailing-comma", "empty-cell",
+             "empty-file", "blank-file"],
+    )
+    def test_errors_keep_their_messages(self, tmp_path, text, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError) as exc:
+                read_matrix_csv(path)
+        assert str(exc.value) == f"{path}{message}"
+        assert caught == []
+
+    def test_uci_whitespace_rejects_commas(self, tmp_path):
+        path = tmp_path / "mfeat-pix"
+        path.write_text("1 2\n3,4 5\n")
+        with pytest.raises(ValueError, match=r"mfeat-pix:2: non-numeric value in column 1"):
+            read_matrix_csv(path, delimiter=None)
+
+
+class TestWriteJson:
+    def test_nan_rejected_before_writing(self, tmp_path):
+        path = tmp_path / "scores.json"
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="scores.json"):
+                write_json(path, {"accuracy": bad})
+            assert not path.exists()
+
+    def test_finite_payload_written(self, tmp_path):
+        path = tmp_path / "ok.json"
+        write_json(path, {"b": 1.5, "a": [1, 2]})
+        assert path.read_text() == '{\n  "a": [\n    1,\n    2\n  ],\n  "b": 1.5\n}\n'
 
 
 class TestIngestFeatures:
@@ -321,6 +408,82 @@ class TestCli:
         ])
         assert code == 2
         assert json.loads(capsys.readouterr().err)["error"] == "validation"
+
+    @pytest.mark.parametrize("task", ["retrieval", "knn"])
+    @pytest.mark.parametrize("extra", [-1, 1], ids=["fewer-labels", "more-labels"])
+    def test_label_count_must_match_instances(self, tmp_path, capsys, task, extra):
+        data = tmp_path / "clusters"
+        assert main(["synth", "--kind", "clusters", "--out", str(data)]) == 0
+        labels = read_labels(data / "labels.csv")
+        assert labels.size == 99
+        bad = tmp_path / "labels.csv"
+        write_labels(bad, labels[:-1] if extra < 0 else np.append(labels, labels[0]))
+        capsys.readouterr()
+        code = main([
+            "eval", "--task", task, "--distances", str(data / "view1.csv"),
+            "--labels", str(bad), "--out", str(tmp_path / "ev"),
+        ])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "validation" and "one row per label" in err["message"]
+        assert not (tmp_path / "ev" / "scores.json").exists()
+
+    def test_knn_without_test_items_is_validation_error(self, tmp_path, capsys):
+        labels = tmp_path / "labels.csv"
+        write_labels(labels, np.arange(6))
+        dist = tmp_path / "d.csv"
+        write_matrix_csv(dist, np.ones((6, 6)) - np.eye(6))
+        capsys.readouterr()
+        code = main([
+            "eval", "--task", "knn", "--distances", str(dist), "--labels", str(labels),
+            "--out", str(tmp_path / "ev"),
+        ])
+        assert code == 2
+        assert "empty test set" in json.loads(capsys.readouterr().err)["message"]
+        assert not (tmp_path / "ev" / "scores.json").exists()
+
+    @pytest.mark.parametrize("sigma", ["1e-300", "1e300"])
+    def test_extreme_kernel_size_is_validation_error(self, tmp_path, capsys, sigma):
+        data = tmp_path / "pts"
+        assert main(["synth", "--kind", "pointset", "--out", str(data)]) == 0
+        capsys.readouterr()
+        code = main([
+            "embed", "--solver", "cmvree", "--views", str(data / "view1.csv"),
+            str(data / "view2.csv"), "--out", str(tmp_path / "emb"),
+            "--config", '{"sigma": %s, "max_iter": 4}' % sigma,
+        ])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "validation"
+        assert "use a size between 1.05e-154 and 9.48e+153" in err["message"]
+
+    def test_extreme_feature_kernel_sizes_rejected(self):
+        for sigma in (1e-300, 1e300):
+            with pytest.raises(ValueError, match="out of range"):
+                CmvConfig(latent_dim=2, sigma=sigma)
+            with pytest.raises(ValueError, match="view_sigmas"):
+                CmvConfig(latent_dim=2, view_sigmas=[1.0, sigma])
+        with pytest.raises(ValueError, match="alpha=1.5"):
+            EmbedConfig(sigma=1e300, alpha=1.5)
+        EmbedConfig(sigma=1e-150)
+        CmvConfig(latent_dim=2, sigma=1e150)
+
+    def test_bool_is_not_an_integer(self, tmp_path, capsys):
+        for name in ("latent_dim", "max_outer", "max_inner", "seed"):
+            with pytest.raises(ValueError, match=f"{name} must be an integer"):
+                CmvConfig(**{"latent_dim": 2, name: True})
+        for name in ("target_dim", "max_iter", "seed"):
+            with pytest.raises(ValueError, match=f"{name} must be an integer"):
+                EmbedConfig(**{name: True})
+        data = tmp_path / "pts"
+        assert main(["synth", "--kind", "pointset", "--out", str(data)]) == 0
+        capsys.readouterr()
+        code = main([
+            "embed", "--solver", "mvree", "--views", str(data / "view1.csv"),
+            "--out", str(tmp_path / "emb"), "--config", '{"max_iter": true}',
+        ])
+        assert code == 2
+        assert "max_iter must be an integer" in json.loads(capsys.readouterr().err)["message"]
 
     def test_cmds_requires_single_view(self, tmp_path):
         rng = np.random.default_rng(5)
