@@ -44,17 +44,16 @@ from .features import (
     normalize_views,
 )
 from .io import (
-    file_sha256,
     ingest_dissimilarities,
     ingest_features,
     ingest_uci_directory,
     load_manifest,
     read_labels,
     read_matrix_csv,
-    run_environment,
     write_json,
     write_labels,
     write_matrix_csv,
+    write_run_json,
     write_trace_csv,
     write_views,
 )
@@ -90,19 +89,6 @@ def _out_dir(args):
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
-
-
-def _echo(out, command, args_dict, input_files, summary=None):
-    payload = {
-        "command": command,
-        "params": args_dict,
-        "package_version": __version__,
-        "inputs": {str(f): file_sha256(f) for f in input_files},
-        "environment": run_environment(),
-    }
-    if summary is not None:
-        payload["summary"] = summary
-    write_json(out / "run.json", payload)
 
 
 def _solver_summary(solver, trace):
@@ -158,7 +144,8 @@ def _cmd_synth(args):
         files.append(out / "labels.csv")
         manifest["labels"] = "labels.csv"
     write_json(out / "manifest.json", manifest)
-    _echo(out, f"synth {args.kind}", {"seed": args.seed, "params": p}, files)
+    record = {"command": f"synth {args.kind}", "params": {"seed": args.seed, "params": p}}
+    write_run_json(out, record, {str(f): f for f in files})
     print(json.dumps({"written": [str(f) for f in files]}))
     return 0
 
@@ -216,7 +203,8 @@ def _cmd_fit_mv(args):
     write_matrix_csv(out / "weights.csv", instance_weight_profile(model))
     summary = _solver_summary(args.solver, model.trace)
     params = {"seed": args.seed, "normalize": args.normalize, "config": cfg_dict}
-    _echo(out, f"fit-mv {args.solver}", params, files, summary)
+    record = {"command": f"fit-mv {args.solver}", "params": params, "summary": summary}
+    write_run_json(out, record, {str(f): f for f in files})
     print(json.dumps(summary))
     return 0
 
@@ -248,7 +236,9 @@ def _cmd_embed(args):
         "eigenvalue_head": [float(x) for x in result.eigenvalues[:5]],
     }
     write_json(out / "meta.json", meta)
-    _echo(out, f"embed {args.solver}", {"seed": args.seed, "config": cfg_dict}, args.views, summary)
+    params = {"seed": args.seed, "config": cfg_dict}
+    record = {"command": f"embed {args.solver}", "params": params, "summary": summary}
+    write_run_json(out, record, {str(f): f for f in args.views})
     print(json.dumps(summary))
     return 0
 
@@ -329,7 +319,8 @@ def _cmd_eval(args):
     else:  # pragma: no cover
         raise ValueError(f"unknown eval task {args.task!r}")
     write_json(out / "scores.json", scores)
-    _echo(out, f"eval {args.task}", {"seed": args.seed}, files)
+    record = {"command": f"eval {args.task}", "params": {"seed": args.seed}}
+    write_run_json(out, record, {str(f): f for f in files})
     print(json.dumps({k: v for k, v in scores.items() if k not in ("per_query", "confusion")}))
     return 0
 

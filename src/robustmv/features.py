@@ -13,18 +13,21 @@ auxiliary weights ``A`` are refreshed in the outer loop:
 Weights are kept negative (minus a correntropy kernel or Cauchy IRLS
 weight from :mod:`robustmv.losses`) so that the half-quadratic surrogate
 traced by the correntropy solvers is maximized; the inner x/W updates are
-ridge solves in the equivalent positive-weight form.  Every update that has
-one weighted-ridge system per instance (the x-updates) or per map row (the
-entrywise W-update) builds those systems as one ``(n, d, d)`` stack and
-solves them together; only the per-view W-update of the instance-weighted
-solvers solves one system per view.
+weighted ridge solves in the equivalent positive-weight form.  All four
+solvers share one x-core and one W-core.  A view's positive weights have
+shape ``(r_v, N)``: one row (``r_v = 1``) for an instance weight, one row
+per feature (``r_v = d_v``) for entry weights.  The rows of ``W_v`` that
+share a weight row are grouped, so every update is one stack of SPD systems
+solved together: ``(N, d, d)`` for the x-update, ``(r_v, d, d)`` per view
+for the W-update.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+# Unused here; bound only because perfbench/tracer.py counts calls to this name.
+from scipy.linalg import cho_factor  # noqa: F401
 
 from .losses import (
     CauchyScale,
@@ -169,24 +172,17 @@ def normalize_views(fs: MultiViewFeatureSet) -> MultiViewFeatureSet:
     return MultiViewFeatureSet(out)
 
 
-def _solve_spd(mat, rhs):
-    # Positive-definite ridge systems only; Cholesky, never explicit inverses.
-    if not np.all(np.isfinite(mat)):
-        raise NumericalError("linear system overflowed to non-finite values")
-    return cho_solve(cho_factor(mat, lower=True), rhs)
-
-
 def _solve_spd_stack(lhs, rhs):
     """Solve ``lhs[k] @ x[k] = rhs[k]`` for a ``(n, d, d)`` stack of SPD systems.
 
-    ``rhs`` is ``(n, d)``.  The batched Cholesky factorization is the
+    ``rhs`` is ``(n, d, m)``.  The batched Cholesky factorization is the
     definiteness check: a system that is not positive definite raises
     ``LinAlgError`` instead of being solved.
     """
     if not np.all(np.isfinite(lhs)):
         raise NumericalError("linear system overflowed to non-finite values")
     np.linalg.cholesky(lhs)
-    return np.linalg.solve(lhs, rhs[..., None])[..., 0]
+    return np.linalg.solve(lhs, rhs)
 
 
 def _weighted_sum(p, mats):
@@ -217,6 +213,48 @@ def _g(a):
     return -a * np.log(-a) + a
 
 
+def _check_weights(P):
+    # Before any product: an infinite weight times a zero entry is NaN.
+    if not all(np.isfinite(pv).all() for pv in P):
+        raise NumericalError("non-finite weights")
+
+
+def _ridge_x(fs, W, P, c2):
+    """Latent update: one weighted ridge system per instance, solved as a stack.
+
+    ``P[v]`` is ``(r_v, N)``; weight row ``k`` covers the ``k``-th block of
+    ``d_v / r_v`` rows of ``W_v``, whose Gram is one ``(d, d)`` matrix.
+    """
+    _check_weights(P)
+    d = W[0].shape[1]
+    grams = []
+    for wv, pv in zip(W, P):
+        g = wv.reshape(len(pv), -1, d)
+        grams.append(g.transpose(0, 2, 1) @ g)  # (r_v, d, d)
+    lhs = _weighted_sum(np.concatenate(P), np.concatenate(grams)) + c2 * np.eye(d)
+    rhs = sum((pv * zv).T @ wv for wv, pv, zv in zip(W, P, fs.views))  # (N, d)
+    return _solve_spd_stack(lhs, rhs[:, :, None])[..., 0].T
+
+
+def _ridge_w(fs, X, P, c1):
+    """Map update: ridge regression of each view's rows onto ``X`` under weights ``P``.
+
+    The ``d_v / r_v`` rows of ``W_v`` that share weight row ``k`` of
+    ``P[v]`` (shape ``(r_v, N)``) share one ``(d, d)`` system.
+    """
+    _check_weights(P)
+    d = X.shape[0]
+    eye = c1 * np.eye(d)
+    # Instance i contributes P[v][k, i] * outer(x_i, x_i) to system k of view v.
+    outers = np.einsum("in,jn->nij", X, X)
+    W = []
+    for pv, zv in zip(P, fs.views):
+        lhs = _weighted_sum(pv.T, outers) + eye  # (r_v, d, d)
+        rhs = ((pv * zv) @ X.T).reshape(len(pv), -1, d).transpose(0, 2, 1)
+        W.append(_solve_spd_stack(lhs, rhs).transpose(0, 2, 1).reshape(zv.shape[0], d))
+    return W
+
+
 # ---------------------------------------------------------------------------
 # instance-weighted solvers (C-MV family)
 # ---------------------------------------------------------------------------
@@ -233,26 +271,12 @@ def cmv_update_x(fs, W, a, c2):
     Solves, independently per instance, the ridge problem
     ``min_x sum_v p_v ||z_i^v - W_v x||^2 + c2 ||x||^2`` with ``p = -a > 0``.
     """
-    p = -np.asarray(a)
-    d = W[0].shape[1]
-    grams = np.stack([wv.T @ wv for wv in W])  # (M, d, d)
-    rhs = np.stack([wv.T @ zv for wv, zv in zip(W, fs.views)])  # (M, d, N)
-    rhs = np.einsum("vn,vdn->nd", p, rhs)
-    lhs = _weighted_sum(p, grams) + c2 * np.eye(d)
-    return _solve_spd_stack(lhs, rhs).T
+    return _ridge_x(fs, W, -np.asarray(a)[:, None], c2)
 
 
 def cmv_update_w(fs, X, a, c1):
     """Closed-form map update: ridge regression of each view onto X."""
-    p = -np.asarray(a)
-    d = X.shape[0]
-    eye = c1 * np.eye(d)
-    W = []
-    for v in range(fs.n_views):
-        lhs = (X * p[v]) @ X.T + eye
-        rhs = X @ (fs.views[v] * p[v]).T  # (d, d_v)
-        W.append(_solve_spd(lhs, rhs).T)
-    return W
+    return _ridge_w(fs, X, -np.asarray(a)[:, None], c1)
 
 
 def _penalty(W, X, c1, c2, view_balance=None):
@@ -343,6 +367,12 @@ def _unit_instance_weights(fs):
     return -np.ones((fs.n_views, fs.n_instances))
 
 
+def _instance_fit(fs, cfg, solver, update_a, objective):
+    # The instance-weighted solvers differ only in the A-refresh and objective.
+    unit = _unit_instance_weights(fs)
+    return _alternate(fs, cfg, solver, update_a, cmv_update_x, cmv_update_w, objective, unit)
+
+
 def cmv_fit(fs: MultiViewFeatureSet, cfg: CmvConfig) -> IntactSpaceModel:
     """Correntropy multi-view fit with per-instance weighting.
 
@@ -350,29 +380,15 @@ def cmv_fit(fs: MultiViewFeatureSet, cfg: CmvConfig) -> IntactSpaceModel:
     objective is :func:`cmv_objective`; it is non-decreasing across outer
     iterations and bounded by ``M * N``.
     """
-    return _alternate(
-        fs,
-        cfg,
-        "cmv",
-        lambda fs_, X, W, c: cmv_update_a(fs_, X, W, c.sigma),
-        cmv_update_x,
-        cmv_update_w,
-        cmv_objective,
-        _unit_instance_weights(fs),
+    return _instance_fit(
+        fs, cfg, "cmv", lambda fs_, X, W, c: cmv_update_a(fs_, X, W, c.sigma), cmv_objective
     )
 
 
 def l2mv_fit(fs: MultiViewFeatureSet, cfg: CmvConfig) -> IntactSpaceModel:
     """Least-squares baseline: the same alternation with A frozen at -1."""
-    return _alternate(
-        fs,
-        cfg,
-        "l2mv",
-        lambda fs_, X, W, c: _unit_instance_weights(fs_),
-        cmv_update_x,
-        cmv_update_w,
-        _l2_objective,
-        _unit_instance_weights(fs),
+    return _instance_fit(
+        fs, cfg, "l2mv", lambda fs_, X, W, c: _unit_instance_weights(fs_), _l2_objective
     )
 
 
@@ -383,16 +399,7 @@ def _cauchy_update_a(fs, X, W, cfg):
 
 def cauchymv_fit(fs: MultiViewFeatureSet, cfg: CmvConfig) -> IntactSpaceModel:
     """Cauchy-loss baseline solved by iteratively reweighted least squares."""
-    return _alternate(
-        fs,
-        cfg,
-        "cauchymv",
-        _cauchy_update_a,
-        cmv_update_x,
-        cmv_update_w,
-        _cauchy_objective,
-        _unit_instance_weights(fs),
-    )
+    return _instance_fit(fs, cfg, "cauchymv", _cauchy_update_a, _cauchy_objective)
 
 
 # ---------------------------------------------------------------------------
@@ -414,13 +421,7 @@ def cemv_update_a(fs, X, W, sigmas):
 
 def cemv_update_x(fs, W, a, c2):
     """Latent update with entrywise weights and 1/d_v view balancing."""
-    d = W[0].shape[1]
-    p = [-np.asarray(av) / dv for av, dv in zip(a, fs.view_dims)]
-    rhs = sum(wv.T @ (pv * zv) for wv, pv, zv in zip(W, p, fs.views))
-    # Row j of W_v contributes p_v[j, i] * outer(W_v[j], W_v[j]) to system i.
-    outers = np.concatenate([wv[:, :, None] * wv[:, None, :] for wv in W])
-    lhs = _weighted_sum(np.concatenate(p), outers) + c2 * np.eye(d)
-    return _solve_spd_stack(lhs, rhs.T).T
+    return _ridge_x(fs, W, [-np.asarray(av) / dv for av, dv in zip(a, fs.view_dims)], c2)
 
 
 def cemv_update_w(fs, X, a, c1):
@@ -428,15 +429,7 @@ def cemv_update_w(fs, X, a, c1):
 
     No view balancing enters here.
     """
-    eye = c1 * np.eye(X.shape[0])
-    # Instance i contributes p[j, i] * outer(x_i, x_i) to the system of row j.
-    outers = X.T[:, :, None] * X.T[:, None, :]
-    W = []
-    for av, zv in zip(a, fs.views):
-        p = -np.asarray(av)
-        lhs = _weighted_sum(p.T, outers) + eye
-        W.append(_solve_spd_stack(lhs, (p * zv) @ X.T))
-    return W
+    return _ridge_w(fs, X, [-np.asarray(av) for av in a], c1)
 
 
 def cemv_objective(fs, X, W, A, cfg: CmvConfig) -> float:

@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 import scipy
 
+from . import __version__
 from .embedding import DissimilarityViews
 from .features import MultiViewFeatureSet
 
@@ -32,9 +33,9 @@ __all__ = [
     "ingest_dissimilarities",
     "load_manifest",
     "write_json",
+    "write_run_json",
     "write_trace_csv",
     "file_sha256",
-    "run_environment",
 ]
 
 _FMT = "%.17g"
@@ -171,9 +172,10 @@ def ingest_uci_directory(directory, view_names=("pix", "zer")):
 def ingest_dissimilarities(paths, square=False):
     """Load, repair and validate dissimilarity matrices.
 
-    Each input is symmetrized via (A + A')/2, its diagonal zeroed and
-    negative entries clamped to 0; ``square=True`` squares raw-distance
-    inputs first.  Returns ``(views, report)`` where the per-view report
+    ``square=True`` squares raw-distance inputs first; a ``nan`` or ``inf``
+    cell, or a square that overflows, is rejected.  Each input is then
+    symmetrized via (A + A')/2, its diagonal zeroed and negative entries
+    clamped to 0.  Returns ``(views, report)`` where the per-view report
     records how much correction was applied.
     """
     paths = [Path(p) for p in paths]
@@ -186,7 +188,11 @@ def ingest_dissimilarities(paths, square=False):
         if m.shape[0] != m.shape[1]:
             raise ValueError(f"{p}: matrix is not square ({m.shape[0]}x{m.shape[1]})")
         if square:
-            m = m * m
+            with np.errstate(over="ignore"):  # an overflow is rejected below
+                m = m * m
+        if not np.all(np.isfinite(m)):
+            after = " after squaring" if square else ""
+            raise ValueError(f"{p}: matrix contains a non-finite value (nan or inf){after}")
         asym = float(np.max(np.abs(m - m.T)) / 2.0) if m.size else 0.0
         m = (m + m.T) / 2.0
         diag = float(np.max(np.abs(np.diag(m)))) if m.size else 0.0
@@ -243,6 +249,31 @@ def write_json(path, payload):
         fh.write(text + "\n")
 
 
+def write_run_json(directory, record, inputs):
+    """Write ``run.json`` into ``directory`` and return its payload.
+
+    The payload is ``record`` plus the package version, the sha256 of every
+    ``{key: path}`` entry of ``inputs`` under its key, and an ``environment``
+    block: numpy/scipy versions, the core count and the BLAS thread settings
+    (``None`` when the variable is unset), so timings and traces from
+    different machines can be read side by side.
+    """
+    payload = {
+        **record,
+        "package_version": __version__,
+        "inputs": {key: file_sha256(path) for key, path in inputs.items()},
+        "environment": {
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
+            "cpu_count": os.cpu_count(),
+            "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
+            "OMP_NUM_THREADS": os.environ.get("OMP_NUM_THREADS"),
+        },
+    }
+    write_json(Path(directory) / "run.json", payload)
+    return payload
+
+
 def write_trace_csv(path, trace):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("iteration,objective\n")
@@ -256,19 +287,3 @@ def file_sha256(path):
         for chunk in iter(lambda: fh.read(1 << 16), b""):
             h.update(chunk)
     return h.hexdigest()
-
-
-def run_environment():
-    """Where a run happened, for the ``environment`` block of ``run.json``.
-
-    numpy/scipy versions, the core count and the BLAS thread settings
-    (``None`` when the variable is unset), so timings and traces from
-    different machines can be read side by side.
-    """
-    return {
-        "numpy": np.__version__,
-        "scipy": scipy.__version__,
-        "cpu_count": os.cpu_count(),
-        "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
-        "OMP_NUM_THREADS": os.environ.get("OMP_NUM_THREADS"),
-    }

@@ -6,11 +6,11 @@ configurations, traces, scores) plus a machine-readable ``summary.json``
 and a ``run.json`` echo sufficient to reproduce the run exactly.
 """
 
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__
 from .datagen import (
     NoiseSpec,
     corrupt_instances,
@@ -36,8 +36,7 @@ from .features import (
     l2mv_fit,
 )
 from .io import (
-    file_sha256, run_environment, write_json, write_labels, write_matrix_csv, write_trace_csv,
-    write_views,
+    write_json, write_labels, write_matrix_csv, write_run_json, write_trace_csv, write_views,
 )
 
 __all__ = ["run_recipe", "RECIPE_NAMES", "FEATURE_METHODS", "fit_feature_method"]
@@ -89,19 +88,6 @@ def _weight_split(model, noisy_idx, n):
             float(mags[v, noisy_idx].mean()) if len(noisy_idx) else None
         )
     return out
-
-
-def _echo(out, name, seed, params, data_files):
-    payload = {
-        "recipe": name,
-        "seed": seed,
-        "params": params,
-        "package_version": __version__,
-        "inputs": {Path(f).name: file_sha256(f) for f in data_files},
-        "environment": run_environment(),
-    }
-    write_json(out / "run.json", payload)
-    return payload
 
 
 def _uci_noise_grid(seed, out, full_scale, condition):
@@ -187,17 +173,11 @@ def _uci_noise_grid(seed, out, full_scale, condition):
         "scatter": scatter,
         "grid": grid,
         "magnitudes": magnitudes,
-        "solver": {
-            "latent_dim": cfg.latent_dim,
-            "sigma": cfg.sigma,
-            "c1": cfg.c1,
-            "c2": cfg.c2,
-            "max_outer": cfg.max_outer,
-            "max_inner": cfg.max_inner,
-        },
+        "solver": asdict(cfg),
         "classifier": "1-nearest-neighbour (majority vote over the fused latent space)",
     }
-    echo = _echo(out, name, seed, params, files)
+    record = {"recipe": name, "seed": seed, "params": params}
+    echo = write_run_json(out, record, {f.name: f for f in files})
     return {"recipe": name, "seed": seed, "results": results, "run": echo}
 
 
@@ -252,7 +232,8 @@ def _pointset_25(seed, out, full_scale):
         "max_iter": 500,
         "corrupted_points": corrupted,
     }
-    echo = _echo(out, "pointset-25", seed, params, files)
+    record = {"recipe": "pointset-25", "seed": seed, "params": params}
+    echo = write_run_json(out, record, {f.name: f for f in files})
     return {"recipe": "pointset-25", "seed": seed, "results": results, "run": echo}
 
 
@@ -323,7 +304,8 @@ def _cluster_retrieval(seed, out, full_scale):
         "max_iter": 400,
         "max_score": classes * per_class * k,
     }
-    echo = _echo(out, "cluster-retrieval", seed, params, files)
+    record = {"recipe": "cluster-retrieval", "seed": seed, "params": params}
+    echo = write_run_json(out, record, {f.name: f for f in files})
     return {"recipe": "cluster-retrieval", "seed": seed, "results": results, "run": echo}
 
 

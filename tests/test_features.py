@@ -525,6 +525,15 @@ def _loop_cemv_x(fs, W, a, c2):
     return X
 
 
+def _loop_cmv_w(fs, X, a, c1):
+    W = []
+    for v, zv in enumerate(fs.views):
+        p = -a[v]
+        lhs = (X * p) @ X.T + c1 * np.eye(X.shape[0])
+        W.append(np.linalg.solve(lhs, X @ (p * zv).T).T)
+    return W
+
+
 def _loop_cemv_w(fs, X, a, c1):
     W = []
     for av, zv in zip(a, fs.views):
@@ -572,19 +581,28 @@ class TestBatchedRidge:
             _rel_err(cemv_update_x(fs, W, a_entry, c2), _loop_cemv_x(fs, W, a_entry, c2))
             <= 1e-12
         )
-        got = cemv_update_w(fs, X, a_entry, c1)
-        ref = _loop_cemv_w(fs, X, a_entry, c1)
-        for gv, rv in zip(got, ref):
-            assert gv.shape == rv.shape
-            assert _rel_err(gv, rv) <= 1e-12
+        for got, ref in (
+            (cmv_update_w(fs, X, a_inst, c1), _loop_cmv_w(fs, X, a_inst, c1)),
+            (cemv_update_w(fs, X, a_entry, c1), _loop_cemv_w(fs, X, a_entry, c1)),
+        ):
+            for gv, rv in zip(got, ref):
+                assert gv.shape == rv.shape
+                assert _rel_err(gv, rv) <= 1e-12
 
     @pytest.mark.parametrize("bad", [np.nan, -np.inf])
     def test_non_finite_weight_raises(self, bad):
         fs, W, X, a_inst, a_entry = _ridge_problem(41, [7, 3], 50, 4)
         a_inst[1, 17] = bad
         a_entry[0][2, 17] = bad
+        # Zeros where the bad weights sit: inf * 0 is NaN in any product formed
+        # before the weights are checked.
+        for z in fs.views:
+            z[:, 17] = 0.0
+        X[:, 17] = 0.0
         with pytest.raises(NumericalError):
             cmv_update_x(fs, W, a_inst, 1e-3)
+        with pytest.raises(NumericalError):
+            cmv_update_w(fs, X, a_inst, 1e-3)
         with pytest.raises(NumericalError):
             cemv_update_x(fs, W, a_entry, 1e-3)
         with pytest.raises(NumericalError):
@@ -596,6 +614,8 @@ class TestBatchedRidge:
         fs, W, X, a_inst, a_entry = _ridge_problem(42, [7, 3], 50, 4)
         with pytest.raises(np.linalg.LinAlgError):
             cmv_update_x(fs, W, -10.0 * a_inst, 1e-3)
+        with pytest.raises(np.linalg.LinAlgError):
+            cmv_update_w(fs, X, -10.0 * a_inst, 1e-3)
         with pytest.raises(np.linalg.LinAlgError):
             cemv_update_w(fs, X, [-10.0 * av for av in a_entry], 1e-3)
 

@@ -485,6 +485,25 @@ class TestCli:
         assert code == 2
         assert "max_iter must be an integer" in json.loads(capsys.readouterr().err)["message"]
 
+    @pytest.mark.parametrize("cell,flags", [("inf", []), ("nan", []), ("1e200", ["--square"])])
+    def test_non_finite_dissimilarity_is_validation_error(self, tmp_path, capsys, cell, flags):
+        f = tmp_path / "X.csv"
+        f.write_text(f"0,1,{cell}\n1,0,2\n{cell},2,0\n")
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main([
+                "embed", "--solver", "cmds", "--views", str(f), "--out", str(tmp_path / "o"),
+                *flags,
+            ])
+        assert code == 2
+        assert caught == []
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "validation"
+        assert str(f) in err["message"] and "non-finite" in err["message"]
+
     def test_cmds_requires_single_view(self, tmp_path):
         rng = np.random.default_rng(5)
         x = rng.standard_normal((5, 2))
