@@ -7,7 +7,9 @@ agrees with the views.  Classical MDS does it in closed form for a single
 view; the iterative solvers trade the quadratic fit for an L1 cost
 (subgradient steps) or a bounded correntropy score (L1 warm start, then
 backtracking gradient ascent), each step followed by projection back onto
-the PSD cone.  The correntropy kernel and its derivative come from
+the PSD cone.  The projection eigendecomposes only inputs that one Cholesky
+factorization fails to certify positive definite; a certified input is its
+own projection.  The correntropy kernel and its derivative come from
 :mod:`robustmv.losses`.  Coordinates come out of the final
 eigendecomposition, ordered by descending eigenvalue.
 
@@ -201,11 +203,22 @@ def double_center(delta) -> np.ndarray:
 def psd_project(b) -> np.ndarray:
     """Frobenius-nearest PSD matrix: eigendecompose and clip negatives.
 
-    The result is rebuilt from the positive eigenpairs only, so the product
-    costs N x N x r for r positive eigenvalues rather than N^3; a matrix
-    with none projects to zero.
+    A positive definite input is its own projection.  One Cholesky
+    factorization, about a tenth of the eigendecomposition's cost, certifies
+    that: when it succeeds with a finite factor the symmetrized input is
+    returned as it is (for an exactly symmetric input, the input bit for
+    bit).  Otherwise the input is eigendecomposed and rebuilt from its
+    positive eigenpairs only, so the product costs N x N x r for r positive
+    eigenvalues rather than N^3; a matrix with none projects to zero.
     """
     b = _check_square_symmetric(b, "B", atol=1e-10)
+    try:
+        factor = np.linalg.cholesky(b)
+    except np.linalg.LinAlgError:
+        pass
+    else:
+        if np.all(np.isfinite(factor)):
+            return (b + b.T) / 2.0
     w, v = np.linalg.eigh(b)
     # eigh sorts ascending, so the positive eigenpairs are the tail.
     k = np.searchsorted(w, 0.0, side="right")

@@ -353,6 +353,11 @@ def _alternate(fs, cfg, solver, update_a, update_x, update_w, objective, unit_a)
         if not np.isfinite(obj):
             raise NumericalError(f"{solver}: non-finite objective {obj}")
         trace.record(obj)
+        if not np.any(X):
+            # A zero latent matrix is a degenerate fit, not a converged one.
+            trace.finish(False, "latent matrix collapsed to zero")
+            stopped = True
+            break
         if prev is not None and abs(obj - prev) <= cfg.rel_tol * max(1.0, abs(prev)):
             trace.finish(True, "objective change below rel_tol")
             stopped = True

@@ -174,7 +174,7 @@ def ingest_dissimilarities(paths, square=False):
 
     ``square=True`` squares raw-distance inputs first; a ``nan`` or ``inf``
     cell, or a square that overflows, is rejected.  Each input is then
-    symmetrized via (A + A')/2, its diagonal zeroed and negative entries
+    symmetrized via A/2 + A'/2, its diagonal zeroed and negative entries
     clamped to 0.  Returns ``(views, report)`` where the per-view report
     records how much correction was applied.
     """
@@ -193,8 +193,11 @@ def ingest_dissimilarities(paths, square=False):
         if not np.all(np.isfinite(m)):
             after = " after squaring" if square else ""
             raise ValueError(f"{p}: matrix contains a non-finite value (nan or inf){after}")
-        asym = float(np.max(np.abs(m - m.T)) / 2.0) if m.size else 0.0
-        m = (m + m.T) / 2.0
+        # Halving first keeps finite cells near the float maximum finite;
+        # for normal floats the result equals (m - m.T) / 2 and (m + m.T) / 2.
+        half = m / 2.0
+        asym = float(np.max(np.abs(half - half.T))) if m.size else 0.0
+        m = half + half.T
         diag = float(np.max(np.abs(np.diag(m)))) if m.size else 0.0
         np.fill_diagonal(m, 0.0)
         negatives = int(np.sum(m < 0))

@@ -86,6 +86,13 @@ def _recipe_runs(loss):
     ]
 
 
+def _eigh_clip(b):
+    # Reference projection: full eigendecomposition, negatives clipped.
+    w, v = np.linalg.eigh(b)
+    out = (v * np.maximum(w, 0.0)) @ v.T
+    return (out + out.T) / 2.0
+
+
 def _fd_gradient(fun, b, h=1e-6):
     g = np.zeros_like(b)
     for i in range(b.shape[0]):
@@ -183,9 +190,7 @@ class TestPsdProject:
         x = rng.standard_normal((30, 4))
         y = rng.standard_normal((30, 3))
         b = x @ x.T - y @ y.T  # 4 positive, 3 negative, 23 zero eigenvalues
-        w, v = np.linalg.eigh(b)
-        full = (v * np.maximum(w, 0.0)) @ v.T
-        full = (full + full.T) / 2.0
+        full = _eigh_clip(b)
         out = psd_project(b)
         assert np.linalg.norm(out - full) <= 1e-12 * np.linalg.norm(full)
         assert np.array_equal(out, out.T)
@@ -203,6 +208,60 @@ class TestPsdProject:
                 else:
                     with pytest.raises(ValueError, match="symmetric"):
                         fn(skewed)
+
+    def test_positive_definite_input_skips_eigh(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        x = rng.standard_normal((6, 6))
+        b = x @ x.T + np.eye(6)
+        b = (b + b.T) / 2.0
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigh called on a positive definite input")
+
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        assert np.array_equal(psd_project(b), b)
+
+    def test_semidefinite_input_matches_eigh_reference(self):
+        # Singular PSD sits on the certificate's boundary: Cholesky may pass
+        # or fail on rounding, and either exit must give the same projection.
+        rng = np.random.default_rng(13)
+        x = rng.standard_normal((6, 3))
+        b = x @ x.T  # rank 3 of 6
+        b = (b + b.T) / 2.0
+        ref = _eigh_clip(b)
+        assert np.linalg.norm(psd_project(b) - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 8),
+        kind=st.sampled_from(["definite", "singular", "indefinite"]),
+        exponent=st.integers(-100, 100),
+    )
+    def test_projection_property_across_scales(self, seed, n, kind, exponent):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((n, n))
+        if kind == "definite":
+            base = x @ x.T + 0.1 * np.eye(n)
+        elif kind == "singular":
+            y = x[:, : max(n // 2, 1)]
+            base = y @ y.T if n > 1 else np.zeros((1, 1))
+        else:
+            base = x + x.T
+        base = (base + base.T) / 2.0
+        b = base * 10.0**exponent
+        out = psd_project(b)
+        assert np.array_equal(out, out.T)
+        w = np.linalg.eigvalsh(out)
+        assert w[0] >= -1e-12 * abs(w[-1])
+        assert np.linalg.norm(out - _eigh_clip(b)) <= 1e-10 * np.linalg.norm(b)
+
+    def test_non_finite_input_takes_the_eigh_path(self):
+        # The Cholesky factor of this matrix holds an inf, which does not
+        # certify anything; the eigendecomposition's all-NaN result stands.
+        b = np.eye(4)
+        b[0, 0] = np.inf
+        assert np.all(np.isnan(psd_project(b)))
 
     def test_nearest_among_random_candidates(self):
         rng = np.random.default_rng(8)

@@ -286,6 +286,25 @@ class TestCmvFit:
         clean = np.setdiff1d(np.arange(fs.n_instances), noisy_idx)
         assert mags[clean].mean() > mags[noisy_idx].mean()
 
+    def test_collapsed_fit_is_not_converged(self):
+        # The uci-noise-2 view1 baseline at seed 0, magnitude 3, fraction
+        # 0.25: every residual is far beyond sigma, every weight underflows
+        # and X ends exactly zero, which is a degenerate fit, not a converged one.
+        from robustmv.datagen import corrupt_pixels, gen_labeled_multiview
+        from robustmv.recipes import fit_feature_method
+
+        _, fs = gen_labeled_multiview(
+            classes=10, per_class=20, view_dims=(64, 8), latent_dim=8, scatter=0.8, seed=0
+        )
+        spec = NoiseSpec(kind="pixel_replacement", fraction=0.25, magnitude=3.0, seed=31000)
+        noisy, _ = corrupt_pixels(fs, 0, spec)
+        cfg = CmvConfig(latent_dim=10, sigma=0.5, c1=1e-3, c2=1e-3, max_outer=25, max_inner=3)
+        model = fit_feature_method("view1", noisy, cfg)
+        assert not np.any(model.X)
+        assert model.trace.reason == "latent matrix collapsed to zero"
+        assert not model.trace.converged
+        assert model.trace.iterations_run == len(model.trace.objective) == 2
+
     def test_latent_dim_must_be_small(self):
         fs = MultiViewFeatureSet([np.ones((3, 4))])
         with pytest.raises(ValueError, match="latent_dim"):

@@ -504,6 +504,25 @@ class TestCli:
         assert err["error"] == "validation"
         assert str(f) in err["message"] and "non-finite" in err["message"]
 
+    def test_asymmetry_near_float_max_does_not_overflow(self, tmp_path, capsys):
+        # m - m.T on these cells is 2e308 = inf; halving first keeps it finite.
+        f = tmp_path / "X.csv"
+        f.write_text("0,1e308,1\n-1e308,0,2\n1,2,0\n")
+        out = tmp_path / "o"
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["embed", "--solver", "cmds", "--views", str(f), "--out", str(out)])
+        assert code == 0
+        assert caught == []
+        assert capsys.readouterr().err == ""
+        report = json.loads((out / "meta.json").read_text())["ingest_report"][0]
+        assert report["max_asymmetry"] == 1e308
+        views, _ = ingest_dissimilarities([f])
+        np.testing.assert_array_equal(
+            views.deltas[0], [[0.0, 0.0, 1.0], [0.0, 0.0, 2.0], [1.0, 2.0, 0.0]]
+        )
+
     def test_cmds_requires_single_view(self, tmp_path):
         rng = np.random.default_rng(5)
         x = rng.standard_normal((5, 2))
