@@ -27,6 +27,9 @@ __all__ = [
 ]
 
 _NOISE_KINDS = ("instance_replacement", "pixel_replacement", "distance_salt_pepper")
+# Rows of a distance matrix filled per block: the block's difference stack
+# is _DISTANCE_BLOCK_ROWS x N x d floats.
+_DISTANCE_BLOCK_ROWS = 32
 
 
 @dataclass
@@ -168,23 +171,41 @@ def _corrupted_pair_mask(n, points):
     return mask
 
 
+def _pairwise_distances(points):
+    """Euclidean distances between the rows of ``points``, one row block at a time.
+
+    Each block's ``(rows, N, d)`` differences are summed over the same
+    contiguous last axis as a one-shot ``(N, N, d)`` broadcast would sum
+    them, so the matrix is bit-identical to that formula while the scratch
+    space stays O(N * d) instead of O(N^2 * d).
+    """
+    n = points.shape[0]
+    dist = np.empty((n, n))
+    for start in range(0, n, _DISTANCE_BLOCK_ROWS):
+        rows = slice(start, start + _DISTANCE_BLOCK_ROWS)
+        diff = points[rows, None, :] - points[None, :, :]
+        np.sqrt(np.sum(diff * diff, axis=2), out=dist[rows])
+    return dist
+
+
 def _noisy_distance_view(dist, points, magnitude, rng, noise_on):
     """Add +-magnitude to every distance touching the given points.
 
     Noise is drawn for i < j and mirrored; values are clamped at zero.  With
     ``noise_on="raw"`` the corruption hits the plain distances which are then
-    squared; ``"squared"`` corrupts the squared matrix directly.
+    squared; ``"squared"`` corrupts the squared matrix directly.  Apart from
+    the returned matrix, every step works in place.
     """
     n = dist.shape[0]
-    base = dist if noise_on == "raw" else dist**2
+    noisy = dist.copy() if noise_on == "raw" else dist**2
     mask = np.triu(_corrupted_pair_mask(n, points))
-    eps = np.zeros_like(base)
-    eps[mask] = magnitude * rng.choice([-1.0, 1.0], size=int(mask.sum()))
-    noisy = base + eps
-    noisy = np.triu(noisy, 1)
-    noisy = noisy + noisy.T
-    noisy = np.maximum(noisy, 0.0)
-    return noisy**2 if noise_on == "raw" else noisy
+    noisy[mask] += magnitude * rng.choice([-1.0, 1.0], size=int(mask.sum()))
+    noisy[np.tri(n, dtype=bool)] = 0.0
+    noisy += noisy.T
+    np.maximum(noisy, 0.0, out=noisy)
+    if noise_on == "raw":
+        np.square(noisy, out=noisy)
+    return noisy
 
 
 def gen_point_set_views(
@@ -216,8 +237,7 @@ def gen_point_set_views(
     for p in (*view1_points, *view2_points):
         if not 0 <= p < n_points:
             raise ValueError(f"corrupted point index {p} out of range")
-    diff = points[:, None, :] - points[None, :, :]
-    dist = np.sqrt(np.sum(diff * diff, axis=2))
+    dist = _pairwise_distances(points)
     d1 = _noisy_distance_view(dist, view1_points, magnitude, rng, noise_on)
     d2 = _noisy_distance_view(dist, view2_points, magnitude, rng, noise_on)
     return points, DissimilarityViews([d1, d2])
@@ -250,8 +270,7 @@ def gen_cluster_retrieval_views(
     labels = np.repeat(np.arange(classes), per_class)
     centroids = separation * np.eye(classes)
     pts = centroids[labels] + spread * rng.standard_normal((n, classes))
-    diff = pts[:, None, :] - pts[None, :, :]
-    dist = np.sqrt(np.sum(diff * diff, axis=2))
+    dist = _pairwise_distances(pts)
     order = rng.permutation(n)
     deltas = []
     for v in range(n_views):

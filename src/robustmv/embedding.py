@@ -69,8 +69,10 @@ def _check_square_symmetric(m, name, atol=0.0):
 class DissimilarityViews:
     """M symmetric nonnegative N x N matrices with zero diagonal.
 
-    ``weights[v]`` is the per-entry weighting of view v; omitted weights
-    default to all ones.
+    ``weights[v]`` is the per-entry weighting of view v.  Omitted weights
+    default to unit weights, stored as a read-only broadcast of 1.0 rather
+    than an N x N array per view; ``1.0 * x`` is exact, so every solver
+    result is the same as with explicit ``np.ones`` weights.
     """
 
     deltas: list
@@ -95,7 +97,7 @@ class DissimilarityViews:
         self.deltas = checked
         n = checked[0].shape[0]
         if self.weights is None:
-            self.weights = [np.ones((n, n)) for _ in checked]
+            self.weights = [np.broadcast_to(1.0, (n, n)) for _ in checked]
         else:
             if len(self.weights) != len(checked):
                 raise ValueError("need one weight matrix per view")
@@ -263,10 +265,15 @@ def cmds(delta, target_dim: int) -> EmbeddingResult:
 
 
 def median_kernel_size(views: DissimilarityViews) -> float:
-    """Median of the pooled off-diagonal entries of all views."""
-    n = views.n_points
-    mask = ~np.eye(n, dtype=bool)
-    pooled = np.concatenate([m[mask] for m in views.deltas])
+    """Median of the pooled off-diagonal entries of all views.
+
+    Views are exactly symmetric, so the off-diagonal holds every strict
+    upper-triangle entry twice; pooling the upper triangle alone leaves the
+    median unchanged (the doubled list's middle pair is the single list's
+    middle pair, or its middle value twice).
+    """
+    upper = ~np.tri(views.n_points, dtype=bool)
+    pooled = np.concatenate([m[upper] for m in views.deltas])
     med = float(np.median(pooled))
     if med <= 0:
         raise ValueError("median off-diagonal dissimilarity is not positive")

@@ -76,17 +76,19 @@ def seeded_split(labels, train_fraction=0.5, seed=0) -> LabeledSplit:
     return LabeledSplit(labels, train_idx, test_idx)
 
 
-def _pairwise_sq_dists(rows):
-    sq = np.sum(rows * rows, axis=1)
-    d = sq[:, None] + sq[None, :] - 2.0 * rows @ rows.T
-    return np.maximum(d, 0.0)
+def _sq_dists(rows, cols):
+    # Squared distances between the rows of ``rows`` and the rows of ``cols``.
+    d = np.sum(rows * rows, axis=1)[:, None] + np.sum(cols * cols, axis=1)[None, :]
+    d -= 2.0 * rows @ cols.T
+    return np.maximum(d, 0.0, out=d)
 
 
 def knn_classify(split: LabeledSplit, features=None, distances=None, k=1):
     """k-nearest-neighbour vote over the training set.
 
     Give either ``features`` (rows = instances) or a full ``distances``
-    matrix, one row per label.  Neighbours are the k smallest distances,
+    matrix, one row per label.  From features only the test x train block
+    of squared distances is computed.  Neighbours are the k smallest distances,
     ties going to the lower training position.  The most votes win; vote
     ties go to the class with the smallest total distance among the k
     neighbours (summed in neighbour order), then to the smallest class id.
@@ -102,9 +104,13 @@ def knn_classify(split: LabeledSplit, features=None, distances=None, k=1):
     if split.test_idx.size == 0:
         raise ValueError("empty test set: no instance left to classify")
     labels = split.labels
-    dist = _distance_matrix(labels.shape[0], distances, features, "features")
+    n = labels.shape[0]
     train, test = split.train_idx, split.test_idx
-    block = dist[np.ix_(test, train)]
+    if features is not None:
+        points = _points(n, features, "features")
+        block = _sq_dists(points[test], points[train])
+    else:
+        block = _distances(n, distances)[np.ix_(test, train)]
     kk = min(k, train.size)
     order = np.argsort(block, axis=1, kind="stable")[:, :kk]
     classes, train_class = np.unique(labels[train], return_inverse=True)
@@ -140,25 +146,29 @@ def retrieval_topk(labels, distances=None, configuration=None, k=10) -> Retrieva
         raise ValueError(f"k={k} out of range for N={n}")
     if (distances is None) == (configuration is None):
         raise ValueError("give exactly one of distances or configuration")
-    dist = _distance_matrix(n, distances, configuration, "configuration")
-    if configuration is None:
-        dist = dist.copy()
+    if configuration is not None:
+        points = _points(n, configuration, "configuration")
+        dist = _sq_dists(points, points)
+    else:
+        dist = _distances(n, distances).copy()
     np.fill_diagonal(dist, np.inf)
     top = np.argsort(dist, axis=1, kind="stable")[:, :k]
     counts = np.sum(labels[top] == labels[:, None], axis=1)
     return RetrievalScore(per_query=counts, k=k)
 
 
-def _distance_matrix(n, distances, points, points_name):
-    # The n x n matrix to rank by: ``distances`` itself, or the squared
-    # distances between the rows of ``points``; either must have n rows.
-    if points is not None:
-        points = np.asarray(points, dtype=float)
-        if points.ndim != 2 or points.shape[0] != n:
-            raise ValueError(
-                f"{points_name} has shape {points.shape}, expected {n} rows, one per label"
-            )
-        return _pairwise_sq_dists(points)
+def _points(n, points, points_name):
+    # ``points`` as a float array with n rows, one per label.
+    points = np.asarray(points, dtype=float)
+    if points.ndim != 2 or points.shape[0] != n:
+        raise ValueError(
+            f"{points_name} has shape {points.shape}, expected {n} rows, one per label"
+        )
+    return points
+
+
+def _distances(n, distances):
+    # ``distances`` as a float n x n array, one row per label.
     dist = np.asarray(distances, dtype=float)
     if dist.shape != (n, n):
         raise ValueError(

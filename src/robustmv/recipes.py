@@ -90,6 +90,11 @@ def _weight_split(model, noisy_idx, n):
     return out
 
 
+def _stop(trace):
+    """Why a fit stopped, as recorded in ``summary.json``."""
+    return {"converged": trace.converged, "reason": trace.reason}
+
+
 def _uci_noise_grid(seed, out, full_scale, condition):
     per_class = 200 if full_scale else (40 if condition == 1 else 20)
     # Condition 2 uses a weaker second view: partial pixel corruption only
@@ -145,11 +150,15 @@ def _uci_noise_grid(seed, out, full_scale, condition):
                 )
                 noisy, pixel_mask = corrupt_pixels(fs, 0, spec)
                 idx = np.array([], dtype=int)
-            row = {"fraction": frac, "magnitude": magnitude, "accuracy": {}, "weights": {}}
+            row = {
+                "fraction": frac, "magnitude": magnitude, "accuracy": {}, "stop": {},
+                "weights": {},
+            }
             for method in FEATURE_METHODS:
                 model = fit_feature_method(method, noisy, cfg)
                 _, acc = knn_classify(split, features=model.X.T, k=1)
                 row["accuracy"][method] = acc
+                row["stop"][method] = _stop(model.trace)
                 tag = f"m{magnitude:g}_f{frac:g}_{method}"
                 write_trace_csv(out / "traces" / f"{tag}.csv", model.trace)
                 write_matrix_csv(out / "latent" / f"{tag}.csv", model.X)
@@ -221,6 +230,7 @@ def _pointset_25(seed, out, full_scale):
             "rmse_all": procrustes_rmse(coords, points),
             "rmse_corrupted": procrustes_rmse(coords, points, subset=corrupted),
             "final_objective": res.trace.final_objective,
+            **_stop(res.trace),
         }
 
     params = {
@@ -290,6 +300,7 @@ def _cluster_retrieval(seed, out, full_scale):
         results[method] = {
             "total_correct": score.total,
             "final_objective": res.trace.final_objective,
+            **_stop(res.trace),
         }
 
     params = {

@@ -1,8 +1,11 @@
 """Generators: determinism, noise protocols, moment matching."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from robustmv import datagen
 from robustmv import (
     NoiseSpec,
     corrupt_instances,
@@ -18,6 +21,48 @@ from robustmv import (
 def _sq_dists(points):
     diff = points[:, None, :] - points[None, :, :]
     return np.sum(diff * diff, axis=2)
+
+
+def _broadcast_noisy_view(dist, points, magnitude, rng, noise_on):
+    # The generators' former one-shot formula, frozen as the reference: an
+    # N x N noise matrix and a new N x N array for every step.
+    n = dist.shape[0]
+    base = dist if noise_on == "raw" else dist**2
+    mask = np.zeros((n, n), dtype=bool)
+    mask[list(points), :] = True
+    mask[:, list(points)] = True
+    np.fill_diagonal(mask, False)
+    mask = np.triu(mask)
+    eps = np.zeros_like(base)
+    eps[mask] = magnitude * rng.choice([-1.0, 1.0], size=int(mask.sum()))
+    noisy = np.triu(base + eps, 1)
+    noisy = np.maximum(noisy + noisy.T, 0.0)
+    return noisy**2 if noise_on == "raw" else noisy
+
+
+def _broadcast_cluster_views(classes, per_class, n_views, corrupt_per_view, seed):
+    rng = np.random.default_rng(seed)
+    n = classes * per_class
+    labels = np.repeat(np.arange(classes), per_class)
+    pts = 12.0 * np.eye(classes)[labels] + rng.standard_normal((n, classes))
+    dist = np.sqrt(_sq_dists(pts))
+    order = rng.permutation(n)
+    return [
+        _broadcast_noisy_view(
+            dist, order[v * corrupt_per_view : (v + 1) * corrupt_per_view], 10.0, rng, "raw"
+        )
+        for v in range(n_views)
+    ]
+
+
+def _broadcast_point_set_views(seed, noise_on):
+    rng = np.random.default_rng(seed)
+    points = rng.uniform(0.0, 4.0, size=(25, 2))
+    dist = np.sqrt(_sq_dists(points))
+    return [
+        _broadcast_noisy_view(dist, subset, 10.0, rng, noise_on)
+        for subset in ((0, 1, 2, 3), (23, 24))
+    ]
 
 
 class TestPlantedMultiview:
@@ -201,6 +246,52 @@ class TestClusterRetrievalViews:
     def test_size_validation(self):
         with pytest.raises(ValueError, match="disjoint"):
             gen_cluster_retrieval_views(2, 3, corrupt_per_view=4, seed=0)
+
+
+class TestBlockedDistances:
+    """Row-block, in-place distance views equal the one-shot broadcast formula."""
+
+    # N = 6, 32, 64, 65 and 99 against row blocks of 1, 7 and the default:
+    # sizes that are and are not multiples of the block, and 2 or 3 views.
+    @pytest.mark.parametrize("block", [1, 7, None])
+    @pytest.mark.parametrize(
+        "classes,per_class,n_views",
+        [(3, 2, 2), (4, 8, 3), (8, 8, 2), (5, 13, 3), (9, 11, 2)],
+    )
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_cluster_views_match_broadcast(
+        self, monkeypatch, block, classes, per_class, n_views, seed
+    ):
+        if block is not None:
+            monkeypatch.setattr(datagen, "_DISTANCE_BLOCK_ROWS", block)
+        _, views = gen_cluster_retrieval_views(
+            classes, per_class, n_views=n_views, corrupt_per_view=2, seed=seed
+        )
+        want = _broadcast_cluster_views(classes, per_class, n_views, 2, seed)
+        assert len(views.deltas) == len(want)
+        for got, ref in zip(views.deltas, want):
+            np.testing.assert_array_equal(got, ref)
+
+    @pytest.mark.parametrize("noise_on", ["raw", "squared"])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_point_set_views_match_broadcast(self, monkeypatch, noise_on, seed):
+        monkeypatch.setattr(datagen, "_DISTANCE_BLOCK_ROWS", 7)
+        _, views = gen_point_set_views(seed=seed, box=4.0, noise_on=noise_on)
+        for got, ref in zip(views.deltas, _broadcast_point_set_views(seed, noise_on)):
+            np.testing.assert_array_equal(got, ref)
+
+    def test_peak_memory_is_quadratic(self):
+        # Three N x N float matrices are live at the end (the distances and
+        # two views); the bound allows six.  The one-shot broadcast needed
+        # two N x N x classes stacks, 160 MB here.
+        n = 1000
+        tracemalloc.start()
+        try:
+            gen_cluster_retrieval_views(10, 100, corrupt_per_view=100, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * n * n * 8
 
 
 class TestLabeledMultiview:

@@ -512,6 +512,19 @@ class TestReeFit:
         b2 = ree_fit(permuted, cfg, loss="correntropy").gram
         np.testing.assert_allclose(b2, b1[np.ix_(perm, perm)], atol=1e-8)
 
+    @pytest.mark.parametrize("loss", ["l1", "correntropy"])
+    def test_default_weights_match_explicit_ones(self, loss):
+        # Default weights are a read-only broadcast of 1.0; 1.0 * x is exact,
+        # so the run is bit for bit the run with stored unit weights.
+        rng = np.random.default_rng(25)
+        views = _random_views(rng, 9, m=3)
+        assert not views.weights[0].flags.writeable
+        ones = DissimilarityViews(views.deltas, [np.ones((9, 9)) for _ in range(3)])
+        cfg = EmbedConfig(target_dim=2, sigma=2.0, step=0.05, max_iter=30)
+        got, want = ree_fit(views, cfg, loss=loss), ree_fit(ones, cfg, loss=loss)
+        np.testing.assert_array_equal(got.gram, want.gram)
+        assert got.trace.objective == want.trace.objective
+
     def test_validation(self):
         rng = np.random.default_rng(24)
         views = _random_views(rng, 5)
@@ -562,6 +575,22 @@ class TestMedianKernel:
         d2 = np.array([[0.0, 4.0], [4.0, 0.0]])
         views = DissimilarityViews([d1, d2])
         assert median_kernel_size(views) == pytest.approx(3.0)
+
+    @pytest.mark.parametrize("n,m", [(3, 1), (4, 1), (5, 2), (6, 1), (6, 2), (7, 3)])
+    @pytest.mark.parametrize("integer", [False, True], ids=["uniform", "ties"])
+    def test_upper_triangle_matches_full_off_diagonal(self, n, m, integer):
+        # Pooled pair counts m * n(n-1)/2 of 3, 6, 20, 15, 30 and 63: odd
+        # and even.  The former formula pooled every off-diagonal entry.
+        rng = np.random.default_rng(10 * n + m)
+        deltas = []
+        for _ in range(m):
+            a = rng.integers(1, 4, size=(n, n)) if integer else rng.uniform(0.1, 9.0, (n, n))
+            d = np.triu(a.astype(float), 1)
+            deltas.append(d + d.T)
+        views = DissimilarityViews(deltas)
+        off = ~np.eye(n, dtype=bool)
+        want = float(np.median(np.concatenate([d[off] for d in deltas])))
+        assert median_kernel_size(views) == want
 
     def test_views_validation(self):
         with pytest.raises(ValueError, match="diagonal"):

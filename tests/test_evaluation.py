@@ -1,5 +1,7 @@
 """Evaluators: kNN, retrieval, Procrustes alignment, confusion counts."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -196,6 +198,42 @@ class TestBatchedAgainstLoop:
         for k in (1, 3, 10, 100):
             preds, _ = knn_classify(split, features=pts, k=k)
             np.testing.assert_array_equal(preds, _knn_loop(split, dist, k))
+
+    @pytest.mark.parametrize("k", [1, 3, 10])
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("integer", [False, True], ids=["gaussian", "tie-heavy"])
+    def test_knn_feature_block_matches_full_matrix(self, k, seed, integer):
+        # Only the test x train block is computed from features; the full
+        # matrix, ranked through the distances path, is the reference.
+        rng = np.random.default_rng(300 + seed)
+        n = 120
+        labels = rng.integers(0, 5, size=n)
+        if integer:
+            pts = rng.integers(0, 3, size=(n, 3)).astype(float)
+        else:
+            pts = rng.standard_normal((n, 16))
+        sq = np.sum(pts * pts, axis=1)
+        full = np.maximum(sq[:, None] + sq[None, :] - 2.0 * pts @ pts.T, 0.0)
+        split = seeded_split(labels, 0.5, seed=seed)
+        preds, acc = knn_classify(split, features=pts, k=k)
+        want, want_acc = knn_classify(split, distances=full, k=k)
+        np.testing.assert_array_equal(preds, want)
+        assert acc == want_acc
+
+    def test_knn_features_peak_memory_is_one_block(self):
+        # The full N x N matrix alone would be 32 MB here; the bound is
+        # three test x train blocks (24 MB).
+        rng = np.random.default_rng(5)
+        labels = np.repeat(np.arange(10), 200)
+        pts = rng.standard_normal((2000, 64))
+        split = seeded_split(labels, 0.5, seed=0)
+        tracemalloc.start()
+        try:
+            knn_classify(split, features=pts, k=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * split.test_idx.size * split.train_idx.size * 8
 
     def test_knn_nan_in_tied_vote_rejected(self):
         labels = np.array([0, 1, 2])

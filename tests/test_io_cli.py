@@ -1,12 +1,17 @@
 """File ingestion, artifact round trips and the command-line surface."""
 
+import contextlib
+import io
 import json
 import os
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy
+from hypothesis import given, settings, strategies as st
 
 import robustmv.cli
 import robustmv.io
@@ -560,6 +565,9 @@ class TestRecipes:
             assert set(row["accuracy"]) == {
                 "view1", "view2", "concat", "l2mv", "cmv", "cemv",
             }
+            assert set(row["stop"]) == set(row["accuracy"])
+            for stop in row["stop"].values():
+                assert isinstance(stop["converged"], bool) and stop["reason"]
         quarter = rows[2]["weights"]["cmv"]
         assert quarter["view1_clean"] > quarter["view1_noisy"]
         run = json.loads((tmp_path / "u1" / "run.json").read_text())
@@ -574,7 +582,99 @@ class TestRecipes:
         ]) == 0
         summary = json.loads((tmp_path / "r" / "summary.json").read_text())
         assert set(summary["results"]) == {"ree-view1", "ree-view2", "mvree", "cmvree"}
+        for result in summary["results"].values():
+            assert result["converged"] is False and result["reason"] == "max_iter reached"
         run = json.loads((tmp_path / "r" / "run.json").read_text())
         assert run == summary["run"]
         assert set(run["inputs"]) == {"points.csv", "view1.csv", "view2.csv"}
         _check_environment(run["environment"])
+
+
+def _strict_json(text):
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def _sweep_matrix(kind, shape, symmetric):
+    # "random" cells are small integers; "constant" repeats one value.
+    if kind == "zero":
+        return np.zeros(shape)
+    if kind == "constant":
+        return np.full(shape, 2.5)
+    m = np.arange(1.0, 1.0 + np.prod(shape)).reshape(shape) % 4.0
+    return m + m.T if symmetric else m
+
+
+_sweep_case = st.fixed_dictionaries({
+    "command": st.sampled_from(["embed", "fit-mv", "knn", "retrieval"]),
+    "n": st.integers(1, 3),
+    "data": st.sampled_from(["random", "constant", "zero"]),
+    "sigma": st.sampled_from([1e-300, 1e-8, 1e8, 1e300]),
+    "solver": st.integers(0, 3),
+    "views": st.integers(1, 2),
+    "label_extra": st.sampled_from([0, 0, -1, 1]),
+    "labels": st.lists(st.integers(0, 2), min_size=4, max_size=4),
+    "k": st.integers(1, 3),
+    "points": st.booleans(),
+})
+
+
+class TestCliSweep:
+    """Every small or degenerate input exits 0, 2 or 3, never with a traceback."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=_sweep_case)
+    def test_exit_codes_and_artifacts(self, case):
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            out = tmp / "out"
+            argv = self._argv(case, tmp)
+            stderr = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+                code = main(argv + ["--out", str(out)])
+            assert code in (0, 2, 3), (case, code)
+            if code != 0:
+                lines = stderr.getvalue().splitlines()
+                assert len(lines) == 1, (case, lines)
+                assert _strict_json(lines[0])["error"] in ("validation", "numerical")
+            for written in out.rglob("*.json") if out.exists() else ():
+                _strict_json(written.read_text())
+
+    @staticmethod
+    def _argv(case, tmp):
+        n, data = case["n"], case["data"]
+        if case["command"] == "embed":
+            solver = ("cmds", "ree", "mvree", "cmvree")[case["solver"]]
+            files = []
+            for v in range(case["views"]):
+                f = tmp / f"view{v}.csv"
+                write_matrix_csv(f, _sweep_matrix(data, (n, n), symmetric=True))
+                files.append(str(f))
+            config = {"target_dim": n - 1, "sigma": case["sigma"], "max_iter": 4}
+            return ["embed", "--solver", solver, "--views", *files,
+                    "--config", json.dumps(config)]
+        if case["command"] == "fit-mv":
+            solver = sorted(robustmv.cli._FIT_SOLVERS)[case["solver"]]
+            f = tmp / "view.csv"
+            write_matrix_csv(f, _sweep_matrix(data, (2, n), symmetric=False))
+            config = {"latent_dim": n - 1, "sigma": case["sigma"],
+                      "max_outer": 2, "max_inner": 2}
+            return ["fit-mv", "--solver", solver, "--views", str(f), str(f),
+                    "--config", json.dumps(config)]
+        labels = tmp / "labels.csv"
+        write_labels(labels, case["labels"][: max(n + case["label_extra"], 0)])
+        f = tmp / "data.csv"
+        if case["points"]:
+            # Features are stored dims x instances, configurations instances x dims.
+            if case["command"] == "knn":
+                flag, shape = "--features", (2, n)
+            else:
+                flag, shape = "--configuration", (n, 2)
+            write_matrix_csv(f, _sweep_matrix(data, shape, symmetric=False))
+        else:
+            flag = "--distances"
+            write_matrix_csv(f, _sweep_matrix(data, (n, n), symmetric=True))
+        return ["eval", "--task", case["command"], "--labels", str(labels), flag, str(f),
+                "--k", str(case["k"])]
