@@ -159,10 +159,8 @@ def _apply_corruption(fs, args):
     noise = NoiseSpec(kind=kind, seed=spec.pop("seed", args.seed), **spec)
     if kind == "instance_replacement":
         fs, _ = corrupt_instances(fs, view, noise)
-    elif kind == "pixel_replacement":
-        fs, _ = corrupt_pixels(fs, view, noise)
     else:
-        raise ValueError(f"corruption kind {kind!r} not applicable to features")
+        fs, _ = corrupt_pixels(fs, view, noise)
     return fs
 
 
@@ -263,7 +261,7 @@ def _cmd_eval(args):
             files = [args.configuration, args.labels]
         else:
             raise ValueError("give --features, --configuration or --distances")
-        classes, mat = confusion_matrix(preds, labels[split.test_idx])
+        classes, mat = confusion_matrix(preds, labels[split.test_idx], classes=labels)
         scores = {
             "task": "knn",
             "k": args.k,

@@ -26,7 +26,7 @@ __all__ = [
     "gen_labeled_multiview",
 ]
 
-_NOISE_KINDS = ("instance_replacement", "pixel_replacement", "distance_salt_pepper")
+_NOISE_KINDS = ("instance_replacement", "pixel_replacement")
 # Rows of a distance matrix filled per block: the block's difference stack
 # is _DISTANCE_BLOCK_ROWS x N x d floats.
 _DISTANCE_BLOCK_ROWS = 32
@@ -39,7 +39,7 @@ class NoiseSpec:
     ``fraction`` selects a random affected subset; ``indices`` pins it
     explicitly (exactly one of the two).  ``magnitude`` scales the
     salt/pepper amplitude around the clean mean (1.0 reproduces the clean
-    min/max exactly); for distance noise it is the additive amplitude.
+    min/max exactly).
     """
 
     kind: str

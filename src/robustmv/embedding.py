@@ -125,12 +125,10 @@ class EmbedConfig:
     """Settings for the iterative embedding solvers.
 
     ``sigma=None`` selects the median of all pooled off-diagonal
-    dissimilarities at fit time.  ``schedule=None`` resolves to "fixed" for
-    the correntropy loss and "inverse-sqrt" for L1.  For L1 the schedule
-    gives the step at every iteration.  For the correntropy loss it gives
-    the initial trial step of each ascent iteration, which backtracking may
-    shrink; the L1 warm-start phase always uses "inverse-sqrt" at ``step``
-    (see ``ree_fit``).  A given ``sigma`` must lie in the range
+    dissimilarities at fit time.  ``step`` sets both step rules of
+    ``ree_fit``: ``step / sqrt(k)`` at L1 iteration k, and ``step`` as the
+    trial step of every correntropy ascent iteration, which backtracking may
+    shrink.  A given ``sigma`` must lie in the range
     ``losses.check_kernel_size`` accepts for ``alpha``, and integer fields
     reject booleans.
     """
@@ -139,7 +137,6 @@ class EmbedConfig:
     sigma: float = None
     alpha: float = 2.0
     step: float = 0.1
-    schedule: str = None
     max_iter: int = 500
     seed: int = 0
 
@@ -155,8 +152,6 @@ class EmbedConfig:
             check_kernel_size(self.sigma, self.alpha)
         if not self.step > 0:
             raise ValueError("step must be > 0")
-        if self.schedule not in (None, "fixed", "inverse-sqrt"):
-            raise ValueError(f"unknown schedule {self.schedule!r}")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
 
@@ -229,14 +224,10 @@ def psd_project(b) -> np.ndarray:
     return (out + out.T) / 2.0
 
 
-def _sorted_eigh(b):
+def _configuration_from_gram(b, target_dim, trace):
     w, v = np.linalg.eigh(b)
     order = np.argsort(-w, kind="stable")  # descending, ties by original index
-    return w[order], v[:, order]
-
-
-def _configuration_from_gram(b, target_dim, trace):
-    w, v = _sorted_eigh(b)
+    w, v = w[order], v[:, order]
     wpos = np.maximum(w, 0.0)
     coords = v * np.sqrt(wpos)
     gram = (v * wpos) @ v.T
@@ -344,22 +335,21 @@ def ree_fit(
     """Iterative robust Euclidean embedding of one or more views.
 
     ``loss="l1"`` takes ``max_iter`` subgradient descent steps on the L1
-    cost, starting from the PSD projection of the double-centered view
-    average.  A single-view L1 run is the plain robust-embedding baseline.
+    cost, step k being ``cfg.step / sqrt(k)``, starting from the PSD
+    projection of the double-centered view average.  A single-view L1 run
+    is the plain robust-embedding baseline.
 
     ``loss="correntropy"`` maximizes the bounded correntropy score within the
     same ``max_iter`` budget, in two phases:
 
     1. *Warm start.*  The first ``max_iter // 2`` iterations are L1
-       subgradient steps (inverse-sqrt schedule at ``cfg.step``) from the
+       subgradient steps, exactly as for ``loss="l1"``, from the
        view-average start.  Ascent then starts from whichever of the
        view-average start and the L1 end point has the higher score.
     2. *Ascent.*  The remaining iterations are projected gradient ascent
-       steps.  The trial step is ``cfg.step`` (schedule "fixed") or
-       ``cfg.step / sqrt(k)`` at ascent iteration k (schedule
-       "inverse-sqrt"), times a backtracking factor that starts at 1 and is
-       halved, for the rest of the run, whenever the projected candidate
-       would lower the score.  A rejected candidate is never accepted, so
+       steps.  The trial step is ``cfg.step`` times a backtracking factor
+       that starts at 1 and is halved, for the rest of the run, whenever
+       the projected candidate would lower the score.  A rejected candidate is never accepted, so
        the recorded scores never decrease.  When the factor falls below
        ``_MIN_STEP_SCALE`` without an ascent step being found, the run stops
        with reason "no ascent step".
@@ -375,25 +365,12 @@ def ree_fit(
     if not 1 <= cfg.target_dim <= n:
         raise ValueError(f"target_dim {cfg.target_dim} out of range for N={n}")
 
-    schedule = cfg.schedule
-    if schedule is None:
-        schedule = "fixed" if loss == "correntropy" else "inverse-sqrt"
-
-    def step_at(it):
-        return cfg.step if schedule == "fixed" else cfg.step / np.sqrt(it)
-
     mean_delta = sum(views.deltas) / views.n_views
     b = psd_project(double_center(mean_delta))
     d = b_to_d(b)
     trace = SolverTrace()
     if loss == "l1":
-        for it in range(1, cfg.max_iter + 1):
-            b, d = _l1_step(views, b, d, step_at(it))
-            obj = f0_objective(views, d)
-            _check_finite(obj, loss, it)
-            trace.record(obj)
-            if callback is not None:
-                callback(it, b, obj)
+        b, _ = _l1_descent(views, b, d, cfg.step, cfg.max_iter, trace, callback)
         trace.finish(False, "max_iter reached")
         return _configuration_from_gram(b, cfg.target_dim, trace)
 
@@ -404,9 +381,7 @@ def ree_fit(
 
     obj = score(d)
     n_warm = cfg.max_iter // 2
-    b_l1, d_l1 = b, d
-    for it in range(1, n_warm + 1):
-        b_l1, d_l1 = _l1_step(views, b_l1, d_l1, cfg.step / np.sqrt(it))
+    b_l1, d_l1 = _l1_descent(views, b, d, cfg.step, n_warm)
     obj_l1 = score(d_l1)
     if obj_l1 > obj:
         b, d, obj = b_l1, d_l1, obj_l1
@@ -415,10 +390,9 @@ def ree_fit(
     scale = 1.0
     reason = "max_iter reached"
     for it in range(1, cfg.max_iter - n_warm + 1):
-        eta = step_at(it)
         grad = cmvree_gradient(views, d, sigma, cfg.alpha)
         while scale >= _MIN_STEP_SCALE:
-            cand = psd_project(b + (scale * eta) * grad)
+            cand = psd_project(b + (scale * cfg.step) * grad)
             d_cand = b_to_d(cand)
             obj_cand = score(d_cand)
             _check_finite(obj_cand, loss, it)
@@ -436,13 +410,23 @@ def ree_fit(
     return _configuration_from_gram(b, cfg.target_dim, trace)
 
 
-def _l1_step(views, b, d, eta):
-    """One projected subgradient step on the multi-view L1 cost.
+def _l1_descent(views, b, d, step, iters, trace=None, callback=None):
+    """``iters`` projected subgradient steps on the multi-view L1 cost.
 
-    ``d`` is ``b_to_d(b)``; returns the new Gram matrix and its distances.
+    ``d`` is ``b_to_d(b)`` and step i (from 1) is ``step / sqrt(i)``.  Given
+    a ``trace``, the cost of every iterate is recorded there and passed to
+    ``callback``.  Returns the final Gram matrix and its distances.
     """
-    b = psd_project(b - eta * mvree_subgradient(views, d))
-    return b, b_to_d(b)
+    for it in range(1, iters + 1):
+        b = psd_project(b - (step / np.sqrt(it)) * mvree_subgradient(views, d))
+        d = b_to_d(b)
+        if trace is not None:
+            obj = f0_objective(views, d)
+            _check_finite(obj, "l1", it)
+            trace.record(obj)
+            if callback is not None:
+                callback(it, b, obj)
+    return b, d
 
 
 def _check_finite(obj, loss, it):

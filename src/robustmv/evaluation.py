@@ -206,17 +206,18 @@ def procrustes_rmse(estimate, reference, subset=None) -> float:
     return float(np.sqrt(np.mean(np.sum(err * err, axis=1))))
 
 
-def confusion_matrix(predictions, labels):
+def confusion_matrix(predictions, labels, classes=None):
     """Counts with rows = true class, columns = predicted class.
 
-    Classes are the sorted unique true labels; predictions outside that set
-    are rejected.  Returns ``(classes, matrix)``.
+    Classes are the sorted unique values of ``classes`` when given (they
+    must include every true label), else of the true labels; predictions
+    outside that set are rejected.  Returns ``(classes, matrix)``.
     """
     predictions = np.asarray(predictions)
     labels = np.asarray(labels)
     if predictions.shape != labels.shape:
         raise ValueError("predictions and labels differ in length")
-    classes = np.unique(labels)
+    classes = np.unique(labels if classes is None else classes)
     index = {c: i for i, c in enumerate(classes)}
     mat = np.zeros((classes.size, classes.size), dtype=int)
     for pred, true in zip(predictions, labels):

@@ -104,10 +104,9 @@ class CmvConfig:
 
     ``c1``/``c2`` are the ridge coefficients appearing verbatim in the
     closed-form W/x updates.  ``sigma`` doubles as the Cauchy scale for
-    ``cauchymv_fit``.  ``view_sigmas`` overrides the per-view kernel sizes
-    of ``cemv_fit`` (default ``sigma / sqrt(d_v)``).  Kernel sizes must lie
-    in the range ``losses.check_kernel_size`` accepts, and integer fields
-    reject booleans.
+    ``cauchymv_fit``; ``cemv_fit`` uses ``sigma / sqrt(d_v)`` for view v.
+    ``sigma`` must lie in the range ``losses.check_kernel_size`` accepts,
+    and integer fields reject booleans.
     """
 
     latent_dim: int
@@ -118,7 +117,6 @@ class CmvConfig:
     max_inner: int = 5
     rel_tol: float = 1e-6
     seed: int = 0
-    view_sigmas: list = None
 
     def __post_init__(self):
         for name in ("latent_dim", "max_outer", "max_inner", "seed"):
@@ -133,9 +131,6 @@ class CmvConfig:
             raise ValueError("iteration caps must be >= 1")
         if self.rel_tol < 0:
             raise ValueError("rel_tol must be >= 0")
-        if self.view_sigmas is not None:
-            for s in self.view_sigmas:
-                check_kernel_size(s, name="view_sigmas")
 
 
 @dataclass
@@ -331,8 +326,6 @@ def _check_fit_inputs(fs, cfg):
         raise ValueError(
             f"latent_dim must be < instance count ({cfg.latent_dim} >= {fs.n_instances})"
         )
-    if cfg.view_sigmas is not None and len(cfg.view_sigmas) != fs.n_views:
-        raise ValueError("view_sigmas must have one entry per view")
 
 
 def _alternate(fs, cfg, solver, update_a, update_x, update_w, objective, unit_a):
@@ -413,9 +406,7 @@ def cauchymv_fit(fs: MultiViewFeatureSet, cfg: CmvConfig) -> IntactSpaceModel:
 
 
 def cemv_sigmas(fs, cfg):
-    """Per-view kernel sizes: explicit overrides or sigma / sqrt(d_v)."""
-    if cfg.view_sigmas is not None:
-        return [float(s) for s in cfg.view_sigmas]
+    """Per-view kernel sizes sigma / sqrt(d_v)."""
     return [cfg.sigma / math.sqrt(dv) for dv in fs.view_dims]
 
 

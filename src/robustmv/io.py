@@ -213,9 +213,6 @@ def ingest_dissimilarities(paths, square=False):
                 "most_negative": most_negative,
             }
         )
-    sizes = {m.shape[0] for m in deltas}
-    if len(sizes) > 1:
-        raise ValueError(f"views disagree on size: {sorted(sizes)}")
     return DissimilarityViews(deltas), report
 
 

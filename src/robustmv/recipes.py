@@ -190,6 +190,37 @@ def _uci_noise_grid(seed, out, full_scale, condition):
     return {"recipe": name, "seed": seed, "results": results, "run": echo}
 
 
+def _embed_lineup(out, views, steps, score, **cfg):
+    """Fit ree on each of two views, then mvree and cmvree on both.
+
+    ``steps`` is the (L1, correntropy) step pair and ``cfg`` holds the other
+    ``EmbedConfig`` fields.  Each configuration and trace is written under
+    ``out``; returns per method ``score(configuration)`` plus the final
+    objective and stop reason.
+    """
+    step_l1, step_corr = steps
+    runs = {
+        "ree-view1": (DissimilarityViews([views.deltas[0]]), "l1", step_l1),
+        "ree-view2": (DissimilarityViews([views.deltas[1]]), "l1", step_l1),
+        "mvree": (views, "l1", step_l1),
+        "cmvree": (views, "correntropy", step_corr),
+    }
+    (out / "traces").mkdir(exist_ok=True)
+    (out / "configurations").mkdir(exist_ok=True)
+    results = {}
+    for method, (mviews, loss, step) in runs.items():
+        res = ree_fit(mviews, EmbedConfig(step=step, **cfg), loss=loss)
+        coords = res.configuration
+        write_matrix_csv(out / "configurations" / f"{method}.csv", coords)
+        write_trace_csv(out / "traces" / f"{method}.csv", res.trace)
+        results[method] = {
+            **score(coords),
+            "final_objective": res.trace.final_objective,
+            **_stop(res.trace),
+        }
+    return results
+
+
 def _pointset_25(seed, out, full_scale):
     # Noise is applied on the squared-distance scale: the preset kernel size
     # and step sizes are calibrated for dissimilarity values of this
@@ -209,29 +240,17 @@ def _pointset_25(seed, out, full_scale):
     files = [data_dir / "points.csv", *write_views(data_dir, views.deltas)]
 
     corrupted = sorted({*POINTSET_VIEW1, *POINTSET_VIEW2})
-    runs = {
-        "ree-view1": (DissimilarityViews([views.deltas[0]]), "l1", POINTSET_STEP_L1),
-        "ree-view2": (DissimilarityViews([views.deltas[1]]), "l1", POINTSET_STEP_L1),
-        "mvree": (views, "l1", POINTSET_STEP_L1),
-        "cmvree": (views, "correntropy", POINTSET_STEP_CORR),
-    }
-    (out / "traces").mkdir(exist_ok=True)
-    (out / "configurations").mkdir(exist_ok=True)
-    results = {}
-    for method, (mviews, loss, step) in runs.items():
-        cfg = EmbedConfig(
-            target_dim=2, sigma=POINTSET_SIGMA, step=step, max_iter=500, seed=seed
-        )
-        res = ree_fit(mviews, cfg, loss=loss)
-        coords = res.configuration
-        write_matrix_csv(out / "configurations" / f"{method}.csv", coords)
-        write_trace_csv(out / "traces" / f"{method}.csv", res.trace)
-        results[method] = {
+
+    def score(coords):
+        return {
             "rmse_all": procrustes_rmse(coords, points),
             "rmse_corrupted": procrustes_rmse(coords, points, subset=corrupted),
-            "final_objective": res.trace.final_objective,
-            **_stop(res.trace),
         }
+
+    results = _embed_lineup(
+        out, views, (POINTSET_STEP_L1, POINTSET_STEP_CORR), score,
+        target_dim=2, sigma=POINTSET_SIGMA, max_iter=500, seed=seed,
+    )
 
     params = {
         "n_points": 25,
@@ -267,41 +286,20 @@ def _cluster_retrieval(seed, out, full_scale):
     write_labels(labels_file, labels)
     files.append(labels_file)
 
-    (out / "traces").mkdir(exist_ok=True)
-    (out / "configurations").mkdir(exist_ok=True)
     sigma = median_kernel_size(views)
-    results = {}
 
-    def score_distances(dist):
-        return retrieval_topk(labels, distances=dist, k=k).total
+    def score(**source):
+        return {"total_correct": retrieval_topk(labels, k=k, **source).total}
 
-    results["raw-view1"] = {"total_correct": score_distances(views.deltas[0])}
-    results["raw-view2"] = {"total_correct": score_distances(views.deltas[1])}
-    results["hadamard"] = {
-        "total_correct": score_distances(
-            hadamard_combine(views.deltas[0], views.deltas[1])
-        )
+    results = {
+        "raw-view1": score(distances=views.deltas[0]),
+        "raw-view2": score(distances=views.deltas[1]),
+        "hadamard": score(distances=hadamard_combine(views.deltas[0], views.deltas[1])),
+        **_embed_lineup(
+            out, views, (0.02, 0.01), lambda coords: score(configuration=coords),
+            target_dim=8, sigma=sigma, max_iter=400, seed=seed,
+        ),
     }
-    embed_runs = {
-        "ree-view1": (DissimilarityViews([views.deltas[0]]), "l1", 0.02),
-        "ree-view2": (DissimilarityViews([views.deltas[1]]), "l1", 0.02),
-        "mvree": (views, "l1", 0.02),
-        "cmvree": (views, "correntropy", 0.01),
-    }
-    for method, (mviews, loss, step) in embed_runs.items():
-        cfg = EmbedConfig(
-            target_dim=8, sigma=sigma, step=step, max_iter=400, seed=seed
-        )
-        res = ree_fit(mviews, cfg, loss=loss)
-        coords = res.configuration
-        write_matrix_csv(out / "configurations" / f"{method}.csv", coords)
-        write_trace_csv(out / "traces" / f"{method}.csv", res.trace)
-        score = retrieval_topk(labels, configuration=coords, k=k)
-        results[method] = {
-            "total_correct": score.total,
-            "final_objective": res.trace.final_objective,
-            **_stop(res.trace),
-        }
 
     params = {
         "classes": classes,

@@ -21,9 +21,13 @@ class SolverTrace:
     """
 
     objective: list = field(default_factory=list)
-    iterations_run: int = 0
     converged: bool = False
     reason: str = ""
+
+    @property
+    def iterations_run(self) -> int:
+        """Number of recorded iterations, ``len(objective)``."""
+        return len(self.objective)
 
     @property
     def final_objective(self):
@@ -32,7 +36,6 @@ class SolverTrace:
 
     def record(self, value: float):
         self.objective.append(float(value))
-        self.iterations_run += 1
 
     def finish(self, converged: bool, reason: str):
         self.converged = converged

@@ -86,8 +86,9 @@ class TestPlantedMultiview:
 
 class TestNoiseSpec:
     def test_validation(self):
-        with pytest.raises(ValueError, match="kind"):
-            NoiseSpec(kind="gaussian", fraction=0.5)
+        for kind in ("gaussian", "distance_salt_pepper"):
+            with pytest.raises(ValueError, match="unknown noise kind"):
+                NoiseSpec(kind=kind, fraction=0.5)
         with pytest.raises(ValueError, match="exactly one"):
             NoiseSpec(kind="instance_replacement")
         with pytest.raises(ValueError, match="fraction"):

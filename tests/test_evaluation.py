@@ -376,6 +376,13 @@ class TestConfusion:
         for i, c in enumerate(classes):
             assert mat[i].sum() == np.sum(labels == c)
 
+    def test_given_classes_cover_absent_labels(self):
+        classes, mat = confusion_matrix(
+            np.array([0, 1]), np.array([1, 1]), classes=np.array([2, 0, 1])
+        )
+        np.testing.assert_array_equal(classes, [0, 1, 2])
+        np.testing.assert_array_equal(mat, [[0, 0, 0], [1, 1, 0], [0, 0, 0]])
+
     def test_unknown_prediction_rejected(self):
         with pytest.raises(ValueError, match="known class"):
             confusion_matrix(np.array([0, 7]), np.array([0, 1]))

@@ -212,6 +212,13 @@ class TestIngestDissimilarities:
         with pytest.raises(ValueError, match="not square"):
             ingest_dissimilarities([f])
 
+    def test_views_of_different_sizes_rejected(self, tmp_path):
+        files = [tmp_path / "a.csv", tmp_path / "b.csv"]
+        write_matrix_csv(files[0], np.ones((3, 3)) - np.eye(3))
+        write_matrix_csv(files[1], np.ones((4, 4)) - np.eye(4))
+        with pytest.raises(ValueError, match=r"views disagree on size: \[3, 4\]"):
+            ingest_dissimilarities(files)
+
 
 class TestManifest:
     def test_relative_paths_resolved(self, tmp_path):
@@ -383,6 +390,20 @@ class TestCli:
             "--out", str(tmp_path / "fit"), "--config", '{"latent_dim": 2, "max_outer": 3}',
         ]) == 0
 
+    @pytest.mark.parametrize("kind, code", [
+        ("pixel_replacement", 0), ("distance_salt_pepper", 2),
+    ])
+    def test_synth_corruption_kind(self, tmp_path, capsys, kind, code):
+        capsys.readouterr()
+        assert main([
+            "synth", "--kind", "labeled", "--out", str(tmp_path / "syn"),
+            "--params", '{"classes": 3, "per_class": 4, "view_dims": [5, 4], "latent_dim": 2}',
+            "--corrupt", json.dumps({"kind": kind, "fraction": 0.5}),
+        ]) == code
+        if code:
+            err = _strict_json(capsys.readouterr().err)
+            assert err["error"] == "validation" and "unknown noise kind" in err["message"]
+
     def test_long_inline_config_is_json_not_a_path(self, tmp_path):
         # Longer than a file name may be, and without a "/".
         params = '{"classes": 3, "per_class": 4, "view_dims": [5, 4], "latent_dim": 2' + (
@@ -400,19 +421,29 @@ class TestCli:
         assert main(["synth", "--kind", "labeled", "--out", str(out), "--params", str(cfg)]) == 0
         assert read_matrix_csv(out / "view1.csv").shape == (5, 15)
 
-    def test_nan_view_sigma_is_validation_error(self, tmp_path, capsys):
-        with pytest.raises(ValueError, match="view_sigmas"):
-            CmvConfig(latent_dim=2, view_sigmas=[float("nan"), 1.0])
+    @pytest.mark.parametrize("command, field, value", [
+        ("fit-mv", "view_sigmas", [1.0, 1.0]),
+        ("embed", "schedule", "fixed"),
+    ])
+    def test_unknown_config_field_is_validation_error(
+        self, tmp_path, capsys, command, field, value
+    ):
         f = tmp_path / "v.csv"
-        write_matrix_csv(f, np.random.default_rng(8).standard_normal((4, 9)))
+        if command == "fit-mv":
+            write_matrix_csv(f, np.random.default_rng(8).standard_normal((4, 9)))
+            argv = ["fit-mv", "--solver", "cemv", "--views", str(f), str(f)]
+            config = {"latent_dim": 2, field: value}
+        else:
+            write_matrix_csv(f, np.ones((4, 4)) - np.eye(4))
+            argv = ["embed", "--solver", "ree", "--views", str(f)]
+            config = {"max_iter": 4, field: value}
         capsys.readouterr()
-        code = main([
-            "fit-mv", "--solver", "cemv", "--views", str(f), str(f),
-            "--out", str(tmp_path / "out"),
-            "--config", '{"latent_dim": 2, "view_sigmas": [NaN, 1]}',
-        ])
+        code = main(argv + ["--out", str(tmp_path / "out"), "--config", json.dumps(config)])
         assert code == 2
-        assert json.loads(capsys.readouterr().err)["error"] == "validation"
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = _strict_json(lines[0])
+        assert err["error"] == "validation" and field in err["message"]
 
     @pytest.mark.parametrize("task", ["retrieval", "knn"])
     @pytest.mark.parametrize("extra", [-1, 1], ids=["fewer-labels", "more-labels"])
@@ -432,6 +463,23 @@ class TestCli:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "validation" and "one row per label" in err["message"]
         assert not (tmp_path / "ev" / "scores.json").exists()
+
+    def test_knn_prediction_of_class_absent_from_test_split(self, tmp_path, capsys):
+        # One instance of class 0, so it lands in the training split, and the
+        # nearest training neighbour of a class-1 test instance may be it.
+        labels = tmp_path / "labels.csv"
+        write_labels(labels, np.array([0, 1, 1]))
+        feats = tmp_path / "f.csv"
+        write_matrix_csv(feats, np.array([[0.0, 1.0, 5.0]]))
+        capsys.readouterr()
+        code = main([
+            "eval", "--task", "knn", "--features", str(feats), "--labels", str(labels),
+            "--out", str(tmp_path / "ev"),
+        ])
+        assert code == 0, capsys.readouterr().err
+        scores = json.loads((tmp_path / "ev" / "scores.json").read_text())
+        assert scores["classes"] == [0, 1]
+        assert np.sum(scores["confusion"]) == scores["test_count"]
 
     def test_knn_without_test_items_is_validation_error(self, tmp_path, capsys):
         labels = tmp_path / "labels.csv"
@@ -466,8 +514,6 @@ class TestCli:
         for sigma in (1e-300, 1e300):
             with pytest.raises(ValueError, match="out of range"):
                 CmvConfig(latent_dim=2, sigma=sigma)
-            with pytest.raises(ValueError, match="view_sigmas"):
-                CmvConfig(latent_dim=2, view_sigmas=[1.0, sigma])
         with pytest.raises(ValueError, match="alpha=1.5"):
             EmbedConfig(sigma=1e300, alpha=1.5)
         EmbedConfig(sigma=1e-150)
