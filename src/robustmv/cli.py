@@ -60,13 +60,32 @@ from .io import (
 from .recipes import RECIPE_NAMES, run_recipe
 from .trace import NumericalError
 
-_FIT_SOLVERS = {
-    "cmv": cmv_fit,
-    "cemv": cemv_fit,
-    "l2mv": l2mv_fit,
-    "cauchymv": cauchymv_fit,
-}
+# The tables below hold names, not functions: each function is looked up when
+# it is called, so a patched module attribute is the one that runs.
+_FIT_SOLVERS = ("cmv", "cemv", "l2mv", "cauchymv")  # fit-mv calls <solver>_fit
 _EMBED_SOLVERS = ("cmds", "ree", "mvree", "cmvree")
+
+_SYNTH_DEFAULTS = {
+    "planted": {"n_views": 2, "n_instances": 50, "latent_dim": 3, "view_dims": [6, 5]},
+    "labeled": {"classes": 10, "per_class": 40, "view_dims": [64, 32], "latent_dim": 8},
+    "pointset": {"box": 4.5, "magnitude": 10.0, "noise_on": "squared"},
+    "clusters": {"classes": 9, "per_class": 11, "corrupt_per_view": 10, "magnitude": 10.0},
+}
+
+# The flags each eval task needs, in the order their files are recorded;
+# "matrix" is exactly one of the task's matrix flags below.
+_EVAL_FLAGS = {
+    "knn": ("matrix", "labels"),
+    "retrieval": ("matrix", "labels"),
+    "procrustes": ("estimate", "reference"),
+    "confusion": ("predictions", "labels"),
+}
+# The evaluator keyword each matrix flag feeds.  --features is stored
+# dims x instances and is transposed; the other two are read as stored.
+_MATRIX_FLAGS = {
+    "knn": {"features": "features", "configuration": "features", "distances": "distances"},
+    "retrieval": {"configuration": "configuration", "distances": "distances"},
+}
 
 
 def _parse_config(raw):
@@ -104,38 +123,31 @@ def _solver_summary(solver, trace):
 
 def _cmd_synth(args):
     out = _out_dir(args)
-    params = _parse_config(args.params)
-    files = []
+    p = {**_SYNTH_DEFAULTS[args.kind], **_parse_config(args.params)}
+    truth = {}  # ground truth written beside the views: {file name: matrix}
     labels = None
     if args.kind == "planted":
-        p = {"n_views": 2, "n_instances": 50, "latent_dim": 3, "view_dims": [6, 5]}
-        p.update(params)
         fs, w_true, x_true = gen_planted_multiview(
             p["n_views"], p["n_instances"], p["latent_dim"], p["view_dims"], seed=args.seed
         )
         matrices = fs.views
-        write_matrix_csv(out / "true_latents.csv", x_true)
+        truth["true_latents.csv"] = x_true
         for v, w in enumerate(w_true):
-            write_matrix_csv(out / f"true_map{v + 1}.csv", w)
+            truth[f"true_map{v + 1}.csv"] = w
     elif args.kind == "labeled":
-        p = {"classes": 10, "per_class": 40, "view_dims": [64, 32], "latent_dim": 8}
-        p.update(params)
         labels, fs = gen_labeled_multiview(seed=args.seed, **p)
         matrices = _apply_corruption(fs, args).views
     elif args.kind == "pointset":
-        p = {"box": 4.5, "magnitude": 10.0, "noise_on": "squared"}
-        p.update(params)
         points, views = gen_point_set_views(seed=args.seed, **p)
-        write_matrix_csv(out / "points.csv", points)
-        files.append(out / "points.csv")
+        truth["points.csv"] = points
         matrices = views.deltas
-    elif args.kind == "clusters":
-        p = {"classes": 9, "per_class": 11, "corrupt_per_view": 10, "magnitude": 10.0}
-        p.update(params)
+    else:
         labels, views = gen_cluster_retrieval_views(seed=args.seed, **p)
         matrices = views.deltas
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(f"unknown synth kind {args.kind!r}")
+    files = []
+    for name, matrix in truth.items():
+        write_matrix_csv(out / name, matrix)
+        files.append(out / name)
     view_files = write_views(out, matrices)
     files.extend(view_files)
     manifest = {"views": [f.name for f in view_files]}
@@ -195,7 +207,7 @@ def _cmd_fit_mv(args):
     cfg_dict.update(manifest_cfg)
     cfg_dict.update(_parse_config(args.config))
     cfg = CmvConfig(**cfg_dict)
-    model = _FIT_SOLVERS[args.solver](fs, cfg)
+    model = globals()[f"{args.solver}_fit"](fs, cfg)
     write_matrix_csv(out / "X.csv", model.X)
     write_trace_csv(out / "trace.csv", model.trace)
     write_matrix_csv(out / "weights.csv", instance_weight_profile(model))
@@ -241,26 +253,35 @@ def _cmd_embed(args):
     return 0
 
 
+def _eval_flags(args):
+    """The flags ``args.task`` reads, in recording order, checked before any read."""
+    matrix = [f for f in ("features", "configuration", "distances") if getattr(args, f)]
+    flags = []
+    for flag in _EVAL_FLAGS[args.task]:
+        if flag == "matrix":
+            allowed = _MATRIX_FLAGS[args.task]
+            if len(matrix) != 1 or matrix[0] not in allowed:
+                names = ", ".join(f"--{f}" for f in allowed)
+                raise ValueError(f"eval --task {args.task} takes exactly one of {names}")
+            flag = matrix[0]
+        elif not getattr(args, flag):
+            raise ValueError(f"eval --task {args.task} needs --{flag}")
+        flags.append(flag)
+    return flags
+
+
 def _cmd_eval(args):
+    flags = _eval_flags(args)
+    files = [getattr(args, flag) for flag in flags]
     out = _out_dir(args)
-    files = []
+    labels = read_labels(args.labels) if "labels" in flags else None
+    if args.task in _MATRIX_FLAGS:
+        flag = flags[0]
+        matrix = read_matrix_csv(getattr(args, flag))
+        inputs = {_MATRIX_FLAGS[args.task][flag]: matrix.T if flag == "features" else matrix}
     if args.task == "knn":
-        labels = read_labels(args.labels)
         split = seeded_split(labels, args.train_fraction, seed=args.seed)
-        if args.distances:
-            dist = read_matrix_csv(args.distances)
-            preds, acc = knn_classify(split, distances=dist, k=args.k)
-            files = [args.distances, args.labels]
-        elif args.features:
-            feats = read_matrix_csv(args.features).T  # stored dims x instances
-            preds, acc = knn_classify(split, features=feats, k=args.k)
-            files = [args.features, args.labels]
-        elif args.configuration:
-            feats = read_matrix_csv(args.configuration)  # stored instances x k
-            preds, acc = knn_classify(split, features=feats, k=args.k)
-            files = [args.configuration, args.labels]
-        else:
-            raise ValueError("give --features, --configuration or --distances")
+        preds, acc = knn_classify(split, k=args.k, **inputs)
         classes, mat = confusion_matrix(preds, labels[split.test_idx], classes=labels)
         scores = {
             "task": "knn",
@@ -270,21 +291,9 @@ def _cmd_eval(args):
             "classes": [int(c) for c in classes],
             "confusion": mat.tolist(),
         }
-        np.savetxt(out / "predictions.csv", preds[:, None], fmt="%d")
+        write_labels(out / "predictions.csv", preds)
     elif args.task == "retrieval":
-        labels = read_labels(args.labels)
-        if args.distances:
-            score = retrieval_topk(
-                labels, distances=read_matrix_csv(args.distances), k=args.k
-            )
-            files = [args.distances, args.labels]
-        elif args.configuration:
-            score = retrieval_topk(
-                labels, configuration=read_matrix_csv(args.configuration), k=args.k
-            )
-            files = [args.configuration, args.labels]
-        else:
-            raise ValueError("give --configuration or --distances")
+        score = retrieval_topk(labels, k=args.k, **inputs)
         scores = {
             "task": "retrieval",
             "k": args.k,
@@ -303,19 +312,13 @@ def _cmd_eval(args):
             "rmse": procrustes_rmse(est, ref, subset=subset),
             "subset": subset,
         }
-        files = [args.estimate, args.reference]
-    elif args.task == "confusion":
-        preds = read_labels(args.predictions)
-        labels = read_labels(args.labels)
-        classes, mat = confusion_matrix(preds, labels)
+    else:
+        classes, mat = confusion_matrix(read_labels(args.predictions), labels)
         scores = {
             "task": "confusion",
             "classes": [int(c) for c in classes],
             "matrix": mat.tolist(),
         }
-        files = [args.predictions, args.labels]
-    else:  # pragma: no cover
-        raise ValueError(f"unknown eval task {args.task!r}")
     write_json(out / "scores.json", scores)
     record = {"command": f"eval {args.task}", "params": {"seed": args.seed}}
     write_run_json(out, record, {str(f): f for f in files})
@@ -344,9 +347,7 @@ def build_parser():
 
     p_synth = sub.add_parser("synth", help="generate synthetic datasets")
     common(p_synth)
-    p_synth.add_argument(
-        "--kind", required=True, choices=("planted", "labeled", "pointset", "clusters")
-    )
+    p_synth.add_argument("--kind", required=True, choices=tuple(_SYNTH_DEFAULTS))
     p_synth.add_argument("--params", default=None, help="JSON generator parameters")
     p_synth.add_argument("--corrupt", default=None, help="JSON noise spec for feature kinds")
     p_synth.set_defaults(func=_cmd_synth)
@@ -375,9 +376,7 @@ def build_parser():
 
     p_eval = sub.add_parser("eval", help="evaluate configurations or distance matrices")
     common(p_eval)
-    p_eval.add_argument(
-        "--task", required=True, choices=("knn", "retrieval", "procrustes", "confusion")
-    )
+    p_eval.add_argument("--task", required=True, choices=tuple(_EVAL_FLAGS))
     p_eval.add_argument("--features", help="dims x instances CSV")
     p_eval.add_argument("--configuration", help="instances x k CSV")
     p_eval.add_argument("--distances", help="N x N CSV")

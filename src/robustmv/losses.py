@@ -73,11 +73,12 @@ class CauchyScale:
 
 
 def _abs_pow(e, alpha):
-    # |e|**alpha via exp(alpha*log|e|); e == 0 short-circuited to 0 so that
-    # non-integer alpha never sees log(0).
+    # |e|**alpha as a power: exp(alpha*log|e|) was up to 1e-12 off, relative,
+    # at alpha 3.  e == 0 is short-circuited to 0 so that a negative exponent
+    # (alpha - 1 < 0 in the derivative) never sees 0.
     out = np.zeros_like(e)
     nz = e != 0
-    out[nz] = np.exp(alpha * np.log(np.abs(e[nz])))
+    out[nz] = np.abs(e[nz]) ** alpha
     return out
 
 

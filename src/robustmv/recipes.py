@@ -95,18 +95,29 @@ def _stop(trace):
     return {"converged": trace.converged, "reason": trace.reason}
 
 
+# Per condition: desk-scale instances per class, view sizes, latent scatter,
+# the corruption fractions and the noise magnitudes.  Condition 1 replaces
+# whole instances of view 1, condition 2 a fraction of every instance's
+# pixels.  Condition 2 uses a weaker second view: partial pixel corruption
+# only separates the solvers when the clean half of view 1 carries signal the
+# other view cannot supply on its own.
+_UCI_SPECS = {
+    1: {"per_class": 40, "view_dims": [64, 32], "scatter": 0.25, "noise": "instance_replacement",
+        "grid": [0.0, 0.125, 0.25, 0.5], "magnitudes": [1.0]},
+    2: {"per_class": 20, "view_dims": [64, 8], "scatter": 0.8, "noise": "pixel_replacement",
+        "grid": [0.0, 0.25, 0.5, 0.75], "magnitudes": [1.0, 3.0]},
+}
+
+
 def _uci_noise_grid(seed, out, full_scale, condition):
-    per_class = 200 if full_scale else (40 if condition == 1 else 20)
-    # Condition 2 uses a weaker second view: partial pixel corruption only
-    # separates the solvers when the clean half of view 1 carries signal the
-    # other view cannot supply on its own.
-    view_dims, scatter = ((64, 32), 0.25) if condition == 1 else ((64, 8), 0.8)
+    spec = _UCI_SPECS[condition]
+    per_class = 200 if full_scale else spec["per_class"]
     labels, fs = gen_labeled_multiview(
         classes=10,
         per_class=per_class,
-        view_dims=view_dims,
+        view_dims=spec["view_dims"],
         latent_dim=8,
-        scatter=scatter,
+        scatter=spec["scatter"],
         seed=seed,
     )
     n = fs.n_instances
@@ -115,41 +126,22 @@ def _uci_noise_grid(seed, out, full_scale, condition):
         latent_dim=10, sigma=0.5, c1=1e-3, c2=1e-3, max_outer=25, max_inner=3, seed=seed
     )
     data_dir = out / "data"
-    data_dir.mkdir(exist_ok=True)
     files = write_views(data_dir, fs.views)
-    labels_file = data_dir / "labels.csv"
-    write_labels(labels_file, labels)
-    files.append(labels_file)
+    write_labels(data_dir / "labels.csv", labels)
+    files.append(data_dir / "labels.csv")
 
     (out / "traces").mkdir(exist_ok=True)
     (out / "latent").mkdir(exist_ok=True)
 
-    if condition == 1:
-        grid = [0.0, 0.125, 0.25, 0.5]
-        magnitudes = [1.0]
-    else:
-        grid = [0.0, 0.25, 0.5, 0.75]
-        magnitudes = [1.0, 3.0]
-
     results = []
-    for magnitude in magnitudes:
-        for level, frac in enumerate(grid):
+    for magnitude in spec["magnitudes"]:
+        for level, frac in enumerate(spec["grid"]):
             noise_seed = seed + 1000 * level + int(10000 * magnitude)
+            noise = NoiseSpec(spec["noise"], fraction=frac, magnitude=magnitude, seed=noise_seed)
             if condition == 1:
-                spec = NoiseSpec(
-                    kind="instance_replacement", fraction=frac, seed=noise_seed
-                )
-                noisy, idx = corrupt_instances(fs, 0, spec)
-                pixel_mask = None
+                noisy, idx = corrupt_instances(fs, 0, noise)
             else:
-                spec = NoiseSpec(
-                    kind="pixel_replacement",
-                    fraction=frac,
-                    magnitude=magnitude,
-                    seed=noise_seed,
-                )
-                noisy, pixel_mask = corrupt_pixels(fs, 0, spec)
-                idx = np.array([], dtype=int)
+                noisy, pixel_mask = corrupt_pixels(fs, 0, noise)
             row = {
                 "fraction": frac, "magnitude": magnitude, "accuracy": {}, "stop": {},
                 "weights": {},
@@ -162,9 +154,9 @@ def _uci_noise_grid(seed, out, full_scale, condition):
                 tag = f"m{magnitude:g}_f{frac:g}_{method}"
                 write_trace_csv(out / "traces" / f"{tag}.csv", model.trace)
                 write_matrix_csv(out / "latent" / f"{tag}.csv", model.X)
-                if method in ("cmv", "cemv") and condition == 1:
+                if condition == 1 and method in ("cmv", "cemv"):
                     row["weights"][method] = _weight_split(model, idx, n)
-                if method == "cemv" and condition == 2 and pixel_mask is not None:
+                elif condition == 2 and method == "cemv":
                     av = np.abs(np.asarray(model.A[0]))
                     row["weights"]["cemv_pixels"] = {
                         "noisy_positions": float(av[pixel_mask].mean())
@@ -174,20 +166,17 @@ def _uci_noise_grid(seed, out, full_scale, condition):
                     }
             results.append(row)
 
-    name = f"uci-noise-{condition}"
     params = {
         "classes": 10,
         "per_class": per_class,
-        "view_dims": list(view_dims),
-        "scatter": scatter,
-        "grid": grid,
-        "magnitudes": magnitudes,
+        "view_dims": spec["view_dims"],
+        "scatter": spec["scatter"],
+        "grid": spec["grid"],
+        "magnitudes": spec["magnitudes"],
         "solver": asdict(cfg),
         "classifier": "1-nearest-neighbour (majority vote over the fused latent space)",
     }
-    record = {"recipe": name, "seed": seed, "params": params}
-    echo = write_run_json(out, record, {f.name: f for f in files})
-    return {"recipe": name, "seed": seed, "results": results, "run": echo}
+    return params, files, results
 
 
 def _embed_lineup(out, views, steps, score, **cfg):
@@ -221,7 +210,7 @@ def _embed_lineup(out, views, steps, score, **cfg):
     return results
 
 
-def _pointset_25(seed, out, full_scale):
+def _pointset_25(seed, out):
     # Noise is applied on the squared-distance scale: the preset kernel size
     # and step sizes are calibrated for dissimilarity values of this
     # magnitude, while +-10 noise on raw distances squares into deviations
@@ -235,7 +224,6 @@ def _pointset_25(seed, out, full_scale):
         noise_on="squared",
     )
     data_dir = out / "data"
-    data_dir.mkdir(exist_ok=True)
     write_matrix_csv(data_dir / "points.csv", points)
     files = [data_dir / "points.csv", *write_views(data_dir, views.deltas)]
 
@@ -261,12 +249,10 @@ def _pointset_25(seed, out, full_scale):
         "max_iter": 500,
         "corrupted_points": corrupted,
     }
-    record = {"recipe": "pointset-25", "seed": seed, "params": params}
-    echo = write_run_json(out, record, {f.name: f for f in files})
-    return {"recipe": "pointset-25", "seed": seed, "results": results, "run": echo}
+    return params, files, results
 
 
-def _cluster_retrieval(seed, out, full_scale):
+def _cluster_retrieval(seed, out):
     classes, per_class, k = 9, 11, 10
     labels, raw_views = gen_cluster_retrieval_views(
         classes=classes,
@@ -280,11 +266,9 @@ def _cluster_retrieval(seed, out, full_scale):
     views = DissimilarityViews([d / med for d in raw_views.deltas])
 
     data_dir = out / "data"
-    data_dir.mkdir(exist_ok=True)
     files = write_views(data_dir, views.deltas)
-    labels_file = data_dir / "labels.csv"
-    write_labels(labels_file, labels)
-    files.append(labels_file)
+    write_labels(data_dir / "labels.csv", labels)
+    files.append(data_dir / "labels.csv")
 
     sigma = median_kernel_size(views)
 
@@ -313,27 +297,42 @@ def _cluster_retrieval(seed, out, full_scale):
         "max_iter": 400,
         "max_score": classes * per_class * k,
     }
-    record = {"recipe": "cluster-retrieval", "seed": seed, "params": params}
-    echo = write_run_json(out, record, {f.name: f for f in files})
-    return {"recipe": "cluster-retrieval", "seed": seed, "results": results, "run": echo}
+    return params, files, results
 
 
+# Each recipe takes (seed, out) and returns (params, files, results).  Only the
+# uci-noise recipes have a full scale; it is passed as a third argument.
 _RECIPES = {
     "uci-noise-1": lambda seed, out, full: _uci_noise_grid(seed, out, full, 1),
     "uci-noise-2": lambda seed, out, full: _uci_noise_grid(seed, out, full, 2),
     "pointset-25": _pointset_25,
     "cluster-retrieval": _cluster_retrieval,
 }
+_FULL_SCALE = ("uci-noise-1", "uci-noise-2")
 
 RECIPE_NAMES = tuple(sorted(_RECIPES))
 
 
 def run_recipe(name, seed=0, out_dir=".", full_scale=False):
-    """Run one named recipe; returns the summary dict written to disk."""
+    """Run one named recipe; returns the summary dict written to disk.
+
+    The recipe writes its inputs under ``out_dir/data`` and its artifacts
+    beside them; ``run.json`` records its parameters and the hashes of its
+    inputs, and ``summary.json`` adds its results to that record.
+    """
     if name not in _RECIPES:
         raise ValueError(f"unknown recipe {name!r}; choose from {RECIPE_NAMES}")
+    if full_scale and name not in _FULL_SCALE:
+        raise ValueError(
+            f"recipe {name!r} has one scale; full scale (--full) exists only for "
+            f"{', '.join(_FULL_SCALE)}"
+        )
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    summary = _RECIPES[name](seed, out, full_scale)
+    (out / "data").mkdir(parents=True, exist_ok=True)
+    args = (seed, out, full_scale) if name in _FULL_SCALE else (seed, out)
+    params, files, results = _RECIPES[name](*args)
+    record = {"recipe": name, "seed": seed, "params": params}
+    echo = write_run_json(out, record, {f.name: f for f in files})
+    summary = {"recipe": name, "seed": seed, "results": results, "run": echo}
     write_json(out / "summary.json", summary)
     return summary

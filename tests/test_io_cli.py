@@ -307,7 +307,7 @@ class TestCli:
         def failing_solver(fs, cfg):
             raise np.linalg.LinAlgError("Matrix is not positive definite")
 
-        monkeypatch.setitem(robustmv.cli._FIT_SOLVERS, "cmv", failing_solver)
+        monkeypatch.setattr(robustmv.cli, "cmv_fit", failing_solver)
         f = tmp_path / "v.csv"
         write_matrix_csv(f, np.arange(12.0).reshape(3, 4))
         code = main([
@@ -403,6 +403,47 @@ class TestCli:
         if code:
             err = _strict_json(capsys.readouterr().err)
             assert err["error"] == "validation" and "unknown noise kind" in err["message"]
+
+    def test_synth_planted_records_its_ground_truth(self, tmp_path, capsys):
+        out = tmp_path / "syn"
+        capsys.readouterr()
+        assert main(["synth", "--kind", "planted", "--out", str(out)]) == 0
+        written = json.loads(capsys.readouterr().out)["written"]
+        truth = ["true_latents.csv", "true_map1.csv", "true_map2.csv"]
+        assert [Path(f).name for f in written] == truth + ["view1.csv", "view2.csv"]
+        inputs = json.loads((out / "run.json").read_text())["inputs"]
+        assert set(inputs) == set(written)
+        for f in written:
+            assert inputs[f] == file_sha256(f)
+
+    # Flags point at files that do not exist: the flags are checked first.
+    @pytest.mark.parametrize("task, flags, named", [
+        ("knn", ["--features"], "--labels"),
+        ("knn", ["--labels"], "--features, --configuration, --distances"),
+        ("knn", ["--labels", "--features", "--distances"], "exactly one of"),
+        ("retrieval", ["--distances"], "--labels"),
+        ("retrieval", ["--labels"], "--configuration, --distances"),
+        ("retrieval", ["--labels", "--configuration", "--distances"], "exactly one of"),
+        ("retrieval", ["--labels", "--features"], "--configuration, --distances"),
+        ("procrustes", ["--reference"], "--estimate"),
+        ("procrustes", ["--estimate"], "--reference"),
+        ("confusion", ["--labels"], "--predictions"),
+        ("confusion", ["--predictions"], "--labels"),
+    ], ids=[
+        "knn-no-labels", "knn-no-matrix", "knn-two-matrices", "retrieval-no-labels",
+        "retrieval-no-matrix", "retrieval-two-matrices", "retrieval-features",
+        "procrustes-no-estimate", "procrustes-no-reference", "confusion-no-predictions",
+        "confusion-no-labels",
+    ])
+    def test_eval_flags_checked_before_any_read(self, tmp_path, capsys, task, flags, named):
+        argv = ["eval", "--task", task, "--out", str(tmp_path / "ev")]
+        for flag in flags:
+            argv += [flag, str(tmp_path / f"{flag[2:]}.csv")]
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = _strict_json(capsys.readouterr().err)
+        assert err["error"] == "validation" and named in err["message"]
+        assert not (tmp_path / "ev").exists()
 
     def test_long_inline_config_is_json_not_a_path(self, tmp_path):
         # Longer than a file name may be, and without a "/".
@@ -602,6 +643,15 @@ class TestRecipes:
     def test_unknown_recipe(self, tmp_path):
         with pytest.raises(ValueError, match="unknown recipe"):
             run_recipe("nope", out_dir=tmp_path)
+
+    @pytest.mark.parametrize("name", ["pointset-25", "cluster-retrieval"])
+    def test_full_scale_only_for_uci_noise(self, tmp_path, capsys, name):
+        capsys.readouterr()
+        assert main(["recipe", "--name", name, "--full", "--out", str(tmp_path / "r")]) == 2
+        err = _strict_json(capsys.readouterr().err)
+        assert err["error"] == "validation"
+        assert "uci-noise-1" in err["message"] and "uci-noise-2" in err["message"]
+        assert not (tmp_path / "r").exists()
 
     def test_uci_noise_recipe_emits_six_methods_and_weight_curves(self, tmp_path):
         summary = run_recipe("uci-noise-1", seed=1, out_dir=tmp_path / "u1")

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from robustmv import CauchyScale, GgdParams, cauchy_loss, correntropy_kernel, gc_loss, ggd
 from robustmv.losses import cauchy_weight, correntropy_derivative
@@ -120,6 +120,7 @@ class TestCorrentropyKernel:
         assert abs(got - ref) <= 1e-15 * max(1.0, expo) * ref
 
     @given(st.floats(-50, 50, allow_nan=False), st.sampled_from([1.0, 1.5, 2.0, 3.0]))
+    @example(e=18.39198198494215, alpha=3.0)  # exp(3 log|e|) was 1.02e-12 off here
     def test_general_shape(self, e, alpha):
         sigma = 1.7
         ref = math.exp(-abs(e) ** alpha / (2.0 * sigma**alpha))
