@@ -122,6 +122,9 @@ def _solver_summary(solver, trace):
 
 
 def _cmd_synth(args):
+    noise = _noise_spec(args)
+    if noise is not None and args.kind != "labeled":
+        raise ValueError(f"--corrupt applies to --kind labeled only, not --kind {args.kind}")
     out = _out_dir(args)
     p = {**_SYNTH_DEFAULTS[args.kind], **_parse_config(args.params)}
     truth = {}  # ground truth written beside the views: {file name: matrix}
@@ -136,7 +139,7 @@ def _cmd_synth(args):
             truth[f"true_map{v + 1}.csv"] = w
     elif args.kind == "labeled":
         labels, fs = gen_labeled_multiview(seed=args.seed, **p)
-        matrices = _apply_corruption(fs, args).views
+        matrices = _apply_corruption(fs, noise).views
     elif args.kind == "pointset":
         points, views = gen_point_set_views(seed=args.seed, **p)
         truth["points.csv"] = points
@@ -156,23 +159,35 @@ def _cmd_synth(args):
         files.append(out / "labels.csv")
         manifest["labels"] = "labels.csv"
     write_json(out / "manifest.json", manifest)
-    record = {"command": f"synth {args.kind}", "params": {"seed": args.seed, "params": p}}
+    params = {"seed": args.seed, "params": p}
+    if noise is not None:
+        params["corrupt"] = noise
+    record = {"command": f"synth {args.kind}", "params": params}
     write_run_json(out, record, {str(f): f for f in files})
     print(json.dumps({"written": [str(f) for f in files]}))
     return 0
 
 
-def _apply_corruption(fs, args):
+def _noise_spec(args):
+    """The ``--corrupt`` spec with its view, kind and seed resolved, or None.
+
+    ``run.json`` records it as returned, so the echo rebuilds the same views.
+    """
     if not args.corrupt:
+        return None
+    spec = {"view": 0, "kind": "instance_replacement", "seed": args.seed}
+    spec.update(_parse_config(args.corrupt))
+    spec["view"] = int(spec["view"])
+    return spec
+
+
+def _apply_corruption(fs, noise):
+    if noise is None:
         return fs
-    spec = _parse_config(args.corrupt)
-    view = int(spec.pop("view", 0))
-    kind = spec.pop("kind", "instance_replacement")
-    noise = NoiseSpec(kind=kind, seed=spec.pop("seed", args.seed), **spec)
-    if kind == "instance_replacement":
-        fs, _ = corrupt_instances(fs, view, noise)
-    else:
-        fs, _ = corrupt_pixels(fs, view, noise)
+    spec = dict(noise)
+    view = spec.pop("view")
+    corrupt = corrupt_instances if spec["kind"] == "instance_replacement" else corrupt_pixels
+    fs, _ = corrupt(fs, view, NoiseSpec(**spec))
     return fs
 
 
@@ -349,7 +364,7 @@ def build_parser():
     common(p_synth)
     p_synth.add_argument("--kind", required=True, choices=tuple(_SYNTH_DEFAULTS))
     p_synth.add_argument("--params", default=None, help="JSON generator parameters")
-    p_synth.add_argument("--corrupt", default=None, help="JSON noise spec for feature kinds")
+    p_synth.add_argument("--corrupt", default=None, help="JSON noise spec (--kind labeled only)")
     p_synth.set_defaults(func=_cmd_synth)
 
     p_fit = sub.add_parser("fit-mv", help="fit a feature-space multi-view solver")
@@ -405,7 +420,7 @@ def main(argv=None):
     try:
         return args.func(args)
     except (NumericalError, np.linalg.LinAlgError) as exc:
-        # LinAlgError (also scipy's) subclasses ValueError, so this clause goes first.
+        # LinAlgError subclasses ValueError, so this clause goes first.
         print(json.dumps({"error": "numerical", "message": str(exc)}), file=sys.stderr)
         return 3
     except (ValueError, TypeError) as exc:

@@ -27,8 +27,8 @@ __all__ = [
 ]
 
 _NOISE_KINDS = ("instance_replacement", "pixel_replacement")
-# Rows of a distance matrix filled per block: the block's difference stack
-# is _DISTANCE_BLOCK_ROWS x N x d floats.
+# Rows of a distance matrix filled or mirrored per block: the block's
+# difference stack is _DISTANCE_BLOCK_ROWS x N x d floats.
 _DISTANCE_BLOCK_ROWS = 32
 
 
@@ -201,7 +201,12 @@ def _noisy_distance_view(dist, points, magnitude, rng, noise_on):
     mask = np.triu(_corrupted_pair_mask(n, points))
     noisy[mask] += magnitude * rng.choice([-1.0, 1.0], size=int(mask.sum()))
     noisy[np.tri(n, dtype=bool)] = 0.0
-    noisy += noisy.T
+    # Mirror one row block at a time: ``noisy += noisy.T`` would copy the whole
+    # transposed operand, an N x N temporary; this copies N x block at most.
+    for i in range(0, n, _DISTANCE_BLOCK_ROWS):
+        top = i + _DISTANCE_BLOCK_ROWS
+        rows = slice(i, top)
+        noisy[rows, :top] += noisy[:top, rows].T
     np.maximum(noisy, 0.0, out=noisy)
     if noise_on == "raw":
         np.square(noisy, out=noisy)

@@ -16,7 +16,6 @@ import warnings
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .embedding import DissimilarityViews
@@ -254,7 +253,7 @@ def write_run_json(directory, record, inputs):
 
     The payload is ``record`` plus the package version, the sha256 of every
     ``{key: path}`` entry of ``inputs`` under its key, and an ``environment``
-    block: numpy/scipy versions, the core count and the BLAS thread settings
+    block: the numpy version, the core count and the BLAS thread settings
     (``None`` when the variable is unset), so timings and traces from
     different machines can be read side by side.
     """
@@ -264,7 +263,6 @@ def write_run_json(directory, record, inputs):
         "inputs": {key: file_sha256(path) for key, path in inputs.items()},
         "environment": {
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
             "cpu_count": os.cpu_count(),
             "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
             "OMP_NUM_THREADS": os.environ.get("OMP_NUM_THREADS"),

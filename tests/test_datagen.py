@@ -294,6 +294,19 @@ class TestBlockedDistances:
             tracemalloc.stop()
         assert peak < 6 * n * n * 8
 
+    def test_mirror_allocates_no_second_matrix(self):
+        # The returned N x N view plus the N x N bool masks; mirroring with
+        # ``noisy += noisy.T`` added a full N x N float temporary (8 MB here).
+        n = 1000
+        dist = np.sqrt(_sq_dists(np.random.default_rng(0).uniform(0.0, 5.0, size=(n, 2))))
+        tracemalloc.start()
+        try:
+            datagen._noisy_distance_view(dist, range(10), 10.0, np.random.default_rng(1), "raw")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * n * n * 8
+
 
 class TestLabeledMultiview:
     def test_unit_scale_fixed_point(self):

@@ -15,6 +15,7 @@ from robustmv import (
     l2mv_fit,
     normalize_views,
 )
+from robustmv import features
 from robustmv.datagen import NoiseSpec, corrupt_instances, gen_planted_multiview
 from robustmv.losses import correntropy_kernel
 from robustmv.trace import NumericalError
@@ -637,6 +638,25 @@ class TestBatchedRidge:
             cmv_update_w(fs, X, -10.0 * a_inst, 1e-3)
         with pytest.raises(np.linalg.LinAlgError):
             cemv_update_w(fs, X, [-10.0 * av for av in a_entry], 1e-3)
+
+    def test_one_cho_factor_per_stack(self, monkeypatch):
+        # Every stack is factored once, through the module's ``cho_factor``, so
+        # wrapping that name counts the feature path's factorizations.
+        shapes = []
+
+        def counted(lhs):
+            shapes.append(lhs.shape)
+            return np.linalg.cholesky(lhs)
+
+        monkeypatch.setattr(features, "cho_factor", counted)
+        fs, W, X, a_inst, a_entry = _ridge_problem(44, [7, 3], 50, 4)
+        cmv_update_x(fs, W, a_inst, 1e-3)
+        cemv_update_w(fs, X, a_entry, 1e-3)
+        assert shapes == [(50, 4, 4), (7, 4, 4), (3, 4, 4)]
+        lhs = np.stack([np.eye(3), -np.eye(3)])
+        with pytest.raises(np.linalg.LinAlgError):
+            features._solve_spd_stack(lhs, np.ones((2, 3, 1)))
+        assert len(shapes) == 4
 
     @pytest.mark.parametrize("fit", [cmv_fit, cemv_fit, l2mv_fit, cauchymv_fit])
     @pytest.mark.parametrize("view_dims", [[1], [4], [1, 3]])

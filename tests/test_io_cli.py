@@ -4,18 +4,20 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy
 from hypothesis import given, settings, strategies as st
 
 import robustmv.cli
 import robustmv.io
 from robustmv.cli import main
+from robustmv.datagen import NoiseSpec, corrupt_instances, corrupt_pixels, gen_labeled_multiview
 from robustmv.embedding import EmbedConfig
 from robustmv.features import CmvConfig
 from robustmv.io import (
@@ -37,7 +39,6 @@ def _check_environment(env):
     # The test sets OPENBLAS_NUM_THREADS and unsets OMP_NUM_THREADS.
     assert env == {
         "numpy": np.__version__,
-        "scipy": scipy.__version__,
         "cpu_count": os.cpu_count(),
         "OPENBLAS_NUM_THREADS": "1",
         "OMP_NUM_THREADS": None,
@@ -365,6 +366,15 @@ class TestCli:
         assert recorded == printed
         assert recorded["reason"] == printed["reason"] != ""
 
+    def test_cli_import_loads_no_scipy(self):
+        src = Path(robustmv.cli.__file__).parents[1]
+        code = "import sys, robustmv.cli; print(sorted(m for m in sys.modules if 'scipy' in m))"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert done.stdout.strip() == "[]"
+
     def test_run_json_records_environment(self, tmp_path, monkeypatch):
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
         monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
@@ -403,6 +413,44 @@ class TestCli:
         if code:
             err = _strict_json(capsys.readouterr().err)
             assert err["error"] == "validation" and "unknown noise kind" in err["message"]
+
+    @pytest.mark.parametrize("kind", ["planted", "pointset", "clusters"])
+    def test_synth_corrupt_only_for_labeled(self, tmp_path, capsys, kind):
+        out = tmp_path / "syn"
+        capsys.readouterr()
+        assert main([
+            "synth", "--kind", kind, "--out", str(out),
+            "--corrupt", json.dumps({"kind": "instance_replacement", "fraction": 0.5}),
+        ]) == 2
+        err = _strict_json(capsys.readouterr().err)
+        assert err["error"] == "validation" and f"--kind {kind}" in err["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("corrupt", [
+        {"kind": "pixel_replacement", "fraction": 0.5},
+        {"fraction": 0.25, "magnitude": 2.0, "view": 1, "seed": 11},
+    ])
+    def test_synth_run_json_rebuilds_corrupted_views(self, tmp_path, corrupt):
+        out = tmp_path / "syn"
+        assert main([
+            "synth", "--kind", "labeled", "--out", str(out), "--seed", "5",
+            "--params", '{"classes": 3, "per_class": 4, "view_dims": [5, 4], "latent_dim": 2}',
+            "--corrupt", json.dumps(corrupt),
+        ]) == 0
+        run = json.loads((out / "run.json").read_text())
+        params = run["params"]
+        spec = dict(params["corrupt"])
+        assert spec == {"view": 0, "kind": "instance_replacement", "seed": 5, **corrupt}
+        # Rebuild the views from the echo alone.
+        view = spec.pop("view")
+        _, clean = gen_labeled_multiview(seed=params["seed"], **params["params"])
+        apply = corrupt_instances if spec["kind"] == "instance_replacement" else corrupt_pixels
+        rebuilt, _ = apply(clean, view, NoiseSpec(**spec))
+        for v, (z, z_clean) in enumerate(zip(rebuilt.views, clean.views)):
+            path = tmp_path / f"rebuilt{v}.csv"
+            write_matrix_csv(path, z)
+            assert file_sha256(path) == run["inputs"][str(out / f"view{v + 1}.csv")]
+            assert np.array_equal(z, z_clean) == (v != view)
 
     def test_synth_planted_records_its_ground_truth(self, tmp_path, capsys):
         out = tmp_path / "syn"
