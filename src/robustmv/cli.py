@@ -88,7 +88,7 @@ _MATRIX_FLAGS = {
 }
 
 
-def _parse_config(raw):
+def _parse_config(raw, flag):
     # Inline JSON (text starting with "{") is never looked up on disk.
     if raw is None:
         return {}
@@ -98,9 +98,9 @@ def _parse_config(raw):
     try:
         cfg = json.loads(raw)
     except json.JSONDecodeError as exc:
-        raise ValueError(f"--config is not valid JSON: {exc}") from None
+        raise ValueError(f"{flag} is not valid JSON: {exc}") from None
     if not isinstance(cfg, dict):
-        raise ValueError("--config must be a JSON object")
+        raise ValueError(f"{flag} must be a JSON object")
     return cfg
 
 
@@ -126,7 +126,7 @@ def _cmd_synth(args):
     if noise is not None and args.kind != "labeled":
         raise ValueError(f"--corrupt applies to --kind labeled only, not --kind {args.kind}")
     out = _out_dir(args)
-    p = {**_SYNTH_DEFAULTS[args.kind], **_parse_config(args.params)}
+    p = {**_SYNTH_DEFAULTS[args.kind], **_parse_config(args.params, "--params")}
     truth = {}  # ground truth written beside the views: {file name: matrix}
     labels = None
     if args.kind == "planted":
@@ -176,7 +176,7 @@ def _noise_spec(args):
     if not args.corrupt:
         return None
     spec = {"view": 0, "kind": "instance_replacement", "seed": args.seed}
-    spec.update(_parse_config(args.corrupt))
+    spec.update(_parse_config(args.corrupt, "--corrupt"))
     spec["view"] = int(spec["view"])
     return spec
 
@@ -220,7 +220,7 @@ def _cmd_fit_mv(args):
         fs = normalize_views(fs)
     cfg_dict = {"latent_dim": 10, "seed": args.seed}
     cfg_dict.update(manifest_cfg)
-    cfg_dict.update(_parse_config(args.config))
+    cfg_dict.update(_parse_config(args.config, "--config"))
     cfg = CmvConfig(**cfg_dict)
     model = globals()[f"{args.solver}_fit"](fs, cfg)
     write_matrix_csv(out / "X.csv", model.X)
@@ -238,7 +238,7 @@ def _cmd_embed(args):
     out = _out_dir(args)
     views, report = ingest_dissimilarities(args.views, square=args.square)
     cfg_dict = {"seed": args.seed}
-    cfg_dict.update(_parse_config(args.config))
+    cfg_dict.update(_parse_config(args.config, "--config"))
     cfg = EmbedConfig(**cfg_dict)
     if args.solver == "cmds":
         if views.n_views != 1:

@@ -162,15 +162,6 @@ def corrupt_pixels(fs, view_index, spec: NoiseSpec):
     return MultiViewFeatureSet(views), mask
 
 
-def _corrupted_pair_mask(n, points):
-    mask = np.zeros((n, n), dtype=bool)
-    points = np.asarray(points, dtype=int)
-    mask[points, :] = True
-    mask[:, points] = True
-    np.fill_diagonal(mask, False)
-    return mask
-
-
 def _pairwise_distances(points):
     """Euclidean distances between the rows of ``points``, one row block at a time.
 
@@ -198,15 +189,25 @@ def _noisy_distance_view(dist, points, magnitude, rng, noise_on):
     """
     n = dist.shape[0]
     noisy = dist.copy() if noise_on == "raw" else dist**2
-    mask = np.triu(_corrupted_pair_mask(n, points))
-    noisy[mask] += magnitude * rng.choice([-1.0, 1.0], size=int(mask.sum()))
-    noisy[np.tri(n, dtype=bool)] = 0.0
-    # Mirror one row block at a time: ``noisy += noisy.T`` would copy the whole
-    # transposed operand, an N x N temporary; this copies N x block at most.
+    bad = np.zeros(n, dtype=bool)
+    bad[np.asarray(points, dtype=int)] = True
+    k = int(bad.sum())
+    # One sign per pair i < j touching a corrupted point, in row-major order.
+    signs = magnitude * rng.choice([-1.0, 1.0], size=k * (n - 1) - k * (k - 1) // 2)
+    cols = np.arange(n)
+    used = 0
+    # One row block at a time: add the block's signs to its strict upper
+    # triangle, then mirror the upper triangle onto the block's lower part.
+    # No step masks or copies the whole matrix.
     for i in range(0, n, _DISTANCE_BLOCK_ROWS):
-        top = i + _DISTANCE_BLOCK_ROWS
-        rows = slice(i, top)
-        noisy[rows, :top] += noisy[:top, rows].T
+        block = slice(i, i + _DISTANCE_BLOCK_ROWS)
+        hit = (bad[block, None] | bad) & (cols > cols[block, None])
+        count = int(hit.sum())
+        noisy[block][hit] += signs[used : used + count]
+        used += count
+        upper = np.triu(noisy[block, block], 1)
+        noisy[block, block] = upper + upper.T
+        noisy[block, :i] = noisy[:i, block].T
     np.maximum(noisy, 0.0, out=noisy)
     if noise_on == "raw":
         np.square(noisy, out=noisy)

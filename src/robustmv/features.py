@@ -19,7 +19,8 @@ shape ``(r_v, N)``: one row (``r_v = 1``) for an instance weight, one row
 per feature (``r_v = d_v``) for entry weights.  The rows of ``W_v`` that
 share a weight row are grouped, so every update is one stack of SPD systems
 solved together: ``(N, d, d)`` for the x-update, ``(r_v, d, d)`` per view
-for the W-update.
+for the W-update.  Each stack is factored once: its batched Cholesky factor
+is the definiteness check and, by forward and back substitution, the solve.
 """
 
 import math
@@ -169,8 +170,8 @@ def cho_factor(lhs):
     """Batched lower Cholesky factor of a stack of SPD matrices.
 
     Raises ``LinAlgError`` when a matrix of the stack is not positive
-    definite.  Every factorization of the feature solvers goes through this
-    name, so a profiler that wraps it counts them.
+    definite.  This is the only factorization of the feature solvers, one
+    per stack, so a profiler that wraps this name counts all of them.
     """
     return np.linalg.cholesky(lhs)
 
@@ -178,14 +179,25 @@ def cho_factor(lhs):
 def _solve_spd_stack(lhs, rhs):
     """Solve ``lhs[k] @ x[k] = rhs[k]`` for a ``(n, d, d)`` stack of SPD systems.
 
-    ``rhs`` is ``(n, d, m)``.  The batched Cholesky factorization is the
-    definiteness check: a system that is not positive definite raises
-    ``LinAlgError`` instead of being solved.
+    ``rhs`` is ``(n, d, m)``.  The stack is factored once: the batched
+    Cholesky factor ``L`` is the definiteness check (a system that is not
+    positive definite raises ``LinAlgError`` instead of being solved) and
+    then solves by forward substitution on ``L`` and back substitution on
+    ``L.T``.  Each of the ``2 d`` steps covers the whole stack and every
+    right-hand-side column.
     """
     if not np.all(np.isfinite(lhs)):
         raise NumericalError("linear system overflowed to non-finite values")
-    cho_factor(lhs)
-    return np.linalg.solve(lhs, rhs)
+    L = cho_factor(lhs)
+    x = np.array(rhs, dtype=float)
+    d = L.shape[-1]
+    for i in range(d):  # L y = rhs
+        x[:, i] -= (L[:, i, None, :i] @ x[:, :i])[:, 0]
+        x[:, i] /= L[:, i, i, None]
+    for i in reversed(range(d)):  # L.T x = y
+        x[:, i] -= (L[:, None, i + 1 :, i] @ x[:, i + 1 :])[:, 0]
+        x[:, i] /= L[:, i, i, None]
+    return x
 
 
 def _weighted_sum(p, mats):

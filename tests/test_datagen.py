@@ -295,8 +295,8 @@ class TestBlockedDistances:
         assert peak < 6 * n * n * 8
 
     def test_mirror_allocates_no_second_matrix(self):
-        # The returned N x N view plus the N x N bool masks; mirroring with
-        # ``noisy += noisy.T`` added a full N x N float temporary (8 MB here).
+        # Mirroring with ``noisy += noisy.T`` added a full N x N float
+        # temporary (8 MB here) to the returned N x N view.
         n = 1000
         dist = np.sqrt(_sq_dists(np.random.default_rng(0).uniform(0.0, 5.0, size=(n, 2))))
         tracemalloc.start()
@@ -306,6 +306,19 @@ class TestBlockedDistances:
         finally:
             tracemalloc.stop()
         assert peak < 1.5 * n * n * 8
+
+    def test_noise_builds_no_pair_masks(self):
+        # Only the returned N x N view is quadratic: the three N x N bool
+        # masks of the corrupted pairs (3 MB here) read 1.38 N^2 floats.
+        n = 1000
+        dist = np.sqrt(_sq_dists(np.random.default_rng(0).uniform(0.0, 5.0, size=(n, 2))))
+        tracemalloc.start()
+        try:
+            datagen._noisy_distance_view(dist, range(10), 10.0, np.random.default_rng(1), "raw")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.1 * n * n * 8
 
 
 class TestLabeledMultiview:

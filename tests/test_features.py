@@ -658,6 +658,52 @@ class TestBatchedRidge:
             features._solve_spd_stack(lhs, np.ones((2, 3, 1)))
         assert len(shapes) == 4
 
+    @pytest.mark.parametrize(
+        "n,d,m",
+        [
+            (400, 10, 1),  # x-update of a desk-scale fit
+            (1, 10, 64),  # W-update, instance weights: one system, d_v columns
+            (64, 10, 1),  # W-update, entry weights: one system per map row
+            (30, 1, 1),  # d = 1
+            (12, 11, 1),  # x-update at latent_dim = N - 1
+            (1, 11, 5),  # W-update at latent_dim = N - 1
+        ],
+    )
+    def test_solve_matches_lu(self, n, d, m):
+        rng = np.random.default_rng(45)
+        g = rng.standard_normal((n, d, d + 2))
+        lhs = g @ g.transpose(0, 2, 1) + 1e-3 * np.eye(d)
+        rhs = rng.standard_normal((n, d, m))
+        got = features._solve_spd_stack(lhs, rhs)
+        assert got.shape == (n, d, m)
+        assert _rel_err(got, np.linalg.solve(lhs, rhs)) <= 1e-12
+
+    def test_solve_backward_stable_when_ill_conditioned(self):
+        # Rank-3 Grams of norm about 1e8 plus c = 1e-3: condition near 1e11,
+        # so no two solvers agree to 1e-12, but each system's residual must be
+        # at rounding level relative to ||lhs|| ||x||.
+        rng = np.random.default_rng(46)
+        n, d, m = 50, 10, 3
+        g = 1e4 * rng.standard_normal((n, d, 3)) / np.sqrt(3 * d)
+        lhs = g @ g.transpose(0, 2, 1) + 1e-3 * np.eye(d)
+        rhs = rng.standard_normal((n, d, m))
+        x = features._solve_spd_stack(lhs, rhs)
+        norm_lhs = np.linalg.norm(lhs, ord=2, axis=(1, 2))
+        assert np.median(norm_lhs) > 1e7 and np.linalg.cond(lhs).min() > 1e9
+        residual = np.linalg.norm(lhs @ x - rhs, axis=1)  # (n, m), one per system
+        assert np.all(residual <= 1e-12 * norm_lhs[:, None] * np.linalg.norm(x, axis=1))
+
+    @pytest.mark.parametrize("fit", [cmv_fit, cemv_fit, l2mv_fit, cauchymv_fit])
+    def test_fits_run_without_lu(self, fit, monkeypatch):
+        # The Cholesky factor solves every system; no LU solve is left.
+        def no_lu(*args, **kwargs):
+            raise AssertionError("np.linalg.solve called on the feature path")
+
+        monkeypatch.setattr(np.linalg, "solve", no_lu)
+        fs = normalize_views(_random_fs(np.random.default_rng(47), [5, 3], 30))
+        model = fit(fs, CmvConfig(latent_dim=3, max_outer=3, max_inner=2))
+        assert np.all(np.isfinite(model.X))
+
     @pytest.mark.parametrize("fit", [cmv_fit, cemv_fit, l2mv_fit, cauchymv_fit])
     @pytest.mark.parametrize("view_dims", [[1], [4], [1, 3]])
     def test_degenerate_fits_run(self, fit, view_dims):

@@ -510,6 +510,24 @@ class TestCli:
         assert main(["synth", "--kind", "labeled", "--out", str(out), "--params", str(cfg)]) == 0
         assert read_matrix_csv(out / "view1.csv").shape == (5, 15)
 
+    @pytest.mark.parametrize("raw, problem", [
+        ("{oops", "is not valid JSON"),
+        ("[1, 2]", "must be a JSON object"),
+    ])
+    @pytest.mark.parametrize("flag", ["--config", "--params", "--corrupt"])
+    def test_json_error_names_its_flag(self, tmp_path, capsys, flag, raw, problem):
+        if flag == "--config":
+            f = tmp_path / "v.csv"
+            write_matrix_csv(f, np.ones((4, 4)) - np.eye(4))
+            argv = ["embed", "--solver", "cmds", "--views", str(f)]
+        else:
+            argv = ["synth", "--kind", "labeled"]
+        capsys.readouterr()
+        assert main(argv + ["--out", str(tmp_path / "out"), flag, raw]) == 2
+        err = _strict_json(capsys.readouterr().err)
+        assert err["error"] == "validation"
+        assert err["message"].startswith(f"{flag} {problem}")
+
     @pytest.mark.parametrize("command, field, value", [
         ("fit-mv", "view_sigmas", [1.0, 1.0]),
         ("embed", "schedule", "fixed"),
