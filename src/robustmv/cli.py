@@ -19,6 +19,7 @@ import numpy as np
 from . import __version__
 from .datagen import (
     NoiseSpec,
+    check_integer,
     corrupt_instances,
     corrupt_pixels,
     gen_cluster_retrieval_views,
@@ -125,7 +126,6 @@ def _cmd_synth(args):
     noise = _noise_spec(args)
     if noise is not None and args.kind != "labeled":
         raise ValueError(f"--corrupt applies to --kind labeled only, not --kind {args.kind}")
-    out = _out_dir(args)
     p = {**_SYNTH_DEFAULTS[args.kind], **_parse_config(args.params, "--params")}
     truth = {}  # ground truth written beside the views: {file name: matrix}
     labels = None
@@ -147,6 +147,7 @@ def _cmd_synth(args):
     else:
         labels, views = gen_cluster_retrieval_views(seed=args.seed, **p)
         matrices = views.deltas
+    out = _out_dir(args)  # only once generation and corruption have succeeded
     files = []
     for name, matrix in truth.items():
         write_matrix_csv(out / name, matrix)
@@ -177,7 +178,7 @@ def _noise_spec(args):
         return None
     spec = {"view": 0, "kind": "instance_replacement", "seed": args.seed}
     spec.update(_parse_config(args.corrupt, "--corrupt"))
-    spec["view"] = int(spec["view"])
+    spec["view"] = check_integer(spec["view"], "view")
     return spec
 
 

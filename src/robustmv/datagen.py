@@ -8,6 +8,7 @@ and class-structured stand-ins for the labeled feature / retrieval-fusion
 experiments.
 """
 
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -32,6 +33,15 @@ _NOISE_KINDS = ("instance_replacement", "pixel_replacement")
 _DISTANCE_BLOCK_ROWS = 32
 
 
+def check_integer(value, name):
+    """``value`` as an int; bools, strings and non-integral numbers raise ``ValueError``."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass
 class NoiseSpec:
     """What to corrupt and how strongly.
@@ -39,7 +49,8 @@ class NoiseSpec:
     ``fraction`` selects a random affected subset; ``indices`` pins it
     explicitly (exactly one of the two).  ``magnitude`` scales the
     salt/pepper amplitude around the clean mean (1.0 reproduces the clean
-    min/max exactly).
+    min/max exactly).  ``seed`` and ``indices`` must be integers, and
+    ``fraction`` and ``magnitude`` reject booleans.
     """
 
     kind: str
@@ -51,6 +62,10 @@ class NoiseSpec:
     def __post_init__(self):
         if self.kind not in _NOISE_KINDS:
             raise ValueError(f"unknown noise kind {self.kind!r}")
+        for name in ("fraction", "magnitude"):
+            if isinstance(getattr(self, name), bool):
+                raise ValueError(f"{name} must be a number, not a bool")
+        self.seed = check_integer(self.seed, "seed")
         if (self.fraction is None) == (self.indices is None):
             raise ValueError("give exactly one of fraction or indices")
         if self.fraction is not None and not 0.0 <= self.fraction <= 1.0:
@@ -58,7 +73,7 @@ class NoiseSpec:
         if self.magnitude < 0:
             raise ValueError("magnitude must be >= 0")
         if self.indices is not None:
-            self.indices = tuple(int(i) for i in self.indices)
+            self.indices = tuple(check_integer(i, "indices") for i in self.indices)
 
 
 def _pick_indices(spec, total, rng, what):

@@ -18,9 +18,10 @@ solvers share one x-core and one W-core.  A view's positive weights have
 shape ``(r_v, N)``: one row (``r_v = 1``) for an instance weight, one row
 per feature (``r_v = d_v``) for entry weights.  The rows of ``W_v`` that
 share a weight row are grouped, so every update is one stack of SPD systems
-solved together: ``(N, d, d)`` for the x-update, ``(r_v, d, d)`` per view
-for the W-update.  Each stack is factored once: its batched Cholesky factor
-is the definiteness check and, by forward and back substitution, the solve.
+solved together: ``(N, d, d)`` for the x-update and ``(sum_v r_v, d, d)``,
+every view's systems at once, for the W-update.  Each stack is factored
+once: its batched Cholesky factor is the definiteness check and, by forward
+and back substitution, the solve.
 """
 
 import math
@@ -255,19 +256,26 @@ def _ridge_w(fs, X, P, c1):
     """Map update: ridge regression of each view's rows onto ``X`` under weights ``P``.
 
     The ``d_v / r_v`` rows of ``W_v`` that share weight row ``k`` of
-    ``P[v]`` (shape ``(r_v, N)``) share one ``(d, d)`` system.
+    ``P[v]`` (shape ``(r_v, N)``) share one ``(d, d)`` system.  Every view's
+    systems form one ``(sum_v r_v, d, d)`` stack, solved together; each
+    right-hand side is zero-padded to the widest, ``max_v d_v / r_v``
+    columns, and padded columns solve to exactly zero.
     """
     _check_weights(P)
     d = X.shape[0]
-    eye = c1 * np.eye(d)
     # Instance i contributes P[v][k, i] * outer(x_i, x_i) to system k of view v.
     outers = np.einsum("in,jn->nij", X, X)
-    W = []
-    for pv, zv in zip(P, fs.views):
-        lhs = _weighted_sum(pv.T, outers) + eye  # (r_v, d, d)
-        rhs = ((pv * zv) @ X.T).reshape(len(pv), -1, d).transpose(0, 2, 1)
-        W.append(_solve_spd_stack(lhs, rhs).transpose(0, 2, 1).reshape(zv.shape[0], d))
-    return W
+    lhs = _weighted_sum(np.concatenate(P).T, outers) + c1 * np.eye(d)
+    starts = np.cumsum([0] + [len(pv) for pv in P])
+    cols = [zv.shape[0] // len(pv) for pv, zv in zip(P, fs.views)]
+    rhs = np.zeros((len(lhs), d, max(cols)))
+    for pv, zv, s, c in zip(P, fs.views, starts, cols):
+        rhs[s : s + len(pv), :, :c] = ((pv * zv) @ X.T).reshape(len(pv), c, d).transpose(0, 2, 1)
+    sol = _solve_spd_stack(lhs, rhs)
+    return [
+        sol[s : s + len(pv), :, :c].transpose(0, 2, 1).reshape(zv.shape[0], d)
+        for pv, zv, s, c in zip(P, fs.views, starts, cols)
+    ]
 
 
 # ---------------------------------------------------------------------------

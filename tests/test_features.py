@@ -591,6 +591,8 @@ class TestBatchedRidge:
             ([5], 6, 5),  # single view, latent_dim = N - 1
             ([1, 3], 8, 2),  # d_v = 1
             ([1], 5, 4),  # single scalar view, latent_dim = N - 1
+            ([3, 7], 60, 4),  # wider view second: the first view's columns are padded
+            ([2, 9, 5], 40, 3),  # three views, three widths in one W-stack
         ],
     )
     def test_matches_reference_loop(self, view_dims, n, d):
@@ -652,11 +654,30 @@ class TestBatchedRidge:
         fs, W, X, a_inst, a_entry = _ridge_problem(44, [7, 3], 50, 4)
         cmv_update_x(fs, W, a_inst, 1e-3)
         cemv_update_w(fs, X, a_entry, 1e-3)
-        assert shapes == [(50, 4, 4), (7, 4, 4), (3, 4, 4)]
+        # One x-stack, then one W-stack holding both views' systems.
+        assert shapes == [(50, 4, 4), (10, 4, 4)]
+        cmv_update_w(fs, X, a_inst, 1e-3)
+        assert shapes[-1] == (2, 4, 4)
         lhs = np.stack([np.eye(3), -np.eye(3)])
         with pytest.raises(np.linalg.LinAlgError):
             features._solve_spd_stack(lhs, np.ones((2, 3, 1)))
         assert len(shapes) == 4
+
+    def test_fit_factor_count_independent_of_views(self, monkeypatch):
+        # The initial x-update, then one x- and one W-stack per inner
+        # iteration: 1 + 2 * max_outer * max_inner stacks for any view count.
+        calls = []
+
+        def counted(lhs):
+            calls.append(lhs.shape)
+            return np.linalg.cholesky(lhs)
+
+        monkeypatch.setattr(features, "cho_factor", counted)
+        fs = normalize_views(_random_fs(np.random.default_rng(48), [4, 6, 2], 30))
+        model = cmv_fit(fs, CmvConfig(latent_dim=3, max_outer=2, max_inner=1, rel_tol=0.0))
+        assert len(model.trace.objective) == 2
+        assert len(calls) == 1 + 2 * 2
+        assert calls[2] == (3, 3, 3)  # the first W-stack: one system per view
 
     @pytest.mark.parametrize(
         "n,d,m",
@@ -677,6 +698,19 @@ class TestBatchedRidge:
         got = features._solve_spd_stack(lhs, rhs)
         assert got.shape == (n, d, m)
         assert _rel_err(got, np.linalg.solve(lhs, rhs)) <= 1e-12
+
+    def test_padded_columns_solve_to_zero(self):
+        # A W-stack pads narrower views' right-hand sides with zero columns;
+        # substitution keeps them exactly zero, so slicing them off loses nothing.
+        rng = np.random.default_rng(49)
+        n, d, m = 2, 10, 64
+        g = rng.standard_normal((n, d, d + 2))
+        lhs = g @ g.transpose(0, 2, 1) + 1e-3 * np.eye(d)
+        rhs = rng.standard_normal((n, d, m))
+        rhs[..., 32:] = 0.0
+        got = features._solve_spd_stack(lhs, rhs)
+        assert np.all(got[..., 32:] == 0.0)
+        assert _rel_err(got[..., :32], np.linalg.solve(lhs, rhs[..., :32])) <= 1e-12
 
     def test_solve_backward_stable_when_ill_conditioned(self):
         # Rank-3 Grams of norm about 1e8 plus c = 1e-3: condition near 1e11,

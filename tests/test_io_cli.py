@@ -414,6 +414,31 @@ class TestCli:
             err = _strict_json(capsys.readouterr().err)
             assert err["error"] == "validation" and "unknown noise kind" in err["message"]
 
+    @pytest.mark.parametrize("field, fields", [
+        ("view", {"view": 1.7}),
+        ("view", {"view": True}),
+        ("view", {"view": "1"}),
+        ("seed", {"seed": 2.5}),
+        ("seed", {"seed": False}),
+        ("indices", {"fraction": None, "indices": [0, 1.5]}),
+        ("indices", {"fraction": None, "indices": [True]}),
+        ("fraction", {"fraction": True}),
+        ("magnitude", {"magnitude": True}),
+    ])
+    def test_synth_corrupt_rejects_coerced_fields(self, tmp_path, capsys, field, fields):
+        # No silent int()/float() coercion: each bad field is a validation error,
+        # raised before the output directory is made.
+        out = tmp_path / "syn"
+        capsys.readouterr()
+        assert main([
+            "synth", "--kind", "labeled", "--out", str(out),
+            "--params", '{"classes": 3, "per_class": 4, "view_dims": [5, 4], "latent_dim": 2}',
+            "--corrupt", json.dumps({"kind": "instance_replacement", "fraction": 0.5, **fields}),
+        ]) == 2
+        err = _strict_json(capsys.readouterr().err)
+        assert err["error"] == "validation" and err["message"].startswith(f"{field} must be")
+        assert not out.exists()
+
     @pytest.mark.parametrize("kind", ["planted", "pointset", "clusters"])
     def test_synth_corrupt_only_for_labeled(self, tmp_path, capsys, kind):
         out = tmp_path / "syn"
