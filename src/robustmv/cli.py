@@ -2,13 +2,17 @@
 
 Subcommands: ``synth`` (data generation), ``fit-mv`` (feature-space
 solvers), ``embed`` (dissimilarity solvers), ``eval`` (downstream scoring)
-and ``recipe`` (full experiment pipelines).  Every run writes a ``run.json``
-echo with parameters, seed and input hashes.  Exit codes: 0 on success, 2
+and ``recipe`` (full experiment pipelines).  Every command writes a
+``run.json`` echo with parameters, seed and input hashes; all but
+``recipe``, which writes as it goes, do their work before they create
+``--out``, so a rejected run leaves no directory.  Only ``fit-mv`` and
+``embed`` take ``--config``.  Exit codes: 0 on success, 2
 on validation errors, 3 on numerical failure, each with a one-line JSON
 diagnostic on stderr.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -19,7 +23,6 @@ import numpy as np
 from . import __version__
 from .datagen import (
     NoiseSpec,
-    check_integer,
     corrupt_instances,
     corrupt_pixels,
     gen_cluster_retrieval_views,
@@ -51,13 +54,14 @@ from .io import (
     load_manifest,
     read_labels,
     read_matrix_csv,
+    write_dataset,
     write_json,
     write_labels,
     write_matrix_csv,
     write_run_json,
     write_trace_csv,
-    write_views,
 )
+from .losses import check_integer
 from .recipes import RECIPE_NAMES, run_recipe
 from .trace import NumericalError
 
@@ -106,20 +110,36 @@ def _parse_config(raw, flag):
 
 
 def _out_dir(args):
+    # Called once the work has succeeded, so a rejected run leaves no directory.
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
 
 
-def _solver_summary(solver, trace):
-    """What a solver run did: printed on stdout and recorded in ``run.json``."""
-    return {
-        "solver": solver,
+def _echo(out, record, inputs, line):
+    """Write ``run.json`` (``record`` plus the hash of every input) and print ``line``."""
+    write_run_json(out, record, {str(f): f for f in inputs})
+    print(json.dumps(line))
+    return 0
+
+
+def _solver_config(args, defaults, manifest_config=None):
+    """Solver settings: ``defaults``, then ``--seed``, a manifest's config, ``--config``."""
+    config = _parse_config(args.config, "--config")
+    return {**defaults, "seed": args.seed, **(manifest_config or {}), **config}
+
+
+def _solver_record(args, trace, params):
+    """A solver run's ``run.json`` record and the summary it prints."""
+    summary = {
+        "solver": args.solver,
         "iterations": trace.iterations_run,
         "converged": trace.converged,
         "reason": trace.reason,
         "final_objective": trace.final_objective,
     }
+    record = {"command": f"{args.command} {args.solver}", "params": params, "summary": summary}
+    return record, summary
 
 
 def _cmd_synth(args):
@@ -147,26 +167,17 @@ def _cmd_synth(args):
     else:
         labels, views = gen_cluster_retrieval_views(seed=args.seed, **p)
         matrices = views.deltas
-    out = _out_dir(args)  # only once generation and corruption have succeeded
-    files = []
-    for name, matrix in truth.items():
-        write_matrix_csv(out / name, matrix)
-        files.append(out / name)
-    view_files = write_views(out, matrices)
-    files.extend(view_files)
-    manifest = {"views": [f.name for f in view_files]}
+    out = _out_dir(args)
+    files = write_dataset(out, matrices, labels, truth)
+    manifest = {"views": [f.name for f in files if f.name.startswith("view")]}
     if labels is not None:
-        write_labels(out / "labels.csv", labels)
-        files.append(out / "labels.csv")
         manifest["labels"] = "labels.csv"
     write_json(out / "manifest.json", manifest)
     params = {"seed": args.seed, "params": p}
     if noise is not None:
         params["corrupt"] = noise
     record = {"command": f"synth {args.kind}", "params": params}
-    write_run_json(out, record, {str(f): f for f in files})
-    print(json.dumps({"written": [str(f) for f in files]}))
-    return 0
+    return _echo(out, record, files, {"written": [str(f) for f in files]})
 
 
 def _noise_spec(args):
@@ -192,55 +203,39 @@ def _apply_corruption(fs, noise):
     return fs
 
 
-def _load_feature_inputs(args):
+def _cmd_fit_mv(args):
     # A manifest's labels are for evaluation; fitting never reads them.
-    files = []
-    config = {}
+    manifest_config = None
     if args.manifest:
         manifest = load_manifest(args.manifest)
-        files = manifest["views"]
-        config = manifest.get("config", {})
-        fs = ingest_features(files, duplicate_single=args.duplicate)
+        files, manifest_config = manifest["views"], manifest["config"]
+        fs = ingest_features(files)
     elif args.uci_dir:
-        fs = ingest_uci_directory(args.uci_dir, view_names=args.uci_views.split(","))
-        files = [
-            Path(args.uci_dir) / f"mfeat-{name}" for name in args.uci_views.split(",")
-        ]
+        names = args.uci_views.split(",")
+        files = [Path(args.uci_dir) / f"mfeat-{name}" for name in names]
+        fs = ingest_uci_directory(args.uci_dir, view_names=names)
     elif args.views:
         files = args.views
-        fs = ingest_features(files, duplicate_single=args.duplicate)
+        fs = ingest_features(files)
     else:
         raise ValueError("give --views, --manifest or --uci-dir")
-    return fs, config, [Path(f) for f in files]
-
-
-def _cmd_fit_mv(args):
-    out = _out_dir(args)
-    fs, manifest_cfg, files = _load_feature_inputs(args)
     if args.normalize:
         fs = normalize_views(fs)
-    cfg_dict = {"latent_dim": 10, "seed": args.seed}
-    cfg_dict.update(manifest_cfg)
-    cfg_dict.update(_parse_config(args.config, "--config"))
-    cfg = CmvConfig(**cfg_dict)
-    model = globals()[f"{args.solver}_fit"](fs, cfg)
+    config = _solver_config(args, {"latent_dim": 10}, manifest_config)
+    model = globals()[f"{args.solver}_fit"](fs, CmvConfig(**config))
+    out = _out_dir(args)
     write_matrix_csv(out / "X.csv", model.X)
     write_trace_csv(out / "trace.csv", model.trace)
     write_matrix_csv(out / "weights.csv", instance_weight_profile(model))
-    summary = _solver_summary(args.solver, model.trace)
-    params = {"seed": args.seed, "normalize": args.normalize, "config": cfg_dict}
-    record = {"command": f"fit-mv {args.solver}", "params": params, "summary": summary}
-    write_run_json(out, record, {str(f): f for f in files})
-    print(json.dumps(summary))
-    return 0
+    params = {"seed": args.seed, "normalize": args.normalize, "config": config}
+    record, summary = _solver_record(args, model.trace, params)
+    return _echo(out, record, [Path(f) for f in files], summary)
 
 
 def _cmd_embed(args):
-    out = _out_dir(args)
     views, report = ingest_dissimilarities(args.views, square=args.square)
-    cfg_dict = {"seed": args.seed}
-    cfg_dict.update(_parse_config(args.config, "--config"))
-    cfg = EmbedConfig(**cfg_dict)
+    config = _solver_config(args, {})
+    cfg = EmbedConfig(**config)
     if args.solver == "cmds":
         if views.n_views != 1:
             raise ValueError("cmds takes exactly one view")
@@ -250,23 +245,20 @@ def _cmd_embed(args):
             raise ValueError("ree takes exactly one view (use mvree for several)")
         loss = "correntropy" if args.solver == "cmvree" else "l1"
         result = ree_fit(views, cfg, loss=loss)
+    out = _out_dir(args)
     write_matrix_csv(out / "configuration.csv", result.configuration)
     write_matrix_csv(out / "eigenvalues.csv", result.eigenvalues)
     write_matrix_csv(out / "gram.csv", result.gram)
     write_trace_csv(out / "trace.csv", result.trace)
-    summary = _solver_summary(args.solver, result.trace)
+    record, summary = _solver_record(args, result.trace, {"seed": args.seed, "config": config})
     meta = {
         **summary,
-        "config": cfg_dict,
+        "config": config,
         "ingest_report": report,
         "eigenvalue_head": [float(x) for x in result.eigenvalues[:5]],
     }
     write_json(out / "meta.json", meta)
-    params = {"seed": args.seed, "config": cfg_dict}
-    record = {"command": f"embed {args.solver}", "params": params, "summary": summary}
-    write_run_json(out, record, {str(f): f for f in args.views})
-    print(json.dumps(summary))
-    return 0
+    return _echo(out, record, args.views, summary)
 
 
 def _eval_flags(args):
@@ -289,7 +281,6 @@ def _eval_flags(args):
 def _cmd_eval(args):
     flags = _eval_flags(args)
     files = [getattr(args, flag) for flag in flags]
-    out = _out_dir(args)
     labels = read_labels(args.labels) if "labels" in flags else None
     if args.task in _MATRIX_FLAGS:
         flag = flags[0]
@@ -307,7 +298,6 @@ def _cmd_eval(args):
             "classes": [int(c) for c in classes],
             "confusion": mat.tolist(),
         }
-        write_labels(out / "predictions.csv", preds)
     elif args.task == "retrieval":
         score = retrieval_topk(labels, k=args.k, **inputs)
         scores = {
@@ -318,11 +308,14 @@ def _cmd_eval(args):
             "per_query": score.per_query.tolist(),
         }
     elif args.task == "procrustes":
+        try:
+            subset = [int(i) for i in args.subset.split(",")] if args.subset else None
+        except ValueError:
+            raise ValueError(
+                f"--subset takes comma-separated row indices, not {args.subset!r}"
+            ) from None
         est = read_matrix_csv(args.estimate)
         ref = read_matrix_csv(args.reference)
-        subset = (
-            [int(i) for i in args.subset.split(",")] if args.subset else None
-        )
         scores = {
             "task": "procrustes",
             "rmse": procrustes_rmse(est, ref, subset=subset),
@@ -335,11 +328,13 @@ def _cmd_eval(args):
             "classes": [int(c) for c in classes],
             "matrix": mat.tolist(),
         }
+    out = _out_dir(args)
+    if args.task == "knn":
+        write_labels(out / "predictions.csv", preds)
     write_json(out / "scores.json", scores)
     record = {"command": f"eval {args.task}", "params": {"seed": args.seed}}
-    write_run_json(out, record, {str(f): f for f in files})
-    print(json.dumps({k: v for k, v in scores.items() if k not in ("per_query", "confusion")}))
-    return 0
+    line = {k: v for k, v in scores.items() if k not in ("per_query", "confusion")}
+    return _echo(out, record, files, line)
 
 
 def _cmd_recipe(args):
@@ -355,42 +350,41 @@ def build_parser():
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    # No prefix matching: an option a command lacks is an error, never a
+    # shortened spelling of another (``eval --config`` is not ``--configuration``).
+    command = functools.partial(sub.add_parser, allow_abbrev=False)
 
-    def common(p):
+    def common(p, config=False):
         p.add_argument("--seed", type=int, default=0, help="random seed")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--config", default=None, help="JSON string or file with solver settings")
+        if config:
+            p.add_argument("--config", help="JSON string or file with solver settings")
 
-    p_synth = sub.add_parser("synth", help="generate synthetic datasets")
+    p_synth = command("synth", help="generate synthetic datasets")
     common(p_synth)
     p_synth.add_argument("--kind", required=True, choices=tuple(_SYNTH_DEFAULTS))
     p_synth.add_argument("--params", default=None, help="JSON generator parameters")
     p_synth.add_argument("--corrupt", default=None, help="JSON noise spec (--kind labeled only)")
     p_synth.set_defaults(func=_cmd_synth)
 
-    p_fit = sub.add_parser("fit-mv", help="fit a feature-space multi-view solver")
-    common(p_fit)
+    p_fit = command("fit-mv", help="fit a feature-space multi-view solver")
+    common(p_fit, config=True)
     p_fit.add_argument("--solver", required=True, choices=sorted(_FIT_SOLVERS))
     p_fit.add_argument("--views", nargs="+", help="one CSV per view (rows = dims)")
     p_fit.add_argument("--manifest", help="JSON manifest with views/labels/config")
     p_fit.add_argument("--uci-dir", help="directory in multiple-features layout")
     p_fit.add_argument("--uci-views", default="pix,zer", help="view names in --uci-dir")
-    p_fit.add_argument(
-        "--duplicate",
-        action="store_true",
-        help="duplicate a single view into two identical copies (dimension-reduction baseline)",
-    )
     p_fit.add_argument("--normalize", action="store_true", help="apply view normalization")
     p_fit.set_defaults(func=_cmd_fit_mv)
 
-    p_embed = sub.add_parser("embed", help="embed dissimilarity views")
-    common(p_embed)
+    p_embed = command("embed", help="embed dissimilarity views")
+    common(p_embed, config=True)
     p_embed.add_argument("--solver", required=True, choices=_EMBED_SOLVERS)
     p_embed.add_argument("--views", nargs="+", required=True, help="square CSV per view")
     p_embed.add_argument("--square", action="store_true", help="square raw-distance inputs")
     p_embed.set_defaults(func=_cmd_embed)
 
-    p_eval = sub.add_parser("eval", help="evaluate configurations or distance matrices")
+    p_eval = command("eval", help="evaluate configurations or distance matrices")
     common(p_eval)
     p_eval.add_argument("--task", required=True, choices=tuple(_EVAL_FLAGS))
     p_eval.add_argument("--features", help="dims x instances CSV")
@@ -405,7 +399,7 @@ def build_parser():
     p_eval.add_argument("--train-fraction", type=float, default=0.5)
     p_eval.set_defaults(func=_cmd_eval)
 
-    p_recipe = sub.add_parser("recipe", help="run a full experiment recipe")
+    p_recipe = command("recipe", help="run a full experiment recipe")
     common(p_recipe)
     p_recipe.add_argument("--name", required=True, choices=RECIPE_NAMES)
     p_recipe.add_argument(

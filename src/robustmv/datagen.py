@@ -8,7 +8,6 @@ and class-structured stand-ins for the labeled feature / retrieval-fusion
 experiments.
 """
 
-import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -16,6 +15,7 @@ import numpy as np
 
 from .embedding import DissimilarityViews
 from .features import MultiViewFeatureSet
+from .losses import check_integer
 
 __all__ = [
     "NoiseSpec",
@@ -31,15 +31,6 @@ _NOISE_KINDS = ("instance_replacement", "pixel_replacement")
 # Rows of a distance matrix filled or mirrored per block: the block's
 # difference stack is _DISTANCE_BLOCK_ROWS x N x d floats.
 _DISTANCE_BLOCK_ROWS = 32
-
-
-def check_integer(value, name):
-    """``value`` as an int; bools, strings and non-integral numbers raise ``ValueError``."""
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
 
 
 @dataclass

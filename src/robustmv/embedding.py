@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .losses import check_kernel_size, correntropy_derivative, correntropy_kernel
+from .losses import check_integer, check_kernel_size, correntropy_derivative, correntropy_kernel
 from .trace import NumericalError, SolverTrace
 
 __all__ = [
@@ -130,7 +130,8 @@ class EmbedConfig:
     trial step of every correntropy ascent iteration, which backtracking may
     shrink.  A given ``sigma`` must lie in the range
     ``losses.check_kernel_size`` accepts for ``alpha``, and integer fields
-    reject booleans.
+    pass ``losses.check_integer``: booleans, strings and non-integral
+    numbers are rejected.
     """
 
     target_dim: int = 2
@@ -142,8 +143,7 @@ class EmbedConfig:
 
     def __post_init__(self):
         for name in ("target_dim", "max_iter", "seed"):
-            if isinstance(getattr(self, name), bool):
-                raise ValueError(f"{name} must be an integer, not a bool")
+            setattr(self, name, check_integer(getattr(self, name), name))
         if self.target_dim < 1:
             raise ValueError("target_dim must be >= 1")
         if not self.alpha > 0:

@@ -197,12 +197,18 @@ def procrustes_align(estimate, reference):
 
 
 def procrustes_rmse(estimate, reference, subset=None) -> float:
-    """RMSE over ``subset`` rows after aligning on all rows."""
+    """RMSE over ``subset`` rows after aligning on all rows.
+
+    ``subset`` holds at least one row index, each in ``[0, N)``.
+    """
     aligned = procrustes_align(estimate, reference)
     ref = np.asarray(reference, dtype=float)
     err = aligned - ref
     if subset is not None:
-        err = err[np.asarray(subset, dtype=int)]
+        rows = np.asarray(subset, dtype=int).ravel()
+        if rows.size == 0 or rows.min() < 0 or rows.max() >= len(err):
+            raise ValueError(f"subset must hold row indices in [0, {len(err)}), got {subset}")
+        err = err[rows]
     return float(np.sqrt(np.mean(np.sum(err * err, axis=1))))
 
 

@@ -33,6 +33,7 @@ from .losses import (
     CauchyScale,
     cauchy_loss,
     cauchy_weight,
+    check_integer,
     check_kernel_size,
     correntropy_kernel,
 )
@@ -106,7 +107,8 @@ class CmvConfig:
     closed-form W/x updates.  ``sigma`` doubles as the Cauchy scale for
     ``cauchymv_fit``; ``cemv_fit`` uses ``sigma / sqrt(d_v)`` for view v.
     ``sigma`` must lie in the range ``losses.check_kernel_size`` accepts,
-    and integer fields reject booleans.
+    and integer fields pass ``losses.check_integer``: booleans, strings and
+    non-integral numbers are rejected.
     """
 
     latent_dim: int
@@ -120,8 +122,7 @@ class CmvConfig:
 
     def __post_init__(self):
         for name in ("latent_dim", "max_outer", "max_inner", "seed"):
-            if isinstance(getattr(self, name), bool):
-                raise ValueError(f"{name} must be an integer, not a bool")
+            setattr(self, name, check_integer(getattr(self, name), name))
         if self.latent_dim < 1:
             raise ValueError("latent_dim must be >= 1")
         check_kernel_size(self.sigma)

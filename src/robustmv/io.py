@@ -2,7 +2,10 @@
 
 Feature views are CSV with rows = feature dimensions and columns =
 instances; dissimilarity matrices are square CSV.  A JSON manifest can
-bundle view files, a labels file and a config block.  The CSV reader runs
+bundle view files, a labels file and a config block.  ``write_dataset``
+owns the dataset layout that ``robustmv synth`` and the recipes write:
+ground-truth files first, then ``view1.csv``, ``view2.csv``, ... and
+``labels.csv``.  The CSV reader runs
 numpy's C parser and falls back to a line-by-line parser only to report
 exactly where a file is malformed.  Writers use full-precision ``%.17g`` so
 a write/read round trip is exact, and JSON artifacts are strict JSON: a
@@ -24,7 +27,7 @@ from .features import MultiViewFeatureSet
 __all__ = [
     "read_matrix_csv",
     "write_matrix_csv",
-    "write_views",
+    "write_dataset",
     "read_labels",
     "write_labels",
     "ingest_features",
@@ -109,14 +112,6 @@ def write_matrix_csv(path, matrix):
     np.savetxt(path, matrix, fmt=_FMT, delimiter=",")
 
 
-def write_views(directory, matrices):
-    """Write ``view1.csv``, ``view2.csv``, ... into ``directory``; returns the paths."""
-    paths = [Path(directory) / f"view{v}.csv" for v in range(1, len(matrices) + 1)]
-    for path, matrix in zip(paths, matrices):
-        write_matrix_csv(path, matrix)
-    return paths
-
-
 def read_labels(path):
     raw = read_matrix_csv(path)
     flat = raw.ravel()
@@ -130,11 +125,29 @@ def write_labels(path, labels):
     np.savetxt(path, np.asarray(labels, dtype=int)[:, None], fmt="%d")
 
 
-def ingest_features(paths, duplicate_single=False):
+def write_dataset(directory, views, labels=None, truth=None):
+    """Write a dataset into the existing ``directory``; returns the paths in order.
+
+    ``truth`` maps file names to ground-truth matrices, written first; then
+    come ``view1.csv``, ``view2.csv``, ... and, when ``labels`` is given,
+    ``labels.csv``.
+    """
+    directory = Path(directory)
+    matrices = {**(truth or {}), **{f"view{v}.csv": z for v, z in enumerate(views, start=1)}}
+    for name, matrix in matrices.items():
+        write_matrix_csv(directory / name, matrix)
+    paths = [directory / name for name in matrices]
+    if labels is not None:
+        write_labels(directory / "labels.csv", labels)
+        paths.append(directory / "labels.csv")
+    return paths
+
+
+def ingest_features(paths):
     """Load one CSV per view (rows = dims, columns = instances).
 
-    ``duplicate_single=True`` turns a single view into two identical copies,
-    the dimension-reduction baseline of the multi-view solvers.
+    Giving one file twice yields two identical views, the
+    dimension-reduction baseline of the multi-view solvers.
     """
     paths = [Path(p) for p in paths]
     if not paths:
@@ -144,10 +157,6 @@ def ingest_features(paths, duplicate_single=False):
     if len(set(counts)) > 1:
         pairs = ", ".join(f"{p} ({c} instances)" for p, c in zip(paths, counts))
         raise ValueError(f"views disagree on instance count: {pairs}")
-    if duplicate_single:
-        if len(views) != 1:
-            raise ValueError("duplicate_single requires exactly one view file")
-        views = [views[0], views[0].copy()]
     return MultiViewFeatureSet(views)
 
 

@@ -11,6 +11,7 @@ IRLS weight, used by the Cauchy baseline, live here as well.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +26,7 @@ __all__ = [
     "correntropy_kernel",
     "correntropy_derivative",
     "check_kernel_size",
+    "check_integer",
 ]
 
 # 2 * sigma**alpha, the kernel's denominator, must be a finite normal float.
@@ -178,3 +180,12 @@ def check_kernel_size(sigma, alpha=2.0, name="sigma"):
             f"{name}={sigma} is out of range for alpha={alpha}: "
             f"use a size between {low:.3g} and {high:.3g}"
         )
+
+
+def check_integer(value, name):
+    """``value`` as an int; bools, strings and non-integral numbers raise ``ValueError``."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)

@@ -35,9 +35,7 @@ from .features import (
     instance_weight_profile,
     l2mv_fit,
 )
-from .io import (
-    write_json, write_labels, write_matrix_csv, write_run_json, write_trace_csv, write_views,
-)
+from .io import write_dataset, write_json, write_matrix_csv, write_run_json, write_trace_csv
 
 __all__ = ["run_recipe", "RECIPE_NAMES", "FEATURE_METHODS", "fit_feature_method"]
 
@@ -125,10 +123,7 @@ def _uci_noise_grid(seed, out, full_scale, condition):
     cfg = CmvConfig(
         latent_dim=10, sigma=0.5, c1=1e-3, c2=1e-3, max_outer=25, max_inner=3, seed=seed
     )
-    data_dir = out / "data"
-    files = write_views(data_dir, fs.views)
-    write_labels(data_dir / "labels.csv", labels)
-    files.append(data_dir / "labels.csv")
+    files = write_dataset(out / "data", fs.views, labels)
 
     (out / "traces").mkdir(exist_ok=True)
     (out / "latent").mkdir(exist_ok=True)
@@ -223,9 +218,7 @@ def _pointset_25(seed, out):
         magnitude=10.0,
         noise_on="squared",
     )
-    data_dir = out / "data"
-    write_matrix_csv(data_dir / "points.csv", points)
-    files = [data_dir / "points.csv", *write_views(data_dir, views.deltas)]
+    files = write_dataset(out / "data", views.deltas, truth={"points.csv": points})
 
     corrupted = sorted({*POINTSET_VIEW1, *POINTSET_VIEW2})
 
@@ -265,10 +258,7 @@ def _cluster_retrieval(seed, out):
     med = median_kernel_size(raw_views)
     views = DissimilarityViews([d / med for d in raw_views.deltas])
 
-    data_dir = out / "data"
-    files = write_views(data_dir, views.deltas)
-    write_labels(data_dir / "labels.csv", labels)
-    files.append(data_dir / "labels.csv")
+    files = write_dataset(out / "data", views.deltas, labels)
 
     sigma = median_kernel_size(views)
 

@@ -1,6 +1,7 @@
 """Evaluators: kNN, retrieval, Procrustes alignment, confusion counts."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -333,6 +334,14 @@ class TestProcrustes:
         full = procrustes_rmse(est, ref)
         on_subset = procrustes_rmse(est, ref, subset=[1, 2, 3])
         assert on_subset < full
+
+    @pytest.mark.parametrize("subset", [[], [-1], [9], [0, 9]])
+    def test_subset_outside_rows_rejected(self, subset):
+        ref = np.random.default_rng(9).standard_normal((9, 2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"subset must hold row indices in \[0, 9\)"):
+                procrustes_rmse(ref + 0.1, ref, subset=subset)
 
     def test_degenerate_reference_rejected(self):
         with pytest.raises(ValueError, match="degenerate"):

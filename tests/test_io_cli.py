@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -28,6 +29,7 @@ from robustmv.io import (
     load_manifest,
     read_labels,
     read_matrix_csv,
+    write_dataset,
     write_json,
     write_labels,
     write_matrix_csv,
@@ -151,6 +153,20 @@ class TestWriteJson:
         assert path.read_text() == '{\n  "a": [\n    1,\n    2\n  ],\n  "b": 1.5\n}\n'
 
 
+class TestWriteDataset:
+    def test_layout_and_order(self, tmp_path):
+        views = [np.eye(2), np.arange(6.0).reshape(3, 2)]
+        truth = {"points.csv": np.full((2, 2), 0.5)}
+        paths = write_dataset(tmp_path, views, labels=[0, 1], truth=truth)
+        names = ("points.csv", "view1.csv", "view2.csv", "labels.csv")
+        assert paths == [tmp_path / name for name in names]
+        np.testing.assert_array_equal(read_matrix_csv(paths[0]), truth["points.csv"])
+        np.testing.assert_array_equal(read_matrix_csv(paths[2]), views[1])
+        np.testing.assert_array_equal(read_labels(paths[3]), [0, 1])
+        (tmp_path / "plain").mkdir()
+        assert write_dataset(tmp_path / "plain", views[:1]) == [tmp_path / "plain" / "view1.csv"]
+
+
 class TestIngestFeatures:
     def test_instance_count_mismatch_names_files(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -160,13 +176,6 @@ class TestIngestFeatures:
             ingest_features([a, b])
         msg = str(err.value)
         assert "a.csv" in msg and "b.csv" in msg and "4" in msg and "5" in msg
-
-    def test_duplicate_single(self, tmp_path):
-        a = tmp_path / "a.csv"
-        write_matrix_csv(a, np.arange(6.0).reshape(2, 3))
-        fs = ingest_features([a], duplicate_single=True)
-        assert fs.n_views == 2
-        np.testing.assert_array_equal(fs.views[0], fs.views[1])
 
     def test_uci_layout_transposed(self, tmp_path):
         # multiple-features layout: whitespace separated, rows = instances
@@ -651,6 +660,27 @@ class TestCli:
         EmbedConfig(sigma=1e-150)
         CmvConfig(latent_dim=2, sigma=1e150)
 
+    @pytest.mark.parametrize("value", [2.5, "3", True])
+    @pytest.mark.parametrize("config, field", [
+        (CmvConfig, "latent_dim"),
+        (CmvConfig, "max_outer"),
+        (CmvConfig, "max_inner"),
+        (CmvConfig, "seed"),
+        (EmbedConfig, "target_dim"),
+        (EmbedConfig, "max_iter"),
+        (EmbedConfig, "seed"),
+    ])
+    def test_integer_config_fields_reject_non_integers(self, config, field, value):
+        base = {"latent_dim": 2} if config is CmvConfig else {}
+        message = re.escape(f"{field} must be an integer, got {value!r}")
+        with pytest.raises(ValueError, match=message):
+            config(**{**base, field: value})
+
+    def test_integral_float_config_fields_become_ints(self):
+        cfg = CmvConfig(latent_dim=3.0, max_outer=4.0)
+        assert (cfg.latent_dim, cfg.max_outer) == (3, 4)
+        assert type(cfg.latent_dim) is int and type(EmbedConfig(seed=7.0).seed) is int
+
     def test_bool_is_not_an_integer(self, tmp_path, capsys):
         for name in ("latent_dim", "max_outer", "max_inner", "seed"):
             with pytest.raises(ValueError, match=f"{name} must be an integer"):
@@ -705,6 +735,75 @@ class TestCli:
         np.testing.assert_array_equal(
             views.deltas[0], [[0.0, 0.0, 1.0], [0.0, 0.0, 2.0], [1.0, 2.0, 0.0]]
         )
+
+    @pytest.mark.parametrize("argv", [
+        ["fit-mv", "--solver", "cmv", "--views", "MISSING"],
+        ["fit-mv", "--solver", "cmv", "--views", "VIEW", "VIEW",
+         "--config", '{"latent_dim": 2.5}'],
+        ["embed", "--solver", "cmds", "--views", "MISSING"],
+        ["embed", "--solver", "cmds", "--views", "DIST", "--config", '{"target_dim": 2.5}'],
+        ["embed", "--solver", "ree", "--views", "DIST", "--config", '{"seed": "x"}'],
+        ["eval", "--task", "retrieval", "--distances", "MISSING", "--labels", "LABELS"],
+        ["eval", "--task", "retrieval", "--distances", "DIST", "--labels", "VIEW"],
+    ])
+    def test_rejected_run_leaves_no_output_directory(self, tmp_path, capsys, argv):
+        files = {name: tmp_path / f"{name.lower()}.csv" for name in ("MISSING", "VIEW", "DIST")}
+        write_matrix_csv(files["VIEW"], np.arange(1.0, 13.0).reshape(3, 4))
+        write_matrix_csv(files["DIST"], np.ones((4, 4)) - np.eye(4))
+        files["LABELS"] = tmp_path / "labels.csv"
+        write_labels(files["LABELS"], [0, 0, 1, 1])
+        capsys.readouterr()
+        argv = [str(files.get(a, a)) for a in argv]
+        assert main(argv + ["--out", str(tmp_path / "out" / "run")]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and _strict_json(lines[0])["error"] == "validation"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["synth", "--kind", "pointset"], ["--config", "{}"]),
+        (["eval", "--task", "confusion"], ["--config", "{}"]),
+        (["recipe", "--name", "pointset-25"], ["--config", "{}"]),
+        (["fit-mv", "--solver", "cmv", "--views", "a.csv"], ["--duplicate"]),
+    ])
+    def test_options_nothing_reads_are_usage_errors(self, tmp_path, capsys, argv, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + flag + ["--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_fit_mv_reads_uci_directory(self, tmp_path, capsys):
+        rng = np.random.default_rng(11)
+        np.savetxt(tmp_path / "mfeat-fou", rng.standard_normal((12, 5)), fmt="%.17g")
+        np.savetxt(tmp_path / "mfeat-kar", rng.standard_normal((12, 3)), fmt="%.17g")
+        out = tmp_path / "fit"
+        assert main([
+            "fit-mv", "--solver", "cmv", "--uci-dir", str(tmp_path), "--uci-views", "fou,kar",
+            "--out", str(out), "--config", '{"latent_dim": 2, "max_outer": 3}',
+        ]) == 0
+        assert read_matrix_csv(out / "X.csv").shape == (2, 12)
+        files = [tmp_path / f"mfeat-{name}" for name in ("fou", "kar")]
+        run = json.loads((out / "run.json").read_text())
+        assert run["inputs"] == {str(f): file_sha256(f) for f in files}
+
+    @pytest.mark.parametrize("subset, message", [
+        ("99", "subset must hold row indices in [0, 25), got [99]"),
+        ("-1", "subset must hold row indices in [0, 25), got [-1]"),
+        ("0,x", "--subset takes comma-separated row indices, not '0,x'"),
+    ])
+    def test_procrustes_subset_is_validated(self, tmp_path, capsys, subset, message):
+        data = tmp_path / "pts"
+        assert main(["synth", "--kind", "pointset", "--out", str(data)]) == 0
+        points = str(data / "points.csv")
+        capsys.readouterr()
+        code = main([
+            "eval", "--task", "procrustes", "--estimate", points, "--reference", points,
+            "--subset", subset, "--out", str(tmp_path / "ev"),
+        ])
+        assert code == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and _strict_json(lines[0])["message"] == message
+        assert not (tmp_path / "ev").exists()
 
     def test_cmds_requires_single_view(self, tmp_path):
         rng = np.random.default_rng(5)
