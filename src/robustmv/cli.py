@@ -6,7 +6,12 @@ and ``recipe`` (full experiment pipelines).  Every command writes a
 ``run.json`` echo with parameters, seed and input hashes; all but
 ``recipe``, which writes as it goes, do their work before they create
 ``--out``, so a rejected run leaves no directory.  Only ``fit-mv`` and
-``embed`` take ``--config``.  Exit codes: 0 on success, 2
+``embed`` take ``--config``.  ``fit-mv`` reads exactly one input source:
+``--views``, ``--manifest`` or ``--uci-dir``.  Each ``eval`` task reads the
+file flags its ``_EVAL_TASKS`` entry lists and rejects any other file flag;
+``knn`` writes its test-split predictions and, in the same order, the true
+labels (``test_labels.csv``), so ``eval --task confusion`` can score the
+pair.  Exit codes: 0 on success, 2
 on validation errors, 3 on numerical failure, each with a one-line JSON
 diagnostic on stderr.
 """
@@ -77,20 +82,22 @@ _SYNTH_DEFAULTS = {
     "clusters": {"classes": 9, "per_class": 11, "corrupt_per_view": 10, "magnitude": 10.0},
 }
 
-# The flags each eval task needs, in the order their files are recorded;
-# "matrix" is exactly one of the task's matrix flags below.
-_EVAL_FLAGS = {
-    "knn": ("matrix", "labels"),
-    "retrieval": ("matrix", "labels"),
-    "procrustes": ("estimate", "reference"),
-    "confusion": ("predictions", "labels"),
+# Each eval task scores with _score_<task>(args, **inputs), which returns the
+# scores and {file name: labels} to write beside them.  Its entry holds the
+# evaluator keyword each of its matrix flags feeds (it takes exactly one of
+# them), then the other file flags it needs; any other file flag is an error.
+# Files are read in _EVAL_FILES order.
+_EVAL_TASKS = {
+    "knn": (
+        {"features": "features", "configuration": "features", "distances": "distances"},
+        ("labels",),
+    ),
+    "retrieval": ({"configuration": "configuration", "distances": "distances"}, ("labels",)),
+    "procrustes": ({}, ("estimate", "reference")),
+    "confusion": ({}, ("predictions", "labels")),
 }
-# The evaluator keyword each matrix flag feeds.  --features is stored
-# dims x instances and is transposed; the other two are read as stored.
-_MATRIX_FLAGS = {
-    "knn": {"features": "features", "configuration": "features", "distances": "distances"},
-    "retrieval": {"configuration": "configuration", "distances": "distances"},
-}
+_MATRIX_FILES = ("features", "configuration", "distances")
+_EVAL_FILES = ("labels", "predictions", "estimate", "reference", *_MATRIX_FILES)
 
 
 def _parse_config(raw, flag):
@@ -204,24 +211,21 @@ def _apply_corruption(fs, noise):
 
 
 def _cmd_fit_mv(args):
-    # A manifest's labels are for evaluation; fitting never reads them.
-    manifest_config = None
-    if args.manifest:
-        manifest = load_manifest(args.manifest)
-        files, manifest_config = manifest["views"], manifest["config"]
-        fs = ingest_features(files)
-    elif args.uci_dir:
+    if sum(bool(source) for source in (args.views, args.manifest, args.uci_dir)) != 1:
+        raise ValueError("give exactly one of --views, --manifest and --uci-dir")
+    # --views reads like a manifest without a config.  A manifest's labels are
+    # for evaluation; fitting never reads them.
+    manifest = load_manifest(args.manifest) if args.manifest else {"views": args.views}
+    if args.uci_dir:
         names = args.uci_views.split(",")
         files = [Path(args.uci_dir) / f"mfeat-{name}" for name in names]
         fs = ingest_uci_directory(args.uci_dir, view_names=names)
-    elif args.views:
-        files = args.views
-        fs = ingest_features(files)
     else:
-        raise ValueError("give --views, --manifest or --uci-dir")
+        files = manifest["views"]
+        fs = ingest_features(files)
     if args.normalize:
         fs = normalize_views(fs)
-    config = _solver_config(args, {"latent_dim": 10}, manifest_config)
+    config = _solver_config(args, {"latent_dim": 10}, manifest.get("config"))
     model = globals()[f"{args.solver}_fit"](fs, CmvConfig(**config))
     out = _out_dir(args)
     write_matrix_csv(out / "X.csv", model.X)
@@ -261,80 +265,83 @@ def _cmd_embed(args):
     return _echo(out, record, args.views, summary)
 
 
-def _eval_flags(args):
-    """The flags ``args.task`` reads, in recording order, checked before any read."""
-    matrix = [f for f in ("features", "configuration", "distances") if getattr(args, f)]
-    flags = []
-    for flag in _EVAL_FLAGS[args.task]:
-        if flag == "matrix":
-            allowed = _MATRIX_FLAGS[args.task]
-            if len(matrix) != 1 or matrix[0] not in allowed:
-                names = ", ".join(f"--{f}" for f in allowed)
-                raise ValueError(f"eval --task {args.task} takes exactly one of {names}")
-            flag = matrix[0]
-        elif not getattr(args, flag):
+def _eval_inputs(args):
+    """``{flag: evaluator keyword}`` for the files ``args.task`` reads, checked before any read."""
+    feeds, needed = _EVAL_TASKS[args.task]
+    given = [flag for flag in _EVAL_FILES if getattr(args, flag)]
+    matrix = [flag for flag in given if flag in _MATRIX_FILES]
+    if feeds and (len(matrix) != 1 or matrix[0] not in feeds):
+        names = ", ".join(f"--{f}" for f in feeds)
+        raise ValueError(f"eval --task {args.task} takes exactly one of {names}")
+    for flag in needed:
+        if not getattr(args, flag):
             raise ValueError(f"eval --task {args.task} needs --{flag}")
-        flags.append(flag)
-    return flags
+    unread = [f"--{flag}" for flag in given if flag not in feeds and flag not in needed]
+    if unread:
+        raise ValueError(f"eval --task {args.task} does not read {', '.join(unread)}")
+    return {flag: feeds.get(flag, flag) for flag in given}
+
+
+def _read_eval_file(flag, path):
+    if flag in ("labels", "predictions"):
+        return read_labels(path)
+    matrix = read_matrix_csv(path)
+    return matrix.T if flag == "features" else matrix  # --features is dims x instances
+
+
+def _score_knn(args, labels, **matrix):
+    split = seeded_split(labels, args.train_fraction, seed=args.seed)
+    preds, acc = knn_classify(split, k=args.k, **matrix)
+    truth = labels[split.test_idx]
+    classes, mat = confusion_matrix(preds, truth, classes=labels)
+    return {
+        "task": "knn",
+        "k": args.k,
+        "accuracy": acc,
+        "test_count": int(truth.size),
+        "classes": classes.tolist(),
+        "confusion": mat.tolist(),
+    }, {"predictions.csv": preds, "test_labels.csv": truth}
+
+
+def _score_retrieval(args, labels, **matrix):
+    score = retrieval_topk(labels, k=args.k, **matrix)
+    return {
+        "task": "retrieval",
+        "k": args.k,
+        "total_correct": score.total,
+        "max_possible": int(labels.size * args.k),
+        "per_query": score.per_query.tolist(),
+    }, {}
+
+
+def _score_procrustes(args, estimate, reference):
+    rmse = procrustes_rmse(estimate, reference, subset=args.subset)
+    return {"task": "procrustes", "rmse": rmse, "subset": args.subset}, {}
+
+
+def _score_confusion(args, predictions, labels):
+    classes, mat = confusion_matrix(predictions, labels)
+    return {"task": "confusion", "classes": classes.tolist(), "matrix": mat.tolist()}, {}
 
 
 def _cmd_eval(args):
-    flags = _eval_flags(args)
-    files = [getattr(args, flag) for flag in flags]
-    labels = read_labels(args.labels) if "labels" in flags else None
-    if args.task in _MATRIX_FLAGS:
-        flag = flags[0]
-        matrix = read_matrix_csv(getattr(args, flag))
-        inputs = {_MATRIX_FLAGS[args.task][flag]: matrix.T if flag == "features" else matrix}
-    if args.task == "knn":
-        split = seeded_split(labels, args.train_fraction, seed=args.seed)
-        preds, acc = knn_classify(split, k=args.k, **inputs)
-        classes, mat = confusion_matrix(preds, labels[split.test_idx], classes=labels)
-        scores = {
-            "task": "knn",
-            "k": args.k,
-            "accuracy": acc,
-            "test_count": int(split.test_idx.size),
-            "classes": [int(c) for c in classes],
-            "confusion": mat.tolist(),
-        }
-    elif args.task == "retrieval":
-        score = retrieval_topk(labels, k=args.k, **inputs)
-        scores = {
-            "task": "retrieval",
-            "k": args.k,
-            "total_correct": score.total,
-            "max_possible": int(labels.size * args.k),
-            "per_query": score.per_query.tolist(),
-        }
-    elif args.task == "procrustes":
-        try:
-            subset = [int(i) for i in args.subset.split(",")] if args.subset else None
-        except ValueError:
-            raise ValueError(
-                f"--subset takes comma-separated row indices, not {args.subset!r}"
-            ) from None
-        est = read_matrix_csv(args.estimate)
-        ref = read_matrix_csv(args.reference)
-        scores = {
-            "task": "procrustes",
-            "rmse": procrustes_rmse(est, ref, subset=subset),
-            "subset": subset,
-        }
-    else:
-        classes, mat = confusion_matrix(read_labels(args.predictions), labels)
-        scores = {
-            "task": "confusion",
-            "classes": [int(c) for c in classes],
-            "matrix": mat.tolist(),
-        }
+    inputs = _eval_inputs(args)
+    try:  # --subset, like every flag, is checked before any file is read
+        args.subset = [int(i) for i in args.subset.split(",")] if args.subset else None
+    except ValueError:
+        raise ValueError(
+            f"--subset takes comma-separated row indices, not {args.subset!r}"
+        ) from None
+    read = {key: _read_eval_file(flag, getattr(args, flag)) for flag, key in inputs.items()}
+    scores, written = globals()[f"_score_{args.task}"](args, **read)
     out = _out_dir(args)
-    if args.task == "knn":
-        write_labels(out / "predictions.csv", preds)
+    for name, labels in written.items():
+        write_labels(out / name, labels)
     write_json(out / "scores.json", scores)
     record = {"command": f"eval {args.task}", "params": {"seed": args.seed}}
     line = {k: v for k, v in scores.items() if k not in ("per_query", "confusion")}
-    return _echo(out, record, files, line)
+    return _echo(out, record, [getattr(args, flag) for flag in inputs], line)
 
 
 def _cmd_recipe(args):
@@ -386,7 +393,7 @@ def build_parser():
 
     p_eval = command("eval", help="evaluate configurations or distance matrices")
     common(p_eval)
-    p_eval.add_argument("--task", required=True, choices=tuple(_EVAL_FLAGS))
+    p_eval.add_argument("--task", required=True, choices=tuple(_EVAL_TASKS))
     p_eval.add_argument("--features", help="dims x instances CSV")
     p_eval.add_argument("--configuration", help="instances x k CSV")
     p_eval.add_argument("--distances", help="N x N CSV")

@@ -227,7 +227,10 @@ def ingest_dissimilarities(paths, square=False):
 def load_manifest(path):
     """JSON manifest: {"views": [...], "labels": ..., "config": {...}}.
 
-    Relative paths are resolved against the manifest's directory.
+    ``views`` is a list of file names, ``labels`` (optional) a file name and
+    ``config`` (optional) an object; any other shape is a ``ValueError`` that
+    names the manifest and the field.  Relative paths are resolved against
+    the manifest's directory.
     """
     path = Path(path)
     if not path.exists():
@@ -237,13 +240,18 @@ def load_manifest(path):
             data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}: invalid JSON ({exc})") from None
-    if "views" not in data or not isinstance(data["views"], list):
+    if not isinstance(data, dict) or not isinstance(data.get("views"), list):
         raise ValueError(f"{path}: manifest needs a 'views' list")
+    if not all(isinstance(v, str) for v in data["views"]):
+        raise ValueError(f"{path}: manifest 'views' must hold file names")
+    if not isinstance(data.get("labels", ""), str):
+        raise ValueError(f"{path}: manifest 'labels' must be a file name")
+    if not isinstance(data.setdefault("config", {}), dict):
+        raise ValueError(f"{path}: manifest 'config' must be a JSON object")
     base = path.parent
     data["views"] = [str((base / v)) for v in data["views"]]
     if data.get("labels"):
         data["labels"] = str(base / data["labels"])
-    data.setdefault("config", {})
     return data
 
 

@@ -246,6 +246,19 @@ class TestManifest:
         with pytest.raises(ValueError, match="invalid JSON"):
             load_manifest(tmp_path / "m.json")
 
+    @pytest.mark.parametrize("payload, field", [
+        ({"views": ["v1.csv"], "config": [["latent_dim", 3]]}, "'config'"),
+        ("views", "'views'"),
+        ({"views": ["v1.csv"], "labels": 3}, "'labels'"),
+        ({"views": ["v1.csv", 3]}, "'views'"),
+    ], ids=["config-list", "top-level-string", "labels-number", "views-entry-number"])
+    def test_malformed_fields_name_manifest_and_field(self, tmp_path, payload, field):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError) as exc:
+            load_manifest(path)
+        assert str(path) in str(exc.value) and field in str(exc.value)
+
 
 class TestCli:
     def test_synth_fit_eval_pipeline(self, tmp_path):
@@ -409,6 +422,37 @@ class TestCli:
             "--out", str(tmp_path / "fit"), "--config", '{"latent_dim": 2, "max_outer": 3}',
         ]) == 0
 
+    @pytest.mark.parametrize("sources", [
+        ("--manifest", "--views"), ("--views", "--uci-dir"), ("--manifest", "--uci-dir"), (),
+    ], ids=["manifest-views", "views-uci", "manifest-uci", "none"])
+    def test_fit_mv_takes_exactly_one_source(self, tmp_path, capsys, sources):
+        data = tmp_path / "data"
+        assert main([
+            "synth", "--kind", "labeled", "--out", str(data),
+            "--params", '{"classes": 3, "per_class": 4, "view_dims": [5, 4], "latent_dim": 2}',
+        ]) == 0
+        uci = tmp_path / "uci"
+        uci.mkdir()
+        for name in ("pix", "zer"):
+            np.savetxt(uci / f"mfeat-{name}", np.arange(24.0).reshape(12, 2) % 5, fmt="%g")
+        values = {
+            "--manifest": [str(data / "manifest.json")],
+            "--views": [str(data / "view1.csv"), str(data / "view2.csv")],
+            "--uci-dir": [str(uci)],
+        }
+        argv = ["fit-mv", "--solver", "cmv", "--config", '{"latent_dim": 2, "max_outer": 2}']
+        for flag in sources:
+            argv += [flag, *values[flag]]
+        capsys.readouterr()
+        assert main(argv + ["--out", str(tmp_path / "fit")]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert _strict_json(lines[0]) == {
+            "error": "validation",
+            "message": "give exactly one of --views, --manifest and --uci-dir",
+        }
+        assert not (tmp_path / "fit").exists()
+
     @pytest.mark.parametrize("kind, code", [
         ("pixel_replacement", 0), ("distance_salt_pepper", 2),
     ])
@@ -526,6 +570,85 @@ class TestCli:
         err = _strict_json(capsys.readouterr().err)
         assert err["error"] == "validation" and named in err["message"]
         assert not (tmp_path / "ev").exists()
+
+    # The files each task needs exist, so only the extra flag can reject the run.
+    @pytest.mark.parametrize("task, extra", [
+        ("procrustes", ["--labels"]),
+        ("procrustes", ["--predictions", "--features"]),
+        ("confusion", ["--estimate"]),
+        ("confusion", ["--distances"]),
+        ("knn", ["--reference"]),
+        ("retrieval", ["--predictions"]),
+    ])
+    def test_eval_rejects_file_flags_the_task_does_not_read(self, tmp_path, capsys, task, extra):
+        points = tmp_path / "points.csv"
+        write_matrix_csv(points, np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 2.0], [3.0, 1.0]]))
+        labels = tmp_path / "labels.csv"
+        write_labels(labels, [0, 0, 1, 1])
+        needed = {
+            "procrustes": ["--estimate", points, "--reference", points],
+            "confusion": ["--predictions", labels, "--labels", labels],
+            "knn": ["--configuration", points, "--labels", labels],
+            "retrieval": ["--configuration", points, "--labels", labels],
+        }[task]
+        argv = ["eval", "--task", task, *map(str, needed)]
+        for flag in extra:
+            argv += [flag, str(tmp_path / "unread.csv")]
+        capsys.readouterr()
+        assert main(argv + ["--out", str(tmp_path / "ev")]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        message = _strict_json(lines[0])["message"]
+        assert message == f"eval --task {task} does not read {', '.join(extra)}"
+        assert not (tmp_path / "ev").exists()
+
+    @pytest.mark.parametrize("matrix", ["--features", "--distances"])
+    def test_confusion_on_knn_outputs_reproduces_knn_confusion(self, tmp_path, matrix):
+        data = tmp_path / "data"
+        kind = "labeled" if matrix == "--features" else "clusters"
+        params = {"classes": 4, "per_class": 3}
+        if kind == "labeled":
+            params.update(view_dims=[6, 4], latent_dim=2)
+        else:
+            params.update(corrupt_per_view=2)
+        assert main([
+            "synth", "--kind", kind, "--out", str(data), "--params", json.dumps(params),
+        ]) == 0
+        knn, conf = tmp_path / "knn", tmp_path / "confusion"
+        assert main([
+            "eval", "--task", "knn", matrix, str(data / "view1.csv"),
+            "--labels", str(data / "labels.csv"), "--out", str(knn), "--seed", "5",
+        ]) == 0
+        assert main([
+            "eval", "--task", "confusion", "--predictions", str(knn / "predictions.csv"),
+            "--labels", str(knn / "test_labels.csv"), "--out", str(conf),
+        ]) == 0
+        want = json.loads((knn / "scores.json").read_text())
+        got = json.loads((conf / "scores.json").read_text())
+        assert (got["classes"], got["matrix"]) == (want["classes"], want["confusion"])
+        assert sum(map(sum, got["matrix"])) == want["test_count"]
+
+    def test_confusion_rejects_knn_prediction_of_a_training_only_class(self, tmp_path, capsys):
+        # Class 0 has one instance, so it is always in the training split, and
+        # it is the nearest training point of either class-1 test instance.
+        labels = tmp_path / "labels.csv"
+        write_labels(labels, [0, 1, 1])
+        feats = tmp_path / "f.csv"
+        write_matrix_csv(feats, np.array([[0.0, -1.0, 1.5]]))
+        knn = tmp_path / "knn"
+        assert main([
+            "eval", "--task", "knn", "--features", str(feats), "--labels", str(labels),
+            "--out", str(knn),
+        ]) == 0
+        assert read_labels(knn / "predictions.csv").tolist() == [0]
+        assert read_labels(knn / "test_labels.csv").tolist() == [1]
+        capsys.readouterr()
+        code = main([
+            "eval", "--task", "confusion", "--predictions", str(knn / "predictions.csv"),
+            "--labels", str(knn / "test_labels.csv"), "--out", str(tmp_path / "confusion"),
+        ])
+        assert code == 2
+        assert "not a known class" in json.loads(capsys.readouterr().err)["message"]
 
     def test_long_inline_config_is_json_not_a_path(self, tmp_path):
         # Longer than a file name may be, and without a "/".
