@@ -7,12 +7,13 @@ and ``recipe`` (full experiment pipelines).  Every command writes a
 ``recipe``, which writes as it goes, do their work before they create
 ``--out``, so a rejected run leaves no directory.  Only ``fit-mv`` and
 ``embed`` take ``--config``.  ``fit-mv`` reads exactly one input source:
-``--views``, ``--manifest`` or ``--uci-dir``.  Each ``eval`` task reads the
-file flags its ``_EVAL_TASKS`` entry lists and rejects any other file flag;
-``knn`` writes its test-split predictions and, in the same order, the true
-labels (``test_labels.csv``), so ``eval --task confusion`` can score the
-pair.  Exit codes: 0 on success, 2
-on validation errors, 3 on numerical failure, each with a one-line JSON
+``--views``, ``--manifest`` or ``--uci-dir``, and ``--uci-views`` only with
+``--uci-dir``.  Each ``eval`` task reads the file flags and options its
+``_EVAL_TASKS`` entry lists and rejects any other one it is given (``--seed``
+and ``--out`` are common to every command); ``knn`` writes its test-split
+predictions and, in the same order, the true labels (``test_labels.csv``),
+so ``eval --task confusion`` can score the pair.  Exit codes: 0 on success,
+2 on validation errors, 3 on numerical failure, each with a one-line JSON
 diagnostic on stderr.
 """
 
@@ -85,17 +86,21 @@ _SYNTH_DEFAULTS = {
 # Each eval task scores with _score_<task>(args, **inputs), which returns the
 # scores and {file name: labels} to write beside them.  Its entry holds the
 # evaluator keyword each of its matrix flags feeds (it takes exactly one of
-# them), then the other file flags it needs; any other file flag is an error.
-# Files are read in _EVAL_FILES order.
+# them), the other file flags it needs, then the options it reads; any other
+# file flag or option is an error.  Files are read in _EVAL_FILES order.
 _EVAL_TASKS = {
     "knn": (
         {"features": "features", "configuration": "features", "distances": "distances"},
         ("labels",),
+        ("k", "train_fraction"),
     ),
-    "retrieval": ({"configuration": "configuration", "distances": "distances"}, ("labels",)),
-    "procrustes": ({}, ("estimate", "reference")),
-    "confusion": ({}, ("predictions", "labels")),
+    "retrieval": (
+        {"configuration": "configuration", "distances": "distances"}, ("labels",), ("k",)
+    ),
+    "procrustes": ({}, ("estimate", "reference"), ("subset",)),
+    "confusion": ({}, ("predictions", "labels"), ()),
 }
+_EVAL_OPTIONS = {"k": 1, "train_fraction": 0.5, "subset": None}  # option: value when not given
 _MATRIX_FILES = ("features", "configuration", "distances")
 _EVAL_FILES = ("labels", "predictions", "estimate", "reference", *_MATRIX_FILES)
 
@@ -213,11 +218,13 @@ def _apply_corruption(fs, noise):
 def _cmd_fit_mv(args):
     if sum(bool(source) for source in (args.views, args.manifest, args.uci_dir)) != 1:
         raise ValueError("give exactly one of --views, --manifest and --uci-dir")
+    if args.uci_views is not None and not args.uci_dir:
+        raise ValueError("--uci-views applies to --uci-dir only")
     # --views reads like a manifest without a config.  A manifest's labels are
     # for evaluation; fitting never reads them.
     manifest = load_manifest(args.manifest) if args.manifest else {"views": args.views}
     if args.uci_dir:
-        names = args.uci_views.split(",")
+        names = ("pix,zer" if args.uci_views is None else args.uci_views).split(",")
         files = [Path(args.uci_dir) / f"mfeat-{name}" for name in names]
         fs = ingest_uci_directory(args.uci_dir, view_names=names)
     else:
@@ -266,8 +273,11 @@ def _cmd_embed(args):
 
 
 def _eval_inputs(args):
-    """``{flag: evaluator keyword}`` for the files ``args.task`` reads, checked before any read."""
-    feeds, needed = _EVAL_TASKS[args.task]
+    """``{flag: evaluator keyword}`` for the files ``args.task`` reads, checked before any read.
+
+    Options the task reads but was not given are set to their ``_EVAL_OPTIONS`` value.
+    """
+    feeds, needed, opts = _EVAL_TASKS[args.task]
     given = [flag for flag in _EVAL_FILES if getattr(args, flag)]
     matrix = [flag for flag in given if flag in _MATRIX_FILES]
     if feeds and (len(matrix) != 1 or matrix[0] not in feeds):
@@ -276,9 +286,12 @@ def _eval_inputs(args):
     for flag in needed:
         if not getattr(args, flag):
             raise ValueError(f"eval --task {args.task} needs --{flag}")
-    unread = [f"--{flag}" for flag in given if flag not in feeds and flag not in needed]
+    unread = [flag for flag in given if flag not in feeds and flag not in needed]
+    unread += [opt for opt in _EVAL_OPTIONS if opt not in opts and getattr(args, opt) is not None]
     if unread:
-        raise ValueError(f"eval --task {args.task} does not read {', '.join(unread)}")
+        names = ", ".join(f"--{name.replace('_', '-')}" for name in unread)
+        raise ValueError(f"eval --task {args.task} does not read {names}")
+    vars(args).update({opt: _EVAL_OPTIONS[opt] for opt in opts if getattr(args, opt) is None})
     return {flag: feeds.get(flag, flag) for flag in given}
 
 
@@ -380,7 +393,7 @@ def build_parser():
     p_fit.add_argument("--views", nargs="+", help="one CSV per view (rows = dims)")
     p_fit.add_argument("--manifest", help="JSON manifest with views/labels/config")
     p_fit.add_argument("--uci-dir", help="directory in multiple-features layout")
-    p_fit.add_argument("--uci-views", default="pix,zer", help="view names in --uci-dir")
+    p_fit.add_argument("--uci-views", help="view names in --uci-dir (default pix,zer)")
     p_fit.add_argument("--normalize", action="store_true", help="apply view normalization")
     p_fit.set_defaults(func=_cmd_fit_mv)
 
@@ -401,9 +414,9 @@ def build_parser():
     p_eval.add_argument("--predictions", help="one predicted label per line")
     p_eval.add_argument("--estimate", help="point set CSV (procrustes)")
     p_eval.add_argument("--reference", help="point set CSV (procrustes)")
-    p_eval.add_argument("--subset", help="comma-separated row indices for the RMSE")
-    p_eval.add_argument("--k", type=int, default=1, help="neighbours (knn/retrieval)")
-    p_eval.add_argument("--train-fraction", type=float, default=0.5)
+    p_eval.add_argument("--subset", help="comma-separated row indices for the RMSE (procrustes)")
+    p_eval.add_argument("--k", type=int, help="neighbours (knn/retrieval; default 1)")
+    p_eval.add_argument("--train-fraction", type=float, help="knn training share (default 0.5)")
     p_eval.set_defaults(func=_cmd_eval)
 
     p_recipe = command("recipe", help="run a full experiment recipe")

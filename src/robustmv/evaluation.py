@@ -1,10 +1,11 @@
 """Downstream evaluation: kNN classification, top-k retrieval, Procrustes
 alignment error and confusion matrices.
 
-All evaluators are pure and deterministic; distance ties are broken by
-original index order.  The kNN and retrieval evaluators check that the
-distances or points have one row per label, and sort every query in one
-``np.argsort`` call rather than one query at a time.
+All evaluators are pure and deterministic.  kNN and retrieval share one
+neighbour search, ``_nearest``: it checks that exactly one distance source
+is given with one row per label, builds the distance block and ranks every
+query in one stable ``np.argsort`` call, so distance ties go to the lower
+index and NaN ranks after ``inf``.
 """
 
 from dataclasses import dataclass
@@ -83,43 +84,67 @@ def _sq_dists(rows, cols):
     return np.maximum(d, 0.0, out=d)
 
 
+def _nearest(n, k, rows=None, cols=None, **source):
+    """The distance block and the k nearest columns of each of its rows.
+
+    ``source`` holds two keywords, ``distances`` (a full matrix) and the
+    points (rows = instances), in the order the error message names them;
+    exactly one is given, with one row per label.  The block is ``rows`` x
+    ``cols``; from points only that block is computed.  Without ``rows`` and
+    ``cols`` it is every instance against every other, the diagonal set to
+    ``inf`` so that no instance is its own neighbour, and a given matrix is
+    copied once.  Every row is ranked in one stable ``np.argsort`` call:
+    ties go to the lower column and NaN sorts after ``inf``.  Returns
+    ``(block, order)`` with ``order`` holding k column positions per row.
+    """
+    given = [(name, value) for name, value in source.items() if value is not None]
+    if len(given) != 1:
+        raise ValueError(f"give exactly one of {' or '.join(source)}")
+    [(name, value)] = given
+    value = np.asarray(value, dtype=float)
+    if name == "distances":
+        if value.shape != (n, n):
+            raise ValueError(
+                f"distances have shape {value.shape}, expected ({n}, {n}), one row per label"
+            )
+        block = value.copy() if rows is None else value[np.ix_(rows, cols)]
+    else:
+        if value.ndim != 2 or value.shape[0] != n:
+            raise ValueError(f"{name} has shape {value.shape}, expected {n} rows, one per label")
+        block = _sq_dists(value, value) if rows is None else _sq_dists(value[rows], value[cols])
+    if rows is None:
+        np.fill_diagonal(block, np.inf)
+    return block, np.argsort(block, axis=1, kind="stable")[:, :k]
+
+
 def knn_classify(split: LabeledSplit, features=None, distances=None, k=1):
     """k-nearest-neighbour vote over the training set.
 
     Give either ``features`` (rows = instances) or a full ``distances``
     matrix, one row per label.  From features only the test x train block
-    of squared distances is computed.  Neighbours are the k smallest distances,
-    ties going to the lower training position.  The most votes win; vote
+    of squared distances is computed.  Neighbours are the k smallest
+    distances, ranked by the same route as ``retrieval_topk``: ties go to the
+    lower training position and NaN ranks last.  The most votes win; vote
     ties go to the class with the smallest total distance among the k
     neighbours (summed in neighbour order), then to the smallest class id.
-    All test rows are sorted in one call.  Returns ``(predictions,
+    A vote tie whose totals hold a NaN is rejected.  Returns ``(predictions,
     accuracy)`` over the test indices.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    if (features is None) == (distances is None):
-        raise ValueError("give exactly one of features or distances")
     if split.train_idx.size == 0:
         raise ValueError("empty training set")
     if split.test_idx.size == 0:
         raise ValueError("empty test set: no instance left to classify")
-    labels = split.labels
-    n = labels.shape[0]
-    train, test = split.train_idx, split.test_idx
-    if features is not None:
-        points = _points(n, features, "features")
-        block = _sq_dists(points[test], points[train])
-    else:
-        block = _distances(n, distances)[np.ix_(test, train)]
-    kk = min(k, train.size)
-    order = np.argsort(block, axis=1, kind="stable")[:, :kk]
+    labels, train, test = split.labels, split.train_idx, split.test_idx
+    block, order = _nearest(len(labels), k, test, train, features=features, distances=distances)
     classes, train_class = np.unique(labels[train], return_inverse=True)
     nn_class = train_class[order]
     nn_dist = np.take_along_axis(block, order, axis=1)
     rows = np.arange(test.size)
     votes = np.zeros((test.size, classes.size), dtype=int)
     totals = np.zeros((test.size, classes.size))
-    for j in range(kk):
+    for j in range(order.shape[1]):
         votes[rows, nn_class[:, j]] += 1
         totals[rows, nn_class[:, j]] += nn_dist[:, j]
     best = votes == votes.max(axis=1, keepdims=True)
@@ -129,52 +154,23 @@ def knn_classify(split: LabeledSplit, features=None, distances=None, k=1):
     if not best.any(axis=1).all():
         raise ValueError("a tied kNN vote has a NaN distance total")
     preds = classes[np.argmax(best, axis=1)]
-    accuracy = float(np.mean(preds == labels[test]))
-    return preds, accuracy
+    return preds, float(np.mean(preds == labels[test]))
 
 
 def retrieval_topk(labels, distances=None, configuration=None, k=10) -> RetrievalScore:
     """Count same-class items among each query's k nearest (self excluded).
 
     Give either a full ``distances`` matrix or a ``configuration`` (rows =
-    instances), one row per label.  Distance ties go to the lower index; all
-    queries are sorted in one call.
+    instances), one row per label.  Queries are ranked by the same route as
+    ``knn_classify``: ties go to the lower index and NaN ranks last.
     """
     labels = np.asarray(labels)
     n = labels.shape[0]
     if not 1 <= k < n:
         raise ValueError(f"k={k} out of range for N={n}")
-    if (distances is None) == (configuration is None):
-        raise ValueError("give exactly one of distances or configuration")
-    if configuration is not None:
-        points = _points(n, configuration, "configuration")
-        dist = _sq_dists(points, points)
-    else:
-        dist = _distances(n, distances).copy()
-    np.fill_diagonal(dist, np.inf)
-    top = np.argsort(dist, axis=1, kind="stable")[:, :k]
+    _, top = _nearest(n, k, distances=distances, configuration=configuration)
     counts = np.sum(labels[top] == labels[:, None], axis=1)
     return RetrievalScore(per_query=counts, k=k)
-
-
-def _points(n, points, points_name):
-    # ``points`` as a float array with n rows, one per label.
-    points = np.asarray(points, dtype=float)
-    if points.ndim != 2 or points.shape[0] != n:
-        raise ValueError(
-            f"{points_name} has shape {points.shape}, expected {n} rows, one per label"
-        )
-    return points
-
-
-def _distances(n, distances):
-    # ``distances`` as a float n x n array, one row per label.
-    dist = np.asarray(distances, dtype=float)
-    if dist.shape != (n, n):
-        raise ValueError(
-            f"distances have shape {dist.shape}, expected ({n}, {n}), one row per label"
-        )
-    return dist
 
 
 def procrustes_align(estimate, reference):
@@ -228,6 +224,8 @@ def confusion_matrix(predictions, labels, classes=None):
     mat = np.zeros((classes.size, classes.size), dtype=int)
     for pred, true in zip(predictions, labels):
         if pred not in index:
-            raise ValueError(f"prediction {pred!r} is not a known class")
+            raise ValueError(f"prediction {pred} is not a known class")
+        if true not in index:
+            raise ValueError(f"label {true} is not among the given classes")
         mat[index[true], index[pred]] += 1
     return classes, mat

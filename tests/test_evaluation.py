@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from robustmv import (
     LabeledSplit,
@@ -269,6 +270,64 @@ class TestBatchedAgainstLoop:
         np.testing.assert_array_equal(d, before)
 
 
+@st.composite
+def _tie_heavy(draw, cells):
+    # Labels from three classes, a split with both sides non-empty, and an
+    # n x n matrix whose cells are drawn from ``cells``.
+    n = draw(st.integers(2, 8))
+    labels = np.array(draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)))
+    in_train = np.array(draw(
+        st.lists(st.booleans(), min_size=n, max_size=n).filter(lambda b: any(b) and not all(b))
+    ))
+    split = LabeledSplit(labels, np.flatnonzero(in_train), np.flatnonzero(~in_train))
+    matrix = np.array(draw(st.lists(st.sampled_from(cells), min_size=n * n, max_size=n * n)))
+    return split, matrix.reshape(n, n)
+
+
+class TestRankingRules:
+    """Ties, ``inf`` and NaN, for every k up to the limit, on tiny matrices.
+
+    Both evaluators rank through one route; these pin what it must keep.
+    """
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=_tie_heavy([0.0, 1.0, 2.0, np.inf, np.nan]))
+    def test_distances_match_per_query_loops(self, case):
+        split, dist = case
+        for k in range(1, split.train_idx.size + 2):  # one past: k is capped
+            try:
+                want = _knn_loop(split, dist, k)
+            except ValueError:  # the loop met a NaN total in a tied vote
+                with pytest.raises(ValueError, match="NaN"):
+                    knn_classify(split, distances=dist, k=k)
+                continue
+            preds, _ = knn_classify(split, distances=dist, k=k)
+            np.testing.assert_array_equal(preds, want)
+        labels = split.labels
+        for k in range(1, labels.size):
+            score = retrieval_topk(labels, distances=dist, k=k)
+            np.testing.assert_array_equal(score.per_query, _retrieval_loop(labels, dist, k))
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=_tie_heavy([0.0, 1.0, 2.0]))
+    def test_points_match_the_full_matrix(self, case):
+        # Small integer coordinates make every squared distance exact, so the
+        # points paths must rank exactly as the full matrix does.
+        split, grid = case
+        points = grid[:, :2]
+        full = np.sum((points[:, None, :] - points[None, :, :]) ** 2, axis=2)
+        for k in range(1, split.train_idx.size + 2):
+            preds, _ = knn_classify(split, features=points, k=k)
+            np.testing.assert_array_equal(preds, knn_classify(split, distances=full, k=k)[0])
+            np.testing.assert_array_equal(preds, _knn_loop(split, full, k))
+        labels = split.labels
+        for k in range(1, labels.size):
+            score = retrieval_topk(labels, configuration=points, k=k)
+            np.testing.assert_array_equal(
+                score.per_query, retrieval_topk(labels, distances=full, k=k).per_query
+            )
+
+
 class TestSizeChecks:
     def test_knn_distances_must_match_labels(self):
         split = seeded_split(np.repeat([0, 1], 4), 0.5, seed=0)
@@ -286,6 +345,18 @@ class TestSizeChecks:
         assert split.test_idx.size == 0
         with pytest.raises(ValueError, match="empty test set"):
             knn_classify(split, distances=np.zeros((5, 5)))
+
+    def test_exactly_one_distance_source(self):
+        labels = np.repeat([0, 1], 4)
+        split = seeded_split(labels, 0.5, seed=0)
+        points, dist = np.zeros((8, 2)), np.zeros((8, 8))
+        for given in ({}, {"features": points, "distances": dist}):
+            with pytest.raises(ValueError, match="^give exactly one of features or distances$"):
+                knn_classify(split, **given)
+        message = "^give exactly one of distances or configuration$"
+        for given in ({}, {"configuration": points, "distances": dist}):
+            with pytest.raises(ValueError, match=message):
+                retrieval_topk(labels, k=2, **given)
 
     def test_retrieval_sizes_must_match_labels(self):
         labels = np.repeat([0, 1], 4)
@@ -395,3 +466,7 @@ class TestConfusion:
     def test_unknown_prediction_rejected(self):
         with pytest.raises(ValueError, match="known class"):
             confusion_matrix(np.array([0, 7]), np.array([0, 1]))
+
+    def test_label_outside_given_classes_rejected(self):
+        with pytest.raises(ValueError, match="^label 5 is not among the given classes$"):
+            confusion_matrix([0], [5], classes=[0, 1])

@@ -20,6 +20,7 @@ import robustmv.io
 from robustmv.cli import main
 from robustmv.datagen import NoiseSpec, corrupt_instances, corrupt_pixels, gen_labeled_multiview
 from robustmv.embedding import EmbedConfig
+from robustmv.evaluation import seeded_split
 from robustmv.features import CmvConfig
 from robustmv.io import (
     file_sha256,
@@ -571,16 +572,9 @@ class TestCli:
         assert err["error"] == "validation" and named in err["message"]
         assert not (tmp_path / "ev").exists()
 
-    # The files each task needs exist, so only the extra flag can reject the run.
-    @pytest.mark.parametrize("task, extra", [
-        ("procrustes", ["--labels"]),
-        ("procrustes", ["--predictions", "--features"]),
-        ("confusion", ["--estimate"]),
-        ("confusion", ["--distances"]),
-        ("knn", ["--reference"]),
-        ("retrieval", ["--predictions"]),
-    ])
-    def test_eval_rejects_file_flags_the_task_does_not_read(self, tmp_path, capsys, task, extra):
+    @staticmethod
+    def _unread_eval_message(tmp_path, capsys, task, extra):
+        """The one-line message of an eval run given the files ``task`` needs plus ``extra``."""
         points = tmp_path / "points.csv"
         write_matrix_csv(points, np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 2.0], [3.0, 1.0]]))
         labels = tmp_path / "labels.csv"
@@ -591,16 +585,101 @@ class TestCli:
             "knn": ["--configuration", points, "--labels", labels],
             "retrieval": ["--configuration", points, "--labels", labels],
         }[task]
-        argv = ["eval", "--task", task, *map(str, needed)]
-        for flag in extra:
-            argv += [flag, str(tmp_path / "unread.csv")]
+        argv = ["eval", "--task", task, *map(str, needed), *extra]
         capsys.readouterr()
         assert main(argv + ["--out", str(tmp_path / "ev")]) == 2
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1
-        message = _strict_json(lines[0])["message"]
-        assert message == f"eval --task {task} does not read {', '.join(extra)}"
         assert not (tmp_path / "ev").exists()
+        err = _strict_json(lines[0])
+        assert err["error"] == "validation"
+        return err["message"]
+
+    # The files each task needs exist, so only the extra flag can reject the run.
+    @pytest.mark.parametrize("task, extra", [
+        ("procrustes", ["--labels"]),
+        ("procrustes", ["--predictions", "--features"]),
+        ("confusion", ["--estimate"]),
+        ("confusion", ["--distances"]),
+        ("knn", ["--reference"]),
+        ("retrieval", ["--predictions"]),
+    ])
+    def test_eval_rejects_file_flags_the_task_does_not_read(self, tmp_path, capsys, task, extra):
+        argv = []
+        for flag in extra:
+            argv += [flag, str(tmp_path / "unread.csv")]
+        message = self._unread_eval_message(tmp_path, capsys, task, argv)
+        assert message == f"eval --task {task} does not read {', '.join(extra)}"
+
+    # Likewise, only the unread option can reject the run.
+    @pytest.mark.parametrize("task, extra, named", [
+        ("confusion", ["--k", "5", "--subset", "1", "--train-fraction", "3"],
+         "--k, --train-fraction, --subset"),
+        ("procrustes", ["--k", "1"], "--k"),
+        ("procrustes", ["--labels", "unread.csv", "--train-fraction", "0.5"],
+         "--labels, --train-fraction"),
+        ("retrieval", ["--train-fraction", "0.5"], "--train-fraction"),
+        ("knn", ["--subset", "0"], "--subset"),
+    ])
+    def test_eval_rejects_options_the_task_does_not_read(
+        self, tmp_path, capsys, task, extra, named
+    ):
+        message = self._unread_eval_message(tmp_path, capsys, task, extra)
+        assert message == f"eval --task {task} does not read {named}"
+
+    def test_eval_options_not_given_keep_their_defaults(self, tmp_path):
+        # k 1 for knn and retrieval, a 0.5 split for knn, no subset for procrustes.
+        points = tmp_path / "points.csv"
+        pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 2.0], [3.0, 1.0], [5.0, 5.0], [4.0, 6.0]])
+        write_matrix_csv(points, pts)
+        labels = tmp_path / "labels.csv"
+        write_labels(labels, [0, 0, 0, 1, 1, 1])
+        common = ["--labels", str(labels), "--configuration", str(points), "--seed", "3"]
+        assert main(["eval", "--task", "knn", *common, "--out", str(tmp_path / "knn")]) == 0
+        assert main(["eval", "--task", "retrieval", *common, "--out", str(tmp_path / "r")]) == 0
+        assert main([
+            "eval", "--task", "procrustes", "--estimate", str(points), "--reference",
+            str(points), "--out", str(tmp_path / "p"),
+        ]) == 0
+        split = seeded_split(read_labels(labels), 0.5, seed=3)
+        knn = json.loads((tmp_path / "knn" / "scores.json").read_text())
+        assert knn["k"] == 1 and knn["test_count"] == split.test_idx.size
+        assert read_labels(tmp_path / "knn" / "test_labels.csv").tolist() == (
+            split.labels[split.test_idx].tolist()
+        )
+        assert json.loads((tmp_path / "r" / "scores.json").read_text())["k"] == 1
+        assert json.loads((tmp_path / "p" / "scores.json").read_text())["subset"] is None
+
+    def test_confusion_names_an_unknown_prediction_plainly(self, tmp_path, capsys):
+        predictions, labels = tmp_path / "p.csv", tmp_path / "l.csv"
+        write_labels(predictions, [0, 7])
+        write_labels(labels, [0, 1])
+        capsys.readouterr()
+        assert main([
+            "eval", "--task", "confusion", "--predictions", str(predictions),
+            "--labels", str(labels), "--out", str(tmp_path / "ev"),
+        ]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert _strict_json(lines[0])["message"] == "prediction 7 is not a known class"
+        assert not (tmp_path / "ev").exists()
+
+    @pytest.mark.parametrize("source", [
+        ["--views", "v1.csv", "v2.csv"],
+        ["--manifest", "manifest.json"],
+    ])
+    def test_fit_mv_rejects_uci_views_without_uci_dir(self, tmp_path, capsys, source):
+        capsys.readouterr()
+        assert main([
+            "fit-mv", "--solver", "cmv", *source, "--uci-views", "nope",
+            "--out", str(tmp_path / "fit"),
+        ]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert _strict_json(lines[0]) == {
+            "error": "validation", "message": "--uci-views applies to --uci-dir only",
+        }
+        assert not (tmp_path / "fit").exists()
 
     @pytest.mark.parametrize("matrix", ["--features", "--distances"])
     def test_confusion_on_knn_outputs_reproduces_knn_confusion(self, tmp_path, matrix):
