@@ -3,14 +3,18 @@ alignment error and confusion matrices.
 
 All evaluators are pure and deterministic.  kNN and retrieval share one
 neighbour search, ``_nearest``: it checks that exactly one distance source
-is given with one row per label, builds the distance block and ranks every
-query in one stable ``np.argsort`` call, so distance ties go to the lower
-index and NaN ranks after ``inf``.
+is given with one row per label, builds the distance block and selects
+each query's k nearest without sorting the whole row: ``np.partition``
+finds the k-th smallest distance, every entry at or below it stays a
+candidate and one stable ``np.lexsort`` orders the candidates, so distance
+ties go to the lower index and NaN ranks after ``inf``.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+
+from .losses import check_integer
 
 __all__ = [
     "LabeledSplit",
@@ -22,6 +26,10 @@ __all__ = [
     "procrustes_rmse",
     "confusion_matrix",
 ]
+
+# Query rows ranked per step: a step's candidate lists hold at most
+# _RANK_BLOCK_ROWS x columns entries, however many distances tie.
+_RANK_BLOCK_ROWS = 64
 
 
 @dataclass
@@ -93,9 +101,18 @@ def _nearest(n, k, rows=None, cols=None, **source):
     ``cols``; from points only that block is computed.  Without ``rows`` and
     ``cols`` it is every instance against every other, the diagonal set to
     ``inf`` so that no instance is its own neighbour, and a given matrix is
-    copied once.  Every row is ranked in one stable ``np.argsort`` call:
-    ties go to the lower column and NaN sorts after ``inf``.  Returns
-    ``(block, order)`` with ``order`` holding k column positions per row.
+    copied once.
+
+    k is capped at the column count.  The block is ranked
+    ``_RANK_BLOCK_ROWS`` rows at a time, so the ranking's working set stays
+    small even when every distance ties.  ``np.partition`` finds each row's
+    k-th smallest value (NaN sorts last); every entry at or below it, or the
+    whole row when it is NaN, is a candidate, so no tie is lost.  The
+    candidates, listed by ``np.nonzero`` in column order, are ordered by one
+    stable ``np.lexsort`` and the first k of each row are kept: the order a
+    full stable ``np.argsort`` gives, with ties to the lower column and NaN
+    after ``inf``.  Returns ``(block, order)`` with ``order`` holding k
+    column positions per row.
     """
     given = [(name, value) for name, value in source.items() if value is not None]
     if len(given) != 1:
@@ -114,7 +131,16 @@ def _nearest(n, k, rows=None, cols=None, **source):
         block = _sq_dists(value, value) if rows is None else _sq_dists(value[rows], value[cols])
     if rows is None:
         np.fill_diagonal(block, np.inf)
-    return block, np.argsort(block, axis=1, kind="stable")[:, :k]
+    k = min(k, block.shape[1])
+    order = np.empty((block.shape[0], k), dtype=np.intp)
+    for start in range(0, block.shape[0], _RANK_BLOCK_ROWS):
+        part = block[start:start + _RANK_BLOCK_ROWS]
+        kth = np.partition(part, k - 1, axis=1)[:, k - 1:k]
+        row, col = np.nonzero((part <= kth) | np.isnan(kth))
+        ranked = col[np.lexsort((part[row, col], row))]
+        firsts = np.searchsorted(row, np.arange(part.shape[0]))
+        order[start:start + _RANK_BLOCK_ROWS] = ranked[firsts[:, None] + np.arange(k)]
+    return block, order
 
 
 def knn_classify(split: LabeledSplit, features=None, distances=None, k=1):
@@ -122,14 +148,17 @@ def knn_classify(split: LabeledSplit, features=None, distances=None, k=1):
 
     Give either ``features`` (rows = instances) or a full ``distances``
     matrix, one row per label.  From features only the test x train block
-    of squared distances is computed.  Neighbours are the k smallest
-    distances, ranked by the same route as ``retrieval_topk``: ties go to the
-    lower training position and NaN ranks last.  The most votes win; vote
-    ties go to the class with the smallest total distance among the k
-    neighbours (summed in neighbour order), then to the smallest class id.
-    A vote tie whose totals hold a NaN is rejected.  Returns ``(predictions,
-    accuracy)`` over the test indices.
+    of squared distances is computed.  ``k`` is a positive integer (an
+    integral float counts), capped at the training-set size.  Neighbours
+    are the k smallest distances, ranked by the same route as
+    ``retrieval_topk``: ties go to the lower training position and NaN
+    ranks last.  The most votes win; vote ties go to the class with the
+    smallest total distance among the k neighbours (summed in neighbour
+    order), then to the smallest class id.  A vote tie whose totals hold a
+    NaN is rejected.  Returns ``(predictions, accuracy)`` over the test
+    indices.
     """
+    k = check_integer(k, "k")
     if k < 1:
         raise ValueError("k must be >= 1")
     if split.train_idx.size == 0:
@@ -161,11 +190,13 @@ def retrieval_topk(labels, distances=None, configuration=None, k=10) -> Retrieva
     """Count same-class items among each query's k nearest (self excluded).
 
     Give either a full ``distances`` matrix or a ``configuration`` (rows =
-    instances), one row per label.  Queries are ranked by the same route as
+    instances), one row per label.  ``k`` is an integer in ``[1, N)`` (an
+    integral float counts).  Queries are ranked by the same route as
     ``knn_classify``: ties go to the lower index and NaN ranks last.
     """
     labels = np.asarray(labels)
     n = labels.shape[0]
+    k = check_integer(k, "k")
     if not 1 <= k < n:
         raise ValueError(f"k={k} out of range for N={n}")
     _, top = _nearest(n, k, distances=distances, configuration=configuration)

@@ -16,6 +16,7 @@ from robustmv import (
     retrieval_topk,
     seeded_split,
 )
+from robustmv.evaluation import _nearest
 
 
 def _block_distances(labels):
@@ -326,6 +327,93 @@ class TestRankingRules:
             np.testing.assert_array_equal(
                 score.per_query, retrieval_topk(labels, distances=full, k=k).per_query
             )
+
+
+def _scale_matrix(n, ties):
+    # Random cells (one decimal when ``ties``) with scattered inf and NaN
+    # cells, a row with 5 finite entries among NaN and a row with 3 among inf.
+    rng = np.random.default_rng(42 + ties)
+    m = rng.random((n, n))
+    if ties:
+        m = np.round(m, 1)
+    m[rng.random((n, n)) < 0.03] = np.inf
+    m[rng.random((n, n)) < 0.03] = np.nan
+    m[7] = np.nan
+    m[7, rng.choice(n, 5, replace=False)] = 0.5
+    m[8] = np.inf
+    m[8, rng.choice(n, 3, replace=False)] = 0.5
+    return m
+
+
+class TestSelectionAtScale:
+    """Partial selection against a full stable sort on 600 x 600 blocks."""
+
+    @pytest.mark.parametrize("ties", [False, True], ids=["random", "one-decimal"])
+    def test_retrieval_block_matches_stable_argsort(self, ties):
+        dist = _scale_matrix(600, ties)
+        for k in (1, 10, 598, 599, 600):
+            block, order = _nearest(600, k, distances=dist)
+            np.testing.assert_array_equal(order, np.argsort(block, kind="stable")[:, :k])
+
+    @pytest.mark.parametrize("ties", [False, True], ids=["random", "one-decimal"])
+    def test_knn_block_matches_stable_argsort(self, ties):
+        # A 1200 x 1200 matrix whose test x train block is 600 x 600.
+        full = _scale_matrix(1200, ties)
+        perm = np.random.default_rng(3).permutation(1200)
+        test, train = np.sort(perm[:600]), np.sort(perm[600:])
+        for k in (1, 10, 598, 599, 600):
+            block, order = _nearest(1200, k, test, train, distances=full)
+            np.testing.assert_array_equal(order, np.argsort(block, kind="stable")[:, :k])
+
+    @pytest.mark.parametrize("fill", ["random", "all-tied"])
+    def test_retrieval_peak_memory(self, fill):
+        # The block copy is one N x N matrix; the ranking adds a few row
+        # blocks, even when every distance ties.  A full N x N index array
+        # would take the peak past the bound.
+        n = 1000
+        labels = np.repeat(np.arange(10), n // 10)
+        rng = np.random.default_rng(9)
+        dist = rng.random((n, n)) if fill == "random" else np.ones((n, n))
+        tracemalloc.start()
+        try:
+            retrieval_topk(labels, distances=dist, k=10)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.0 * n * n * 8
+
+
+class TestIntegerK:
+    """k must be an integer: integral floats and numpy integers pass."""
+
+    def _scores(self, k):
+        labels = np.repeat([0, 1, 2], 4)
+        dist = _block_distances(labels) + np.arange(12.0)[None, :] / 100.0
+        split = seeded_split(labels, 0.5, seed=0)
+        return (
+            knn_classify(split, distances=dist, k=k)[0].tolist(),
+            retrieval_topk(labels, distances=dist, k=k).per_query.tolist(),
+        )
+
+    @pytest.mark.parametrize("k", [2.5, True], ids=["fraction", "bool"])
+    @pytest.mark.parametrize("evaluator", ["knn", "retrieval"])
+    def test_non_integer_rejected(self, k, evaluator):
+        labels = np.repeat([0, 1, 2], 4)
+        dist = _block_distances(labels)
+        with pytest.raises(ValueError, match="^k must be an integer"):
+            if evaluator == "knn":
+                knn_classify(seeded_split(labels, 0.5, seed=0), distances=dist, k=k)
+            else:
+                retrieval_topk(labels, distances=dist, k=k)
+
+    @pytest.mark.parametrize("k", [np.int64(3), 3.0], ids=["int64", "integral-float"])
+    def test_integral_values_accepted(self, k):
+        assert self._scores(k) == self._scores(3)
+
+    def test_retrieval_records_a_plain_int(self):
+        labels = np.repeat([0, 1], 3)
+        score = retrieval_topk(labels, distances=_block_distances(labels), k=2.0)
+        assert type(score.k) is int and score.k == 2
 
 
 class TestSizeChecks:
