@@ -3,18 +3,17 @@
 Subcommands: ``synth`` (data generation), ``fit-mv`` (feature-space
 solvers), ``embed`` (dissimilarity solvers), ``eval`` (downstream scoring)
 and ``recipe`` (full experiment pipelines).  Every command writes a
-``run.json`` echo with parameters, seed and input hashes; all but
-``recipe``, which writes as it goes, do their work before they create
-``--out``, so a rejected run leaves no directory.  Only ``fit-mv`` and
-``embed`` take ``--config``.  ``fit-mv`` reads exactly one input source:
-``--views``, ``--manifest`` or ``--uci-dir``, and ``--uci-views`` only with
-``--uci-dir``.  Each ``eval`` task reads the file flags and options its
-``_EVAL_TASKS`` entry lists and rejects any other one it is given (``--seed``
-and ``--out`` are common to every command); ``knn`` writes its test-split
-predictions and, in the same order, the true labels (``test_labels.csv``),
-so ``eval --task confusion`` can score the pair.  Exit codes: 0 on success,
-2 on validation errors, 3 on numerical failure, each with a one-line JSON
-diagnostic on stderr.
+``run.json`` echo with parameters, seed and input hashes, and does its work
+before it creates ``--out``, so a rejected or failed run leaves no
+directory.  Only ``fit-mv`` and ``embed`` take ``--config``.  ``fit-mv``
+reads exactly one input source: ``--views``, ``--manifest`` or
+``--uci-dir``, and ``--uci-views`` only with ``--uci-dir``.  Each ``eval``
+task reads the file flags and options its ``_EVAL_TASKS`` entry lists and
+rejects any other one it is given (``--seed`` and ``--out`` are common to
+every command); ``knn`` writes its test-split predictions and, in the same
+order, the true labels (``test_labels.csv``), so ``eval --task confusion``
+can score the pair.  Exit codes: 0 on success, 2 on validation errors, 3
+on numerical failure, each with a one-line JSON diagnostic on stderr.
 """
 
 import argparse

@@ -65,6 +65,21 @@ def _check_square_symmetric(m, name, atol=0.0):
     return m
 
 
+def _check_entries(m, name):
+    """``m`` as a float array; raise unless it is finite, square, symmetric, >= 0.
+
+    Finiteness is checked first, so a NaN is reported as non-finite rather
+    than as an asymmetry (``NaN != NaN``).
+    """
+    m = np.asarray(m, dtype=float)
+    if not np.all(np.isfinite(m)):
+        raise ValueError(f"{name} contains non-finite values")
+    m = _check_square_symmetric(m, name)
+    if np.any(m < 0):
+        raise ValueError(f"{name} has negative entries")
+    return m
+
+
 @dataclass
 class DissimilarityViews:
     """M symmetric nonnegative N x N matrices with zero diagonal.
@@ -83,13 +98,9 @@ class DissimilarityViews:
             raise ValueError("at least one view is required")
         checked = []
         for v, m in enumerate(self.deltas):
-            m = _check_square_symmetric(m, f"view {v}")
-            if not np.all(np.isfinite(m)):
-                raise ValueError(f"view {v} contains non-finite values")
+            m = _check_entries(m, f"view {v}")
             if np.any(np.diag(m) != 0):
                 raise ValueError(f"view {v} must have a zero diagonal")
-            if np.any(m < 0):
-                raise ValueError(f"view {v} has negative entries")
             checked.append(m)
         sizes = {m.shape[0] for m in checked}
         if len(sizes) != 1:
@@ -103,11 +114,9 @@ class DissimilarityViews:
                 raise ValueError("need one weight matrix per view")
             ws = []
             for v, w in enumerate(self.weights):
-                w = _check_square_symmetric(w, f"weights {v}")
+                w = _check_entries(w, f"weights {v}")
                 if w.shape[0] != n:
                     raise ValueError(f"weights {v} size mismatch")
-                if np.any(w < 0):
-                    raise ValueError(f"weights {v} has negative entries")
                 ws.append(w)
             self.weights = ws
 
@@ -261,8 +270,11 @@ def median_kernel_size(views: DissimilarityViews) -> float:
     Views are exactly symmetric, so the off-diagonal holds every strict
     upper-triangle entry twice; pooling the upper triangle alone leaves the
     median unchanged (the doubled list's middle pair is the single list's
-    middle pair, or its middle value twice).
+    middle pair, or its middle value twice).  One point has no off-diagonal
+    entry, so it is a ``ValueError``.
     """
+    if views.n_points < 2:
+        raise ValueError(f"median kernel size needs at least two points, got {views.n_points}")
     upper = ~np.tri(views.n_points, dtype=bool)
     pooled = np.concatenate([m[upper] for m in views.deltas])
     med = float(np.median(pooled))

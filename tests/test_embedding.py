@@ -597,3 +597,17 @@ class TestMedianKernel:
             DissimilarityViews([np.eye(3)])
         with pytest.raises(ValueError, match="negative"):
             DissimilarityViews([np.array([[0.0, -1.0], [-1.0, 0.0]])])
+
+    def test_one_point_is_rejected(self):
+        # One point has no off-diagonal entry; np.median of nothing is NaN.
+        with pytest.raises(ValueError, match="needs at least two points, got 1"):
+            median_kernel_size(DissimilarityViews([np.zeros((1, 1))]))
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan], ids=["inf", "nan"])
+    def test_non_finite_weights_are_rejected(self, bad):
+        # Checked on entry: an inf weight would only fail inside ree_fit
+        # (inf * 0 is NaN), and NaN != NaN would read as an asymmetry.
+        delta = np.array([[0.0, 1.0], [1.0, 0.0]])
+        weights = np.array([[0.0, bad], [bad, 0.0]])
+        with pytest.raises(ValueError, match="^weights 0 contains non-finite values$"):
+            DissimilarityViews([delta], [weights])

@@ -17,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 import robustmv.cli
 import robustmv.io
+import robustmv.recipes
 from robustmv.cli import main
 from robustmv.datagen import NoiseSpec, corrupt_instances, corrupt_pixels, gen_labeled_multiview
 from robustmv.embedding import EmbedConfig
@@ -36,6 +37,7 @@ from robustmv.io import (
     write_matrix_csv,
 )
 from robustmv.recipes import run_recipe
+from robustmv.trace import NumericalError
 
 
 def _check_environment(env):
@@ -340,6 +342,30 @@ class TestCli:
         ])
         assert code == 3
         assert json.loads(capsys.readouterr().err)["error"] == "numerical"
+
+    @pytest.mark.parametrize("solver, code", [
+        ("cmds", 0), ("ree", 0), ("mvree", 0), ("cmvree", 2),
+    ])
+    def test_embed_one_point(self, tmp_path, capsys, solver, code):
+        # cmvree's default kernel size is the median off-diagonal entry, and
+        # one point has none: one validation line, no numpy warning.
+        f = tmp_path / "d.csv"
+        write_matrix_csv(f, np.zeros((1, 1)))
+        out = tmp_path / "emb"
+        capsys.readouterr()
+        assert main([
+            "embed", "--solver", solver, "--views", str(f), "--out", str(out),
+            "--config", '{"target_dim": 1}',
+        ]) == code
+        err = capsys.readouterr().err.splitlines()
+        if code == 0:
+            assert err == [] and (out / "configuration.csv").exists()
+        else:
+            assert len(err) == 1 and _strict_json(err[0]) == {
+                "error": "validation",
+                "message": "median kernel size needs at least two points, got 1",
+            }
+            assert not out.exists()
 
     def test_embed_records_stop_reason(self, tmp_path, capsys):
         rng = np.random.default_rng(5)
@@ -1061,6 +1087,36 @@ class TestRecipes:
         run = json.loads((tmp_path / "u1" / "run.json").read_text())
         assert set(run["inputs"]) == {"view1.csv", "view2.csv", "labels.csv"}
         assert (tmp_path / "u1" / "latent" / "m1_f0.5_cmv.csv").exists()
+
+    @pytest.mark.parametrize("name, target", [
+        ("pointset-25", "ree_fit"), ("uci-noise-1", "fit_feature_method"),
+    ])
+    @pytest.mark.parametrize("error, code, kind", [
+        (NumericalError, 3, "numerical"), (ValueError, 2, "validation"),
+    ])
+    def test_failed_fit_creates_no_out(
+        self, tmp_path, capsys, monkeypatch, name, target, error, code, kind
+    ):
+        # The third fit of the lineup fails after two have succeeded; the
+        # recipe writes nothing, not even its data.
+        real = getattr(robustmv.recipes, target)
+        calls = []
+
+        def third_fails(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 3:
+                raise error("injected failure")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(robustmv.recipes, target, third_fails)
+        capsys.readouterr()
+        out = tmp_path / "r"
+        assert main(["recipe", "--name", name, "--out", str(out)]) == code
+        assert len(calls) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert _strict_json(err[0]) == {"error": kind, "message": "injected failure"}
+        assert not out.exists()
 
     def test_recipe_cli(self, tmp_path, monkeypatch):
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
