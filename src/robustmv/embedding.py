@@ -6,11 +6,12 @@ induced squared-distance matrix ``D`` (``D_ij = B_ii + B_jj - B_ij - B_ji``)
 agrees with the views.  Classical MDS does it in closed form for a single
 view; the iterative solvers trade the quadratic fit for an L1 cost
 (subgradient steps) or a bounded correntropy score (L1 warm start, then
-backtracking gradient ascent), each step followed by projection back onto
-the PSD cone.  The projection eigendecomposes only inputs that one Cholesky
-factorization fails to certify positive definite; a certified input is its
-own projection.  The correntropy kernel and its derivative come from
-:mod:`robustmv.losses`.  Coordinates come out of the final
+spectral projected gradient ascent: Barzilai-Borwein trial steps, monotone
+backtracking and a score-change stop), each step followed by projection
+back onto the PSD cone.  The projection eigendecomposes only inputs that
+one Cholesky factorization fails to certify positive definite; a certified
+input is its own projection.  The correntropy kernel and its derivative
+come from :mod:`robustmv.losses`.  Coordinates come out of the final
 eigendecomposition, ordered by descending eigenvalue.
 
 Entry convention: matrices hold *squared* dissimilarities throughout, and
@@ -43,7 +44,8 @@ __all__ = [
     "median_kernel_size",
 ]
 
-_MIN_STEP_SCALE = 2.0**-20  # backtracking floor of correntropy ascent
+_MIN_STEP_SCALE = 2.0**-20  # backtracking floor of correntropy ascent, relative to cfg.step
+_SCORE_RTOL = 1e-6  # correntropy ascent stops once a step gains at most this share of |score|
 
 
 def _check_square_symmetric(m, name, atol=0.0):
@@ -136,11 +138,11 @@ class EmbedConfig:
     ``sigma=None`` selects the median of all pooled off-diagonal
     dissimilarities at fit time.  ``step`` sets both step rules of
     ``ree_fit``: ``step / sqrt(k)`` at L1 iteration k, and ``step`` as the
-    trial step of every correntropy ascent iteration, which backtracking may
-    shrink.  A given ``sigma`` must lie in the range
-    ``losses.check_kernel_size`` accepts for ``alpha``, and integer fields
-    pass ``losses.check_integer``: booleans, strings and non-integral
-    numbers are rejected.
+    trial step of the first correntropy ascent iteration (later trials are
+    Barzilai-Borwein steps) and the scale of its backtracking floor.  A
+    given ``sigma`` must lie in the range ``losses.check_kernel_size``
+    accepts for ``alpha``, and integer fields pass ``losses.check_integer``:
+    booleans, strings and non-integral numbers are rejected.
     """
 
     target_dim: int = 2
@@ -358,13 +360,18 @@ def ree_fit(
        subgradient steps, exactly as for ``loss="l1"``, from the
        view-average start.  Ascent then starts from whichever of the
        view-average start and the L1 end point has the higher score.
-    2. *Ascent.*  The remaining iterations are projected gradient ascent
-       steps.  The trial step is ``cfg.step`` times a backtracking factor
-       that starts at 1 and is halved, for the rest of the run, whenever
-       the projected candidate would lower the score.  A rejected candidate is never accepted, so
-       the recorded scores never decrease.  When the factor falls below
-       ``_MIN_STEP_SCALE`` without an ascent step being found, the run stops
-       with reason "no ascent step".
+    2. *Ascent.*  The remaining iterations are spectral projected gradient
+       ascent steps (Birgin, Martinez & Raydan 2000).  The first iteration
+       tries ``cfg.step``; later ones try the Barzilai-Borwein step BB2,
+       ``<s, -y> / <y, y>`` with ``s`` and ``y`` the change of ``B`` and of
+       the score gradient over the last accepted step, or twice that step
+       when ``<s, -y> <= 0``.  The trial is halved, for this iteration only,
+       while the projected candidate would lower the score; a rejected
+       candidate is never accepted, so the recorded scores never decrease.
+       The run stops with reason "no ascent step" when the trial falls below
+       ``cfg.step * _MIN_STEP_SCALE``, and with "score change below
+       tolerance" once an accepted step gains at most ``_SCORE_RTOL`` times
+       the absolute score; both count as converged.
 
     Every iterate ends with a projection onto the PSD cone.  The trace
     records the loss at each accepted iterate (for the correntropy loss:
@@ -399,26 +406,38 @@ def ree_fit(
         b, d, obj = b_l1, d_l1, obj_l1
     _check_finite(obj, loss, 0)
 
-    scale = 1.0
+    step = cfg.step
     reason = "max_iter reached"
     for it in range(1, cfg.max_iter - n_warm + 1):
         grad = cmvree_gradient(views, d, sigma, cfg.alpha)
-        while scale >= _MIN_STEP_SCALE:
-            cand = psd_project(b + (scale * cfg.step) * grad)
+        if it > 1:
+            # BB2 for the minimization of -score: <s, -y> / <y, y>.
+            s = b - prev_b
+            y = np.subtract(grad, prev_grad, out=prev_grad)
+            sy, yy = -np.vdot(s, y), np.vdot(y, y)
+            del s, y, prev_b, prev_grad
+            step = sy / yy if sy > 0 else 2.0 * step
+        while step >= cfg.step * _MIN_STEP_SCALE:
+            cand = psd_project(b + step * grad)
             d_cand = b_to_d(cand)
             obj_cand = score(d_cand)
             _check_finite(obj_cand, loss, it)
             if obj_cand >= obj:
                 break
-            scale /= 2.0
+            step /= 2.0
         else:
             reason = "no ascent step"
             break
+        gain = obj_cand - obj
+        prev_b, prev_grad = b, grad
         b, d, obj = cand, d_cand, obj_cand
         trace.record(obj)
         if callback is not None:
             callback(it, b, obj)
-    trace.finish(reason == "no ascent step", reason)
+        if gain <= _SCORE_RTOL * abs(obj):
+            reason = "score change below tolerance"
+            break
+    trace.finish(reason != "max_iter reached", reason)
     return _configuration_from_gram(b, cfg.target_dim, trace)
 
 

@@ -5,9 +5,10 @@ All evaluators are pure and deterministic.  kNN and retrieval share one
 neighbour search, ``_nearest``: it checks that exactly one distance source
 is given with one row per label, builds the distance block and selects
 each query's k nearest without sorting the whole row: ``np.partition``
-finds the k-th smallest distance, every entry at or below it stays a
-candidate and one stable ``np.lexsort`` orders the candidates, so distance
-ties go to the lower index and NaN ranks after ``inf``.
+finds the k-th smallest distance, the entries below it and the first
+entries tied with it make up k candidates, and one stable ``np.lexsort``
+orders them, so distance ties go to the lower index and NaN ranks after
+``inf``.
 """
 
 from dataclasses import dataclass
@@ -27,8 +28,8 @@ __all__ = [
     "confusion_matrix",
 ]
 
-# Query rows ranked per step: a step's candidate lists hold at most
-# _RANK_BLOCK_ROWS x columns entries, however many distances tie.
+# Query rows ranked per step: a step's masks hold _RANK_BLOCK_ROWS x columns
+# entries, and its candidate lists exactly _RANK_BLOCK_ROWS x k.
 _RANK_BLOCK_ROWS = 64
 
 
@@ -106,13 +107,14 @@ def _nearest(n, k, rows=None, cols=None, **source):
     k is capped at the column count.  The block is ranked
     ``_RANK_BLOCK_ROWS`` rows at a time, so the ranking's working set stays
     small even when every distance ties.  ``np.partition`` finds each row's
-    k-th smallest value (NaN sorts last); every entry at or below it, or the
-    whole row when it is NaN, is a candidate, so no tie is lost.  The
-    candidates, listed by ``np.nonzero`` in column order, are ordered by one
-    stable ``np.lexsort`` and the first k of each row are kept: the order a
-    full stable ``np.argsort`` gives, with ties to the lower column and NaN
-    after ``inf``.  Returns ``(block, order)`` with ``order`` holding k
-    column positions per row.
+    k-th smallest value (NaN sorts last, and NaN entries tie a NaN k-th
+    value).  Every entry below it is a candidate, and so are the entries
+    tied with it, in column order, until the row holds k; a step whose rows
+    hold more ties than that pays for one running count.  The candidates,
+    listed by ``np.nonzero`` in column order, are ordered by one stable
+    ``np.lexsort``: the first k of a full stable ``np.argsort``, with ties
+    to the lower column and NaN after ``inf``.  Returns ``(block, order)``
+    with ``order`` holding k column positions per row.
     """
     given = [(name, value) for name, value in source.items() if value is not None]
     if len(given) != 1:
@@ -136,10 +138,16 @@ def _nearest(n, k, rows=None, cols=None, **source):
     for start in range(0, block.shape[0], _RANK_BLOCK_ROWS):
         part = block[start:start + _RANK_BLOCK_ROWS]
         kth = np.partition(part, k - 1, axis=1)[:, k - 1:k]
-        row, col = np.nonzero((part <= kth) | np.isnan(kth))
+        cand = (part <= kth) | np.isnan(kth)
+        counts = cand.sum(axis=1, keepdims=True)
+        if np.any(counts > k):
+            # Keep only the first (k - strictly smaller) entries tied at the k-th.
+            tied = (part == kth) | (np.isnan(part) & np.isnan(kth))
+            room = k - counts + tied.sum(axis=1, keepdims=True)
+            cand &= ~tied | (np.cumsum(tied, axis=1, dtype=np.int32) <= room)
+        row, col = np.nonzero(cand)
         ranked = col[np.lexsort((part[row, col], row))]
-        firsts = np.searchsorted(row, np.arange(part.shape[0]))
-        order[start:start + _RANK_BLOCK_ROWS] = ranked[firsts[:, None] + np.arange(k)]
+        order[start:start + _RANK_BLOCK_ROWS] = ranked.reshape(-1, k)
     return block, order
 
 

@@ -491,16 +491,105 @@ class TestReeFit:
             assert runs[0] == runs[1]
 
     def test_correntropy_stops_when_no_step_ascends(self):
-        rng = np.random.default_rng(29)
-        views = _random_views(rng, 6)
+        # At step 1e12 every trial down to the backtracking floor overshoots
+        # and lowers the score; at step 0.01 the same views take a step.
+        views = _random_views(np.random.default_rng(31), 6)
         cfg = EmbedConfig(target_dim=2, sigma=1.0, step=1e12, max_iter=10)
         res = ree_fit(views, cfg, loss="correntropy")
         assert res.trace.reason == "no ascent step"
         assert res.trace.converged
-        assert res.trace.iterations_run < 10 - 10 // 2
+        assert res.trace.iterations_run == 0
         ok = ree_fit(views, EmbedConfig(target_dim=2, sigma=1.0, step=0.01, max_iter=10))
-        assert ok.trace.reason == "max_iter reached"
-        assert ok.trace.iterations_run == 10 - 10 // 2
+        assert ok.trace.reason == "score change below tolerance"
+        assert ok.trace.iterations_run == 1
+
+    def test_correntropy_stops_when_a_step_gains_nothing(self):
+        # The first trial at step 1e12 ties the start score exactly: the tie
+        # is accepted, so the trace never decreases, and the gain of 0 stops
+        # the run on the tolerance rule.
+        views = _random_views(np.random.default_rng(29), 6)
+        cfg = EmbedConfig(target_dim=2, sigma=1.0, step=1e12, max_iter=10)
+        scores = []
+        res = ree_fit(views, cfg, loss="correntropy", callback=lambda it, b, obj: scores.append(obj))
+        assert res.trace.reason == "score change below tolerance"
+        assert res.trace.converged
+        assert res.trace.objective == scores == [pytest.approx(30.915932014805378, rel=1e-12)]
+
+    def test_correntropy_stops_on_tolerance_at_cluster_desk_scale(self):
+        from robustmv.datagen import gen_cluster_retrieval_views
+
+        _, raw = gen_cluster_retrieval_views(
+            classes=9, per_class=11, corrupt_per_view=10, magnitude=10.0, seed=0
+        )
+        views = DissimilarityViews([d / median_kernel_size(raw) for d in raw.deltas])
+        cfg = EmbedConfig(target_dim=8, sigma=median_kernel_size(views), step=0.01, max_iter=400)
+        ratios = []
+
+        def watch(it, b, obj):
+            w = np.linalg.eigvalsh(b)
+            ratios.append(w[0] / max(w[-1], 1e-30))
+
+        res = ree_fit(views, cfg, loss="correntropy", callback=watch)
+        assert res.trace.reason == "score change below tolerance"
+        assert res.trace.converged
+        assert 0 < res.trace.iterations_run < 100  # of the 200 ascent iterations
+        assert np.all(np.diff(res.trace.objective) >= 0)
+        assert len(ratios) == res.trace.iterations_run
+        assert min(ratios) >= -1e-8  # the c05 floor
+
+    def test_correntropy_trials_are_bb2_steps(self, monkeypatch):
+        # Every psd_project input of ascent iteration k is B + t G at the last
+        # accepted iterate B and its gradient G.  Iteration 1 tries cfg.step;
+        # later ones try BB2, <s, -y> / <y, y> with s and y the change of B
+        # and G over the last accepted step (twice that step when <s, -y> is
+        # not positive), then halve the trial until the score does not drop.
+        from robustmv import embedding
+
+        views = _random_views(np.random.default_rng(38), 8)
+        noisy = [d.copy() for d in views.deltas]
+        noisy[0][0, 1] = noisy[0][1, 0] = noisy[0][0, 1] + 6.0
+        views = DissimilarityViews(noisy)
+        cfg = EmbedConfig(target_dim=2, sigma=3.0, step=0.05, max_iter=40)
+        calls = []
+
+        def spy(b):
+            out = real(b)
+            calls.append((b.copy(), out))
+            return out
+
+        real = embedding.psd_project
+        monkeypatch.setattr(embedding, "psd_project", spy)
+        accepted = []
+        ree_fit(views, cfg, loss="correntropy", callback=lambda it, b, obj: accepted.append(b))
+        monkeypatch.undo()
+
+        n_warm = cfg.max_iter // 2
+        start, l1_end = calls[0][1], calls[n_warm][1]
+        score = lambda b: f_objective(views, b_to_d(b), cfg.sigma)
+        iterates = [l1_end if score(l1_end) > score(start) else start] + accepted
+        grads = [cmvree_gradient(views, b_to_d(b), cfg.sigma) for b in iterates]
+        trials = {}  # ascent iteration -> its psd_project inputs, in call order
+        it = 1
+        for x, out in calls[n_warm + 1:]:
+            trials.setdefault(it, []).append(x)
+            it += it < len(iterates) and out is iterates[it]
+        bb2 = []
+        for it, xs in trials.items():
+            b, g = iterates[it - 1], grads[it - 1]
+            if it == 1:
+                first = cfg.step
+            else:
+                s, y = b - iterates[it - 2], g - grads[it - 2]
+                sy = -np.vdot(s, y)
+                first = sy / np.vdot(y, y) if sy > 0 else 2.0 * step
+                bb2 += [it] if sy > 0 else []
+            for halvings, x in enumerate(xs):
+                step = first / 2.0**halvings
+                np.testing.assert_allclose(
+                    x, b + step * g, rtol=0, atol=1e-12 * step * np.abs(g).max()
+                )
+        assert {2, 3} <= set(bb2)
+        assert max(len(xs) for xs in trials.values()) > 1  # a halving is checked too
 
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(23)

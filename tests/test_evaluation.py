@@ -365,6 +365,29 @@ class TestSelectionAtScale:
             block, order = _nearest(1200, k, test, train, distances=full)
             np.testing.assert_array_equal(order, np.argsort(block, kind="stable")[:, :k])
 
+    def test_tied_block_matches_stable_argsort(self):
+        # Rows of one repeated value, where every entry ties the k-th: only
+        # the first k - (strictly smaller) tied entries stay candidates.
+        # Row 3 is all NaN, row 4 all inf, row 5 holds 4 finite entries among
+        # NaN, row 6 holds 2 among inf, and row 7 mixes 2.5, inf and NaN.
+        dist = np.full((300, 300), 2.5)
+        dist[3] = np.nan
+        dist[4] = np.inf
+        dist[5] = np.nan
+        dist[5, [250, 40, 41, 7]] = 2.5
+        dist[6] = np.inf
+        dist[6, [90, 12]] = 1.0
+        dist[7, ::3] = np.inf
+        dist[7, 1::3] = np.nan
+        dist[:20, 200:] = 1.0
+        for k in (1, 10):
+            block, order = _nearest(300, k, distances=dist)
+            np.testing.assert_array_equal(order, np.argsort(block, kind="stable")[:, :k])
+            _, order = _nearest(300, k, np.arange(150), np.arange(150, 300), distances=dist)
+            np.testing.assert_array_equal(
+                order, np.argsort(dist[:150, 150:], kind="stable")[:, :k]
+            )
+
     @pytest.mark.parametrize("fill", ["random", "all-tied"])
     def test_retrieval_peak_memory(self, fill):
         # The block copy is one N x N matrix; the ranking adds a few row

@@ -1126,6 +1126,9 @@ class TestRecipes:
         ]) == 0
         summary = json.loads((tmp_path / "r" / "summary.json").read_text())
         assert set(summary["results"]) == {"ree-view1", "ree-view2", "mvree", "cmvree"}
+        cmvree = summary["results"].pop("cmvree")
+        assert cmvree["converged"] is True
+        assert cmvree["reason"] == "score change below tolerance"
         for result in summary["results"].values():
             assert result["converged"] is False and result["reason"] == "max_iter reached"
         run = json.loads((tmp_path / "r" / "run.json").read_text())
