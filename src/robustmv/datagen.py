@@ -37,16 +37,15 @@ _DISTANCE_BLOCK_ROWS = 32
 class NoiseSpec:
     """What to corrupt and how strongly.
 
-    ``fraction`` selects a random affected subset; ``indices`` pins it
-    explicitly (exactly one of the two).  ``magnitude`` scales the
-    salt/pepper amplitude around the clean mean (1.0 reproduces the clean
-    min/max exactly).  ``seed`` and ``indices`` must be integers, and
-    ``fraction`` and ``magnitude`` reject booleans.
+    ``fraction``, in [0, 1], is the share of instances or pixels drawn, from
+    ``seed``, as the affected subset.  ``magnitude`` scales the salt/pepper
+    amplitude around the clean mean (1.0 reproduces the clean min/max
+    exactly).  ``seed`` must be an integer, and ``fraction`` and
+    ``magnitude`` reject booleans.
     """
 
     kind: str
-    fraction: float = None
-    indices: tuple = None
+    fraction: float
     magnitude: float = 1.0
     seed: int = 0
 
@@ -57,22 +56,13 @@ class NoiseSpec:
             if isinstance(getattr(self, name), bool):
                 raise ValueError(f"{name} must be a number, not a bool")
         self.seed = check_integer(self.seed, "seed")
-        if (self.fraction is None) == (self.indices is None):
-            raise ValueError("give exactly one of fraction or indices")
-        if self.fraction is not None and not 0.0 <= self.fraction <= 1.0:
+        if not 0.0 <= self.fraction <= 1.0:
             raise ValueError("fraction must be in [0, 1]")
         if self.magnitude < 0:
             raise ValueError("magnitude must be >= 0")
-        if self.indices is not None:
-            self.indices = tuple(check_integer(i, "indices") for i in self.indices)
 
 
 def _pick_indices(spec, total, rng, what):
-    if spec.indices is not None:
-        idx = np.asarray(spec.indices, dtype=int)
-        if idx.size and (idx.min() < 0 or idx.max() >= total):
-            raise ValueError(f"{what} indices out of range")
-        return idx
     count = int(round(spec.fraction * total))
     if spec.fraction > 0 and count == 0:
         warnings.warn(f"fraction {spec.fraction} selects zero {what}", stacklevel=3)
@@ -228,24 +218,19 @@ def gen_point_set_views(
     view1_points=(0, 1, 2, 3),
     view2_points=(23, 24),
     noise_on="raw",
-    points=None,
 ):
     """2-D reconstruction instance with complementary distance corruption.
 
-    Points default to a seeded uniform draw in a square of side ``box`` (pass
-    ``points`` to pin a layout).  View 1 corrupts every distance touching
-    ``view1_points`` with +-``magnitude`` salt-and-pepper noise, view 2 does
-    the same for ``view2_points``; matrices are clamped at zero, symmetrized
-    and squared (see ``noise_on``).  Returns ``(points, views)``.
+    The ``n_points`` points are a seeded uniform draw in a square of side
+    ``box``.  View 1 corrupts every distance touching ``view1_points`` with
+    +-``magnitude`` salt-and-pepper noise, view 2 does the same for
+    ``view2_points``; matrices are clamped at zero, symmetrized and squared
+    (see ``noise_on``).  Returns ``(points, views)``.
     """
     if noise_on not in ("raw", "squared"):
         raise ValueError(f"noise_on must be 'raw' or 'squared', got {noise_on!r}")
     rng = np.random.default_rng(seed)
-    if points is None:
-        points = rng.uniform(0.0, box, size=(n_points, 2))
-    else:
-        points = np.asarray(points, dtype=float)
-        n_points = points.shape[0]
+    points = rng.uniform(0.0, box, size=(n_points, 2))
     for p in (*view1_points, *view2_points):
         if not 0 <= p < n_points:
             raise ValueError(f"corrupted point index {p} out of range")
@@ -304,27 +289,24 @@ def gen_labeled_multiview(
 
     Latent vectors sit around ``classes`` random centroids in
     ``latent_dim`` dimensions; each view observes them through its own
-    random linear map plus Gaussian noise (``observation_noise`` may be one
-    level per view, relative to the view's RMS signal), then gets rescaled
+    random linear map plus Gaussian noise (one ``observation_noise`` level for
+    every view, relative to the view's RMS signal), then gets rescaled
     to unit mean squared column norm (a fixed point of view normalization).
     Returns ``(labels, feature_set)``.
     """
     if classes < 2 or per_class < 1:
         raise ValueError("need at least 2 classes and 1 instance per class")
-    if np.ndim(observation_noise) == 0:
-        observation_noise = [float(observation_noise)] * len(view_dims)
-    if len(observation_noise) != len(view_dims):
-        raise ValueError("observation_noise must be scalar or one level per view")
+    observation_noise = float(observation_noise)
     rng = np.random.default_rng(seed)
     n = classes * per_class
     labels = np.repeat(np.arange(classes), per_class)
     centroids = rng.standard_normal((classes, latent_dim))
     latents = centroids[labels] + scatter * rng.standard_normal((n, latent_dim))
     views = []
-    for dv, noise in zip(view_dims, observation_noise):
+    for dv in view_dims:
         w = rng.standard_normal((dv, latent_dim)) / np.sqrt(latent_dim)
         z = w @ latents.T
-        z += noise * np.sqrt(np.mean(z * z)) * rng.standard_normal((dv, n))
+        z += observation_noise * np.sqrt(np.mean(z * z)) * rng.standard_normal((dv, n))
         z /= np.sqrt(np.sum(z * z) / n)  # unit mean squared column norm
         views.append(z)
     return labels, MultiViewFeatureSet(views)

@@ -86,9 +86,11 @@ def _abs_pow(e, alpha):
 
 def _exponent(e, lam, alpha):
     # -lam * |e|**alpha; alpha == 2, the solvers' hot path, skips the power.
-    if alpha == 2.0:
-        return -lam * e * e
-    return -lam * _abs_pow(e, alpha)
+    # An exponent that overflows is -inf, whose kernel exp(-inf) is exactly 0.
+    with np.errstate(over="ignore"):
+        if alpha == 2.0:
+            return -lam * e * e
+        return -lam * _abs_pow(e, alpha)
 
 
 def _maybe_scalar(x, arr):

@@ -89,7 +89,7 @@ class TestNoiseSpec:
         for kind in ("gaussian", "distance_salt_pepper"):
             with pytest.raises(ValueError, match="unknown noise kind"):
                 NoiseSpec(kind=kind, fraction=0.5)
-        with pytest.raises(ValueError, match="exactly one"):
+        with pytest.raises(TypeError, match="fraction"):
             NoiseSpec(kind="instance_replacement")
         with pytest.raises(ValueError, match="fraction"):
             NoiseSpec(kind="instance_replacement", fraction=1.5)

@@ -22,7 +22,7 @@ from robustmv.cli import main
 from robustmv.datagen import NoiseSpec, corrupt_instances, corrupt_pixels, gen_labeled_multiview
 from robustmv.embedding import EmbedConfig
 from robustmv.evaluation import seeded_split
-from robustmv.features import CmvConfig
+from robustmv.features import CmvConfig, MultiViewFeatureSet, normalize_views
 from robustmv.io import (
     file_sha256,
     ingest_dissimilarities,
@@ -36,7 +36,7 @@ from robustmv.io import (
     write_labels,
     write_matrix_csv,
 )
-from robustmv.recipes import run_recipe
+from robustmv.recipes import FEATURE_METHODS, run_recipe
 from robustmv.trace import NumericalError
 
 
@@ -500,8 +500,6 @@ class TestCli:
         ("view", {"view": "1"}),
         ("seed", {"seed": 2.5}),
         ("seed", {"seed": False}),
-        ("indices", {"fraction": None, "indices": [0, 1.5]}),
-        ("indices", {"fraction": None, "indices": [True]}),
         ("fraction", {"fraction": True}),
         ("magnitude", {"magnitude": True}),
     ])
@@ -518,6 +516,74 @@ class TestCli:
         err = _strict_json(capsys.readouterr().err)
         assert err["error"] == "validation" and err["message"].startswith(f"{field} must be")
         assert not out.exists()
+
+    @pytest.mark.parametrize("kind, flag, fields, message", [
+        # A pinned corruption subset: the subset is always drawn from the seed.
+        pytest.param(
+            "labeled", "--corrupt", {"kind": "instance_replacement", "indices": [0, 1]},
+            "unexpected keyword argument 'indices'", id="indices",
+        ),
+        # A pinned point layout: the layout is always drawn from the seed.
+        pytest.param(
+            "pointset", "--params",
+            {"points": [[0, 0], [1, 0], [0, 1], [1, 1], [2, 2]],
+             "view1_points": [0, 1], "view2_points": [3, 4]},
+            "unexpected keyword argument 'points'", id="points",
+        ),
+        # One observation noise level per view: the level is one scalar.
+        pytest.param(
+            "labeled", "--params", {"observation_noise": [0.01, 0.02]}, "float() argument",
+            id="observation_noise",
+        ),
+    ])
+    def test_synth_rejects_removed_forms(self, tmp_path, capsys, kind, flag, fields, message):
+        out = tmp_path / "syn"
+        capsys.readouterr()
+        assert main(["synth", "--kind", kind, "--out", str(out), flag, json.dumps(fields)]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = _strict_json(lines[0])
+        assert err["error"] == "validation" and message in err["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("step", ["1e300", "1e200"])
+    def test_embed_huge_step_overflows_to_zero_kernel(self, tmp_path, capsys, step):
+        # The L1 warm start lands at distances whose squared error overflows;
+        # the kernel there is 0, so the run ends cleanly instead of warning.
+        data = tmp_path / "pointset"
+        assert main(["synth", "--kind", "pointset", "--out", str(data)]) == 0
+        capsys.readouterr()
+        code = main([
+            "embed", "--solver", "cmvree", "--config", f'{{"step": {step}}}',
+            "--views", str(data / "view1.csv"), str(data / "view2.csv"),
+            "--out", str(tmp_path / "emb"),
+        ])
+        assert code in (0, 3)
+        if code == 3:
+            err = _strict_json(capsys.readouterr().err)
+            assert err["error"] == "numerical"
+
+    def test_fit_mv_normalize_fits_the_normalized_views(self, tmp_path, capsys):
+        # --normalize fits exactly what normalize_views makes of the inputs.
+        rng = np.random.default_rng(8)
+        fs = MultiViewFeatureSet([3.0 * rng.standard_normal((5, 12)),
+                                  rng.standard_normal((4, 12))])
+        raw, pre = [], []
+        for v, (z, z_norm) in enumerate(zip(fs.views, normalize_views(fs).views)):
+            raw.append(tmp_path / f"raw{v}.csv")
+            pre.append(tmp_path / f"pre{v}.csv")
+            write_matrix_csv(raw[-1], z)
+            write_matrix_csv(pre[-1], z_norm)
+        argv = ["fit-mv", "--solver", "cmv", "--config", '{"latent_dim": 2, "max_outer": 3}']
+        assert main(argv + ["--normalize", "--views", *map(str, raw),
+                            "--out", str(tmp_path / "norm")]) == 0
+        assert main(argv + ["--views", *map(str, pre), "--out", str(tmp_path / "pre")]) == 0
+        assert main(argv + ["--views", *map(str, raw), "--out", str(tmp_path / "raw")]) == 0
+        fitted = {d: read_matrix_csv(tmp_path / d / "X.csv") for d in ("norm", "pre", "raw")}
+        assert np.array_equal(fitted["norm"], fitted["pre"])
+        assert not np.array_equal(fitted["norm"], fitted["raw"])
+        run = json.loads((tmp_path / "norm" / "run.json").read_text())
+        assert run["params"]["normalize"] is True
 
     @pytest.mark.parametrize("kind", ["planted", "pointset", "clusters"])
     def test_synth_corrupt_only_for_labeled(self, tmp_path, capsys, kind):
@@ -1081,12 +1147,57 @@ class TestRecipes:
             }
             assert set(row["stop"]) == set(row["accuracy"])
             for stop in row["stop"].values():
-                assert isinstance(stop["converged"], bool) and stop["reason"]
+                _check_stop(stop)
         quarter = rows[2]["weights"]["cmv"]
         assert quarter["view1_clean"] > quarter["view1_noisy"]
         run = json.loads((tmp_path / "u1" / "run.json").read_text())
         assert set(run["inputs"]) == {"view1.csv", "view2.csv", "labels.csv"}
         assert (tmp_path / "u1" / "latent" / "m1_f0.5_cmv.csv").exists()
+
+    def test_cluster_retrieval_recipe_cli(self, tmp_path):
+        out = tmp_path / "r"
+        argv = ["recipe", "--name", "cluster-retrieval", "--seed", "0", "--out", str(out)]
+        assert main(argv) == 0
+        lineup = ("ree-view1", "ree-view2", "mvree", "cmvree")
+        assert _tree(out) == {
+            "run.json", "summary.json", "data/view1.csv", "data/view2.csv", "data/labels.csv",
+            *(f"{d}/{m}.csv" for d in ("configurations", "traces") for m in lineup),
+        }
+        summary = json.loads((out / "summary.json").read_text())
+        results = summary["results"]
+        assert set(results) == {"raw-view1", "raw-view2", "hadamard", *lineup}
+        for method in lineup[:3]:
+            assert results[method]["converged"] is False
+            assert results[method]["reason"] == "max_iter reached"
+        _check_stop(results["cmvree"])
+        max_score = summary["run"]["params"]["max_score"]
+        for result in results.values():
+            assert 0 <= result["total_correct"] <= max_score
+
+    def test_uci_noise_2_recipe_cli(self, tmp_path):
+        out = tmp_path / "r"
+        assert main(["recipe", "--name", "uci-noise-2", "--seed", "0", "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        rows = summary["results"]
+        assert [(row["magnitude"], row["fraction"]) for row in rows] == [
+            (m, f) for m in (1.0, 3.0) for f in (0.0, 0.25, 0.5, 0.75)
+        ]
+        tags = [
+            f"m{row['magnitude']:g}_f{row['fraction']:g}_{method}"
+            for row in rows
+            for method in FEATURE_METHODS
+        ]
+        assert _tree(out) == {
+            "run.json", "summary.json", "data/view1.csv", "data/view2.csv", "data/labels.csv",
+            *(f"{d}/{tag}.csv" for d in ("latent", "traces") for tag in tags),
+        }
+        for row in rows:
+            assert set(row["accuracy"]) == set(row["stop"]) == set(FEATURE_METHODS)
+            for acc in row["accuracy"].values():
+                assert 0.0 <= acc <= 1.0
+            for stop in row["stop"].values():
+                _check_stop(stop)
+            assert set(row["weights"]) == {"cemv_pixels"}
 
     @pytest.mark.parametrize("name, target", [
         ("pointset-25", "ree_fit"), ("uci-noise-1", "fit_feature_method"),
@@ -1135,6 +1246,26 @@ class TestRecipes:
         assert run == summary["run"]
         assert set(run["inputs"]) == {"points.csv", "view1.csv", "view2.csv"}
         _check_environment(run["environment"])
+
+
+def _tree(root):
+    """Every file under ``root``, as POSIX paths relative to it."""
+    return {p.relative_to(root).as_posix() for p in root.rglob("*") if p.is_file()}
+
+
+# Every stop reason an iterative solver records, and whether it counts as converged.
+_STOP_REASONS = {
+    "max_iter reached": False,
+    "max_outer reached": False,
+    "latent matrix collapsed to zero": False,
+    "no ascent step": True,
+    "score change below tolerance": True,
+    "objective change below rel_tol": True,
+}
+
+
+def _check_stop(stop):
+    assert stop["converged"] is _STOP_REASONS[stop["reason"]]
 
 
 def _strict_json(text):

@@ -127,6 +127,14 @@ class TestCorrentropyKernel:
         assert correntropy_kernel(e, sigma, alpha) == pytest.approx(ref, rel=1e-12, abs=1e-300)
 
     @pytest.mark.parametrize("alpha", [1.5, 2.0, 3.0])
+    def test_overflowing_exponent_gives_zero_kernel(self, alpha):
+        # |e|**alpha / (2 sigma**alpha) overflows to inf: the kernel is exactly
+        # 0, without the overflow warning the suite turns into an error.
+        errors = np.array([1e200, -1e300, 1.0])
+        kernel = correntropy_kernel(errors, 1.0, alpha)
+        assert kernel[0] == kernel[1] == 0.0 and kernel[2] > 0.0
+
+    @pytest.mark.parametrize("alpha", [1.5, 2.0, 3.0])
     def test_derivative_matches_finite_differences(self, alpha):
         sigma, h = 0.8, 1e-6
         grid = np.linspace(-3.0, 3.0, 61) + 0.013  # clear of the kink at e = 0
