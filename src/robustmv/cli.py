@@ -6,8 +6,8 @@ and ``recipe`` (full experiment pipelines).  Every command writes a
 ``run.json`` echo with parameters, seed and input hashes, and does its work
 before it creates ``--out``, so a rejected or failed run leaves no
 directory.  Only ``fit-mv`` and ``embed`` take ``--config``.  ``fit-mv``
-reads exactly one input source: ``--views``, ``--manifest`` or
-``--uci-dir``, and ``--uci-views`` only with ``--uci-dir``.  Each ``eval``
+reads exactly one input source, ``--views`` or ``--uci-dir``, and
+``--uci-views`` only with ``--uci-dir``.  Each ``eval``
 task reads the file flags and options its ``_EVAL_TASKS`` entry lists and
 rejects any other one it is given (``--seed`` and ``--out`` are common to
 every command); ``knn`` writes its test-split predictions and, in the same
@@ -56,7 +56,6 @@ from .io import (
     ingest_dissimilarities,
     ingest_features,
     ingest_uci_directory,
-    load_manifest,
     read_labels,
     read_matrix_csv,
     write_dataset,
@@ -134,10 +133,9 @@ def _echo(out, record, inputs, line):
     return 0
 
 
-def _solver_config(args, defaults, manifest_config=None):
-    """Solver settings: ``defaults``, then ``--seed``, a manifest's config, ``--config``."""
-    config = _parse_config(args.config, "--config")
-    return {**defaults, "seed": args.seed, **(manifest_config or {}), **config}
+def _solver_config(args, defaults):
+    """Solver settings: ``defaults``, then ``--seed``, then ``--config``."""
+    return {**defaults, "seed": args.seed, **_parse_config(args.config, "--config")}
 
 
 def _solver_record(args, trace, params):
@@ -180,10 +178,6 @@ def _cmd_synth(args):
         matrices = views.deltas
     out = _out_dir(args)
     files = write_dataset(out, matrices, labels, truth)
-    manifest = {"views": [f.name for f in files if f.name.startswith("view")]}
-    if labels is not None:
-        manifest["labels"] = "labels.csv"
-    write_json(out / "manifest.json", manifest)
     params = {"seed": args.seed, "params": p}
     if noise is not None:
         params["corrupt"] = noise
@@ -215,23 +209,20 @@ def _apply_corruption(fs, noise):
 
 
 def _cmd_fit_mv(args):
-    if sum(bool(source) for source in (args.views, args.manifest, args.uci_dir)) != 1:
-        raise ValueError("give exactly one of --views, --manifest and --uci-dir")
+    if bool(args.views) == bool(args.uci_dir):
+        raise ValueError("give exactly one of --views and --uci-dir")
     if args.uci_views is not None and not args.uci_dir:
         raise ValueError("--uci-views applies to --uci-dir only")
-    # --views reads like a manifest without a config.  A manifest's labels are
-    # for evaluation; fitting never reads them.
-    manifest = load_manifest(args.manifest) if args.manifest else {"views": args.views}
     if args.uci_dir:
         names = ("pix,zer" if args.uci_views is None else args.uci_views).split(",")
         files = [Path(args.uci_dir) / f"mfeat-{name}" for name in names]
         fs = ingest_uci_directory(args.uci_dir, view_names=names)
     else:
-        files = manifest["views"]
+        files = args.views
         fs = ingest_features(files)
     if args.normalize:
         fs = normalize_views(fs)
-    config = _solver_config(args, {"latent_dim": 10}, manifest.get("config"))
+    config = _solver_config(args, {"latent_dim": 10})
     model = globals()[f"{args.solver}_fit"](fs, CmvConfig(**config))
     out = _out_dir(args)
     write_matrix_csv(out / "X.csv", model.X)
@@ -390,7 +381,6 @@ def build_parser():
     common(p_fit, config=True)
     p_fit.add_argument("--solver", required=True, choices=sorted(_FIT_SOLVERS))
     p_fit.add_argument("--views", nargs="+", help="one CSV per view (rows = dims)")
-    p_fit.add_argument("--manifest", help="JSON manifest with views/labels/config")
     p_fit.add_argument("--uci-dir", help="directory in multiple-features layout")
     p_fit.add_argument("--uci-views", help="view names in --uci-dir (default pix,zer)")
     p_fit.add_argument("--normalize", action="store_true", help="apply view normalization")

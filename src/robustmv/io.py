@@ -1,15 +1,14 @@
 """File ingestion and artifact output.
 
 Feature views are CSV with rows = feature dimensions and columns =
-instances; dissimilarity matrices are square CSV.  A JSON manifest can
-bundle view files, a labels file and a config block.  ``write_dataset``
-owns the dataset layout that ``robustmv synth`` and the recipes write:
+instances; dissimilarity matrices are square CSV.  ``write_dataset`` owns
+the dataset layout that ``robustmv synth`` and the recipes write:
 ground-truth files first, then ``view1.csv``, ``view2.csv``, ... and
-``labels.csv``.  The CSV reader runs
-numpy's C parser and falls back to a line-by-line parser only to report
-exactly where a file is malformed.  Writers use full-precision ``%.17g`` so
-a write/read round trip is exact, and JSON artifacts are strict JSON: a
-NaN or infinity in one is an error, not a ``NaN`` token.
+``labels.csv``.  The CSV reader runs numpy's C parser and falls back to a
+line-by-line parser only to report exactly where a file is malformed.
+Writers use full-precision ``%.17g`` so a write/read round trip is exact,
+and JSON artifacts are strict JSON: a NaN or infinity in one is an error,
+not a ``NaN`` token.
 """
 
 import hashlib
@@ -33,7 +32,6 @@ __all__ = [
     "ingest_features",
     "ingest_uci_directory",
     "ingest_dissimilarities",
-    "load_manifest",
     "write_json",
     "write_run_json",
     "write_trace_csv",
@@ -222,37 +220,6 @@ def ingest_dissimilarities(paths, square=False):
             }
         )
     return DissimilarityViews(deltas), report
-
-
-def load_manifest(path):
-    """JSON manifest: {"views": [...], "labels": ..., "config": {...}}.
-
-    ``views`` is a list of file names, ``labels`` (optional) a file name and
-    ``config`` (optional) an object; any other shape is a ``ValueError`` that
-    names the manifest and the field.  Relative paths are resolved against
-    the manifest's directory.
-    """
-    path = Path(path)
-    if not path.exists():
-        raise ValueError(f"missing manifest: {path}")
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: invalid JSON ({exc})") from None
-    if not isinstance(data, dict) or not isinstance(data.get("views"), list):
-        raise ValueError(f"{path}: manifest needs a 'views' list")
-    if not all(isinstance(v, str) for v in data["views"]):
-        raise ValueError(f"{path}: manifest 'views' must hold file names")
-    if not isinstance(data.get("labels", ""), str):
-        raise ValueError(f"{path}: manifest 'labels' must be a file name")
-    if not isinstance(data.setdefault("config", {}), dict):
-        raise ValueError(f"{path}: manifest 'config' must be a JSON object")
-    base = path.parent
-    data["views"] = [str((base / v)) for v in data["views"]]
-    if data.get("labels"):
-        data["labels"] = str(base / data["labels"])
-    return data
 
 
 def write_json(path, payload):

@@ -150,10 +150,13 @@ def correntropy_derivative(e, sigma: float, alpha: float = 2.0):
     """Derivative of :func:`correntropy_kernel` with respect to ``e``.
 
     ``-alpha * |e|**(alpha - 1) * sign(e) * kernel / (2 * sigma**alpha)``,
-    which is ``-e * kernel / sigma**2`` for ``alpha = 2``.
+    which is ``-e * kernel / sigma**2`` for ``alpha = 2``.  Where the kernel
+    is 0 the derivative is 0, however large the error.
     """
     kern = correntropy_kernel(e, sigma, alpha)
-    e = np.asarray(e, dtype=float)
+    # An error whose kernel is 0 is taken as 0, so its power or quotient
+    # cannot overflow into an inf that meets the kernel's 0 as nan.
+    e = np.where(kern != 0.0, np.asarray(e, dtype=float), 0.0)
     if alpha == 2.0:
         val = (e / -(sigma * sigma)) * kern
     else:

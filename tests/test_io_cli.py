@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import robustmv.cli
 import robustmv.io
@@ -28,7 +28,6 @@ from robustmv.io import (
     ingest_dissimilarities,
     ingest_features,
     ingest_uci_directory,
-    load_manifest,
     read_labels,
     read_matrix_csv,
     write_dataset,
@@ -233,36 +232,6 @@ class TestIngestDissimilarities:
             ingest_dissimilarities(files)
 
 
-class TestManifest:
-    def test_relative_paths_resolved(self, tmp_path):
-        write_matrix_csv(tmp_path / "v1.csv", np.ones((2, 3)))
-        (tmp_path / "m.json").write_text(
-            json.dumps({"views": ["v1.csv"], "config": {"latent_dim": 2}})
-        )
-        data = load_manifest(tmp_path / "m.json")
-        fs = ingest_features(data["views"])
-        assert fs.n_instances == 3
-        assert data["config"]["latent_dim"] == 2
-
-    def test_invalid_json(self, tmp_path):
-        (tmp_path / "m.json").write_text("{nope")
-        with pytest.raises(ValueError, match="invalid JSON"):
-            load_manifest(tmp_path / "m.json")
-
-    @pytest.mark.parametrize("payload, field", [
-        ({"views": ["v1.csv"], "config": [["latent_dim", 3]]}, "'config'"),
-        ("views", "'views'"),
-        ({"views": ["v1.csv"], "labels": 3}, "'labels'"),
-        ({"views": ["v1.csv", 3]}, "'views'"),
-    ], ids=["config-list", "top-level-string", "labels-number", "views-entry-number"])
-    def test_malformed_fields_name_manifest_and_field(self, tmp_path, payload, field):
-        path = tmp_path / "m.json"
-        path.write_text(json.dumps(payload))
-        with pytest.raises(ValueError) as exc:
-            load_manifest(path)
-        assert str(path) in str(exc.value) and field in str(exc.value)
-
-
 class TestCli:
     def test_synth_fit_eval_pipeline(self, tmp_path):
         data = tmp_path / "data"
@@ -270,11 +239,13 @@ class TestCli:
             "synth", "--kind", "labeled", "--out", str(data), "--seed", "3",
             "--params", '{"classes": 4, "per_class": 8, "view_dims": [10, 5], "latent_dim": 3}',
         ]) == 0
+        assert not (data / "manifest.json").exists()
+        config = tmp_path / "cfg.json"
+        config.write_text('{"latent_dim": 3, "max_outer": 8}')
         fit = tmp_path / "fit"
         assert main([
-            "fit-mv", "--solver", "cmv", "--manifest", str(data / "manifest.json"),
-            "--out", str(fit), "--seed", "3",
-            "--config", '{"latent_dim": 3, "max_outer": 8}',
+            "fit-mv", "--solver", "cmv", "--views", str(data / "view1.csv"),
+            str(data / "view2.csv"), "--out", str(fit), "--seed", "3", "--config", str(config),
         ]) == 0
         assert (fit / "X.csv").exists() and (fit / "trace.csv").exists()
         run = json.loads((fit / "run.json").read_text())
@@ -436,22 +407,7 @@ class TestCli:
         assert run["inputs"] == {str(f): file_sha256(f)}
         _check_environment(run["environment"])
 
-    def test_fit_mv_ignores_manifest_labels(self, tmp_path):
-        data = tmp_path / "data"
-        assert main([
-            "synth", "--kind", "labeled", "--out", str(data),
-            "--params", '{"classes": 3, "per_class": 5, "view_dims": [5, 4], "latent_dim": 2}',
-        ]) == 0
-        with open(data / "labels.csv", "a", encoding="utf-8") as fh:
-            fh.write("1.5\n")
-        assert main([
-            "fit-mv", "--solver", "cmv", "--manifest", str(data / "manifest.json"),
-            "--out", str(tmp_path / "fit"), "--config", '{"latent_dim": 2, "max_outer": 3}',
-        ]) == 0
-
-    @pytest.mark.parametrize("sources", [
-        ("--manifest", "--views"), ("--views", "--uci-dir"), ("--manifest", "--uci-dir"), (),
-    ], ids=["manifest-views", "views-uci", "manifest-uci", "none"])
+    @pytest.mark.parametrize("sources", [("--views", "--uci-dir"), ()], ids=["views-uci", "none"])
     def test_fit_mv_takes_exactly_one_source(self, tmp_path, capsys, sources):
         data = tmp_path / "data"
         assert main([
@@ -463,7 +419,6 @@ class TestCli:
         for name in ("pix", "zer"):
             np.savetxt(uci / f"mfeat-{name}", np.arange(24.0).reshape(12, 2) % 5, fmt="%g")
         values = {
-            "--manifest": [str(data / "manifest.json")],
             "--views": [str(data / "view1.csv"), str(data / "view2.csv")],
             "--uci-dir": [str(uci)],
         }
@@ -476,7 +431,7 @@ class TestCli:
         assert len(lines) == 1
         assert _strict_json(lines[0]) == {
             "error": "validation",
-            "message": "give exactly one of --views, --manifest and --uci-dir",
+            "message": "give exactly one of --views and --uci-dir",
         }
         assert not (tmp_path / "fit").exists()
 
@@ -562,6 +517,20 @@ class TestCli:
         if code == 3:
             err = _strict_json(capsys.readouterr().err)
             assert err["error"] == "numerical"
+
+    @pytest.mark.parametrize("alpha", [1.5, 2, 3])
+    def test_cmvree_drops_an_overflowing_outlier(self, tmp_path, capsys, alpha):
+        # The outlier pair's kernel is 0 at every alpha, so its derivative is
+        # 0 rather than inf times 0, and the run ends cleanly.
+        views = _outlier_views(tmp_path, outlier=True)
+        out = tmp_path / "emb"
+        capsys.readouterr()
+        assert main([
+            "embed", "--solver", "cmvree", "--views", *views,
+            "--config", json.dumps({"alpha": alpha, "max_iter": 40}), "--out", str(out),
+        ]) == 0
+        assert capsys.readouterr().err == ""
+        assert np.all(np.isfinite(read_matrix_csv(out / "configuration.csv")))
 
     def test_fit_mv_normalize_fits_the_normalized_views(self, tmp_path, capsys):
         # --normalize fits exactly what normalize_views makes of the inputs.
@@ -756,14 +725,10 @@ class TestCli:
         assert _strict_json(lines[0])["message"] == "prediction 7 is not a known class"
         assert not (tmp_path / "ev").exists()
 
-    @pytest.mark.parametrize("source", [
-        ["--views", "v1.csv", "v2.csv"],
-        ["--manifest", "manifest.json"],
-    ])
-    def test_fit_mv_rejects_uci_views_without_uci_dir(self, tmp_path, capsys, source):
+    def test_fit_mv_rejects_uci_views_without_uci_dir(self, tmp_path, capsys):
         capsys.readouterr()
         assert main([
-            "fit-mv", "--solver", "cmv", *source, "--uci-views", "nope",
+            "fit-mv", "--solver", "cmv", "--views", "v1.csv", "v2.csv", "--uci-views", "nope",
             "--out", str(tmp_path / "fit"),
         ]) == 2
         lines = capsys.readouterr().err.splitlines()
@@ -1058,6 +1023,7 @@ class TestCli:
         (["eval", "--task", "confusion"], ["--config", "{}"]),
         (["recipe", "--name", "pointset-25"], ["--config", "{}"]),
         (["fit-mv", "--solver", "cmv", "--views", "a.csv"], ["--duplicate"]),
+        (["fit-mv", "--solver", "cmv"], ["--manifest", "manifest.json"]),
     ])
     def test_options_nothing_reads_are_usage_errors(self, tmp_path, capsys, argv, flag):
         with pytest.raises(SystemExit) as exc:
@@ -1285,6 +1251,22 @@ def _sweep_matrix(kind, shape, symmetric):
     return m + m.T if symmetric else m
 
 
+def _outlier_views(tmp, outlier):
+    """Two squared-distance views of one 30-point layout, as file names.
+
+    With ``outlier`` the second view's (0, 1) pair is 1e200, whose squared
+    error overflows.
+    """
+    x = np.random.default_rng(0).standard_normal((30, 2))
+    d = np.sum((x[:, None] - x[None]) ** 2, axis=2)
+    files = [tmp / "view1.csv", tmp / "view2.csv"]
+    write_matrix_csv(files[0], d)
+    if outlier:
+        d[0, 1] = d[1, 0] = 1e200
+    write_matrix_csv(files[1], d)
+    return [str(f) for f in files]
+
+
 _sweep_case = st.fixed_dictionaries({
     "command": st.sampled_from(["embed", "fit-mv", "knn", "retrieval"]),
     "n": st.integers(1, 3),
@@ -1299,26 +1281,73 @@ _sweep_case = st.fixed_dictionaries({
 })
 
 
+# A solver setting anywhere from 1e-300 to 1e300, and iteration caps that are
+# small, not positive or not integers (a cap of 1e300 would be honored).
+_setting = st.one_of(
+    st.sampled_from([1e-300, 0.5, 1.5, 3.0, 1e300]),
+    st.integers(-300, 300).map(lambda p: 10.0**p),
+)
+_settings_case = st.fixed_dictionaries({
+    "command": st.sampled_from(["embed", "fit-mv"]),
+    "solver": st.integers(0, 3),
+    "settings": st.tuples(_setting, _setting),
+    "cap": st.sampled_from([1, 2, 5, 8, 0, -1, 2.5, 1e-300]),
+    "outlier": st.booleans(),
+})
+
+
 class TestCliSweep:
-    """Every small or degenerate input exits 0, 2 or 3, never with a traceback."""
+    """Every small, degenerate or extreme input exits 0, 2 or 3, never with a traceback."""
 
     @settings(max_examples=60, deadline=None)
     @given(case=_sweep_case)
     def test_exit_codes_and_artifacts(self, case):
         with tempfile.TemporaryDirectory() as tmp:
+            self._check_run(self._argv(case, Path(tmp)), Path(tmp) / "out", case)
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=_settings_case)
+    @example(case={  # cmvree's gradient at alpha 3 meets the outlier's 0 kernel
+        "command": "embed", "solver": 3, "settings": (0.1, 3.0), "cap": 8, "outlier": True,
+    })
+    def test_solver_settings_at_extremes(self, case):
+        # embed's step, alpha and max_iter, on views with or without the outlier
+        # pair; fit-mv's c1, c2 and iteration caps, on plain features.
+        with tempfile.TemporaryDirectory() as tmp:
             tmp = Path(tmp)
-            out = tmp / "out"
-            argv = self._argv(case, tmp)
-            stderr = io.StringIO()
-            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
-                code = main(argv + ["--out", str(out)])
-            assert code in (0, 2, 3), (case, code)
-            if code != 0:
-                lines = stderr.getvalue().splitlines()
-                assert len(lines) == 1, (case, lines)
-                assert _strict_json(lines[0])["error"] in ("validation", "numerical")
-            for written in out.rglob("*.json") if out.exists() else ():
-                _strict_json(written.read_text())
+            first, second = case["settings"]
+            if case["command"] == "embed":
+                solver = robustmv.cli._EMBED_SOLVERS[case["solver"]]
+                views = _outlier_views(tmp, case["outlier"])
+                if solver in ("cmds", "ree"):
+                    views = views[1:]
+                config = {"step": first, "alpha": second, "max_iter": case["cap"]}
+            else:
+                solver = sorted(robustmv.cli._FIT_SOLVERS)[case["solver"]]
+                f = np.random.default_rng(1).standard_normal((4, 30))
+                views = [tmp / "view1.csv", tmp / "view2.csv"]
+                write_matrix_csv(views[0], f[:2])
+                write_matrix_csv(views[1], f[2:])
+                config = {"latent_dim": 2, "c1": first, "c2": second,
+                          "max_outer": case["cap"], "max_inner": case["cap"]}
+            argv = [case["command"], "--solver", solver, "--views", *map(str, views),
+                    "--config", json.dumps(config)]
+            self._check_run(argv, tmp / "out", case)
+
+    @staticmethod
+    def _check_run(argv, out, case):
+        # A RuntimeWarning fails the run: the suite turns it into an error.
+        stderr = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+            code = main(argv + ["--out", str(out)])
+        assert code in (0, 2, 3), (case, code)
+        if code != 0:
+            lines = stderr.getvalue().splitlines()
+            assert len(lines) == 1, (case, lines)
+            assert _strict_json(lines[0])["error"] in ("validation", "numerical")
+            assert not out.exists(), case
+        for written in out.rglob("*.json") if out.exists() else ():
+            _strict_json(written.read_text())
 
     @staticmethod
     def _argv(case, tmp):

@@ -144,6 +144,25 @@ class TestCorrentropyKernel:
             correntropy_derivative(grid, sigma, alpha), fd, rtol=1e-6, atol=1e-9
         )
 
+    @pytest.mark.parametrize("alpha", [1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("sigma", [1.0, 1e-5])
+    def test_derivative_is_zero_where_kernel_is_zero(self, alpha, sigma):
+        # The power and the quotient would overflow at these errors; the
+        # kernel's 0 wins, without a warning, and positive-kernel entries keep
+        # the closed form (bit for bit at alpha 2).
+        errors = np.array([1e200, -1e300, 1e308, 0.5 * sigma, -1.5 * sigma])
+        kernel = correntropy_kernel(errors, sigma, alpha)
+        got = correntropy_derivative(errors, sigma, alpha)
+        assert np.array_equal(got[:3], np.zeros(3)) and np.all(kernel[3:] > 0.0)
+        if alpha == 2.0:
+            assert np.array_equal(got[3:], (errors[3:] / -(sigma * sigma)) * kernel[3:])
+        else:
+            ref = (-alpha * np.abs(errors[3:]) ** (alpha - 1.0) * np.sign(errors[3:])
+                   * kernel[3:] / (2.0 * sigma**alpha))
+            np.testing.assert_allclose(got[3:], ref, rtol=1e-14)
+        assert correntropy_derivative(1e200, 1.0, 3.0) == 0.0
+        assert correntropy_derivative(1e308, 1e-5, 2.0) == 0.0
+
     def test_derivative_is_zero_at_zero(self):
         assert correntropy_derivative(0.0, 1.0) == 0.0
         assert correntropy_derivative(0.0, 1.0, 1.5) == 0.0
