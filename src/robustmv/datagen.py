@@ -175,16 +175,18 @@ def _pairwise_distances(points):
     return dist
 
 
-def _noisy_distance_view(dist, points, magnitude, rng, noise_on):
-    """Add +-magnitude to every distance touching the given points.
+def _noisy_distance_view(noisy, points, magnitude, rng, noise_on):
+    """Add +-magnitude to every distance touching the given points, in place.
 
     Noise is drawn for i < j and mirrored; values are clamped at zero.  With
     ``noise_on="raw"`` the corruption hits the plain distances which are then
-    squared; ``"squared"`` corrupts the squared matrix directly.  Apart from
-    the returned matrix, every step works in place.
+    squared; ``"squared"`` squares the matrix first and corrupts that.  Every
+    step works in the buffer ``noisy``, which is returned as the view, so a
+    caller that still needs the distances passes a copy.
     """
-    n = dist.shape[0]
-    noisy = dist.copy() if noise_on == "raw" else dist**2
+    n = noisy.shape[0]
+    if noise_on == "squared":
+        np.square(noisy, out=noisy)
     bad = np.zeros(n, dtype=bool)
     bad[np.asarray(points, dtype=int)] = True
     k = int(bad.sum())
@@ -235,7 +237,7 @@ def gen_point_set_views(
         if not 0 <= p < n_points:
             raise ValueError(f"corrupted point index {p} out of range")
     dist = _pairwise_distances(points)
-    d1 = _noisy_distance_view(dist, view1_points, magnitude, rng, noise_on)
+    d1 = _noisy_distance_view(dist.copy(), view1_points, magnitude, rng, noise_on)
     d2 = _noisy_distance_view(dist, view2_points, magnitude, rng, noise_on)
     return points, DissimilarityViews([d1, d2])
 
@@ -272,7 +274,9 @@ def gen_cluster_retrieval_views(
     deltas = []
     for v in range(n_views):
         subset = order[v * corrupt_per_view : (v + 1) * corrupt_per_view]
-        deltas.append(_noisy_distance_view(dist, subset, magnitude, rng, "raw"))
+        # Later views still read ``dist``; the last one is built in its buffer.
+        buf = dist if v == n_views - 1 else dist.copy()
+        deltas.append(_noisy_distance_view(buf, subset, magnitude, rng, "raw"))
     return labels, DissimilarityViews(deltas)
 
 

@@ -366,8 +366,9 @@ def ree_fit(
        ``<s, -y> / <y, y>`` with ``s`` and ``y`` the change of ``B`` and of
        the score gradient over the last accepted step, or twice that step
        when ``<s, -y> <= 0``.  The trial is halved, for this iteration only,
-       while the projected candidate would lower the score; a rejected
-       candidate is never accepted, so the recorded scores never decrease.
+       while the step overflows or the projected candidate would lower the
+       score; a rejected candidate is never accepted, so the recorded scores
+       never decrease.
        The run stops with reason "no ascent step" when the trial falls below
        ``cfg.step * _MIN_STEP_SCALE``, and with "score change below
        tolerance" once an accepted step gains at most ``_SCORE_RTOL`` times
@@ -418,12 +419,15 @@ def ree_fit(
             del s, y, prev_b, prev_grad
             step = sy / yy if sy > 0 else 2.0 * step
         while step >= cfg.step * _MIN_STEP_SCALE:
-            cand = psd_project(b + step * grad)
-            d_cand = b_to_d(cand)
-            obj_cand = score(d_cand)
-            _check_finite(obj_cand, loss, it)
-            if obj_cand >= obj:
-                break
+            with np.errstate(over="ignore"):  # an overflowing trial is rejected
+                trial = b + step * grad
+            if np.all(np.isfinite(trial)):
+                cand = psd_project(trial)
+                d_cand = b_to_d(cand)
+                obj_cand = score(d_cand)
+                _check_finite(obj_cand, loss, it)
+                if obj_cand >= obj:
+                    break
             step /= 2.0
         else:
             reason = "no ascent step"

@@ -3,12 +3,13 @@ alignment error and confusion matrices.
 
 All evaluators are pure and deterministic.  kNN and retrieval share one
 neighbour search, ``_nearest``: it checks that exactly one distance source
-is given with one row per label, builds the distance block and selects
-each query's k nearest without sorting the whole row: ``np.partition``
-finds the k-th smallest distance, the entries below it and the first
-entries tied with it make up k candidates, and one stable ``np.lexsort``
-orders them, so distance ties go to the lower index and NaN ranks after
-``inf``.
+is given with one row per label, builds the distance block (a full matrix
+from the caller is read where it lies, never copied whole or changed) and
+selects each query's k nearest without sorting the whole row:
+``np.partition`` finds the k-th smallest distance, the entries below it and
+the first entries tied with it make up k candidates, and one stable
+``np.lexsort`` orders them, so distance ties go to the lower index and NaN
+ranks after ``inf``.
 """
 
 from dataclasses import dataclass
@@ -87,10 +88,18 @@ def seeded_split(labels, train_fraction=0.5, seed=0) -> LabeledSplit:
 
 
 def _sq_dists(rows, cols):
-    # Squared distances between the rows of ``rows`` and the rows of ``cols``.
-    d = np.sum(rows * rows, axis=1)[:, None] + np.sum(cols * cols, axis=1)[None, :]
-    d -= 2.0 * rows @ cols.T
-    return np.maximum(d, 0.0, out=d)
+    # Squared distances between the rows of ``rows`` and the rows of ``cols``:
+    # elementwise ``max((|r|^2 + |c|^2) - 2 r.c, 0)``, formed in the buffer of
+    # the product ``(2 rows) @ cols.T`` one row block at a time, so no second
+    # rows x cols matrix is ever live.
+    sr = np.sum(rows * rows, axis=1)
+    sc = np.sum(cols * cols, axis=1)
+    d = (2.0 * rows) @ cols.T
+    for start in range(0, d.shape[0], _RANK_BLOCK_ROWS):
+        part = d[start:start + _RANK_BLOCK_ROWS]
+        np.subtract(sr[start:start + _RANK_BLOCK_ROWS, None] + sc, part, out=part)
+        np.maximum(part, 0.0, out=part)
+    return d
 
 
 def _nearest(n, k, rows=None, cols=None, **source):
@@ -100,9 +109,10 @@ def _nearest(n, k, rows=None, cols=None, **source):
     points (rows = instances), in the order the error message names them;
     exactly one is given, with one row per label.  The block is ``rows`` x
     ``cols``; from points only that block is computed.  Without ``rows`` and
-    ``cols`` it is every instance against every other, the diagonal set to
-    ``inf`` so that no instance is its own neighbour, and a given matrix is
-    copied once.
+    ``cols`` it is every instance against every other, and a given matrix is
+    the block itself, neither copied nor changed: each ranking step copies
+    its own rows and sets their diagonal cells to ``inf`` so that no
+    instance is its own neighbour.
 
     k is capped at the column count.  The block is ranked
     ``_RANK_BLOCK_ROWS`` rows at a time, so the ranking's working set stays
@@ -126,17 +136,18 @@ def _nearest(n, k, rows=None, cols=None, **source):
             raise ValueError(
                 f"distances have shape {value.shape}, expected ({n}, {n}), one row per label"
             )
-        block = value.copy() if rows is None else value[np.ix_(rows, cols)]
+        block = value if rows is None else value[np.ix_(rows, cols)]
     else:
         if value.ndim != 2 or value.shape[0] != n:
             raise ValueError(f"{name} has shape {value.shape}, expected {n} rows, one per label")
         block = _sq_dists(value, value) if rows is None else _sq_dists(value[rows], value[cols])
-    if rows is None:
-        np.fill_diagonal(block, np.inf)
     k = min(k, block.shape[1])
     order = np.empty((block.shape[0], k), dtype=np.intp)
     for start in range(0, block.shape[0], _RANK_BLOCK_ROWS):
         part = block[start:start + _RANK_BLOCK_ROWS]
+        if rows is None:
+            part = part.copy()
+            np.fill_diagonal(part[:, start:], np.inf)
         kth = np.partition(part, k - 1, axis=1)[:, k - 1:k]
         cand = (part <= kth) | np.isnan(kth)
         counts = cand.sum(axis=1, keepdims=True)

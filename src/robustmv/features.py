@@ -157,13 +157,17 @@ def normalize_views(fs: MultiViewFeatureSet) -> MultiViewFeatureSet:
 
     The scale is ``sum_i ||z_i||^2 / N``; a view whose scale is already 1 is
     a fixed point, otherwise re-running changes the scale again (the rule is
-    intentionally not idempotent).  An all-zero view is rejected.
+    intentionally not idempotent).  An all-zero view is rejected, and a view
+    whose scale overflows raises ``NumericalError``.
     """
     out = []
     for v, z in enumerate(fs.views):
-        scale = np.sum(z * z) / z.shape[1]
+        with np.errstate(over="ignore"):  # an overflow is rejected below
+            scale = np.sum(z * z) / z.shape[1]
         if scale == 0.0:
             raise ValueError(f"view {v} is all zeros; cannot normalize")
+        if not np.isfinite(scale):
+            raise NumericalError(f"view {v}: mean squared column norm overflows")
         out.append(z / scale)
     return MultiViewFeatureSet(out)
 
@@ -357,9 +361,22 @@ def _check_fit_inputs(fs, cfg):
         )
 
 
-def _alternate(fs, cfg, solver, update_a, update_x, update_w, objective, unit_a):
-    """Shared double loop: refresh A, then alternate x/W updates."""
+def _alternate(fs, cfg, solver, *steps):
+    """Shared double loop: refresh A, then alternate x/W updates.
+
+    An overflow, invalid operation or division by zero anywhere in the fit
+    (a squared residual past the float range, say) raises ``NumericalError``
+    instead of a warning.  The check changes no value a fit computes.
+    """
     _check_fit_inputs(fs, cfg)
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return _alternate_steps(fs, cfg, solver, *steps)
+    except FloatingPointError as exc:
+        raise NumericalError(f"{solver}: {exc}") from None
+
+
+def _alternate_steps(fs, cfg, solver, update_a, update_x, update_w, objective, unit_a):
     W = _init_maps(fs, cfg)
     X = update_x(fs, W, unit_a, cfg.c2)
     trace = SolverTrace()

@@ -16,7 +16,7 @@ from robustmv import (
     retrieval_topk,
     seeded_split,
 )
-from robustmv.evaluation import _nearest
+from robustmv.evaluation import _nearest, _sq_dists
 
 
 def _block_distances(labels):
@@ -141,10 +141,15 @@ def _knn_loop(split, dist, k):
     return preds
 
 
+def _inf_diagonal(dist):
+    # The matrix every instance is ranked against: no instance is its own neighbour.
+    ref = np.array(dist, dtype=float)
+    np.fill_diagonal(ref, np.inf)
+    return ref
+
+
 def _retrieval_loop(labels, dist, k):
-    d = np.array(dist, dtype=float)
-    np.fill_diagonal(d, np.inf)
-    tops = [np.argsort(row, kind="stable")[:k] for row in d]
+    tops = [np.argsort(row, kind="stable")[:k] for row in _inf_diagonal(dist)]
     return np.array([np.sum(labels[top] == lab) for top, lab in zip(tops, labels)])
 
 
@@ -223,9 +228,23 @@ class TestBatchedAgainstLoop:
         np.testing.assert_array_equal(preds, want)
         assert acc == want_acc
 
+    @pytest.mark.parametrize("m, n, dims", [(200, 150, 7), (64, 30, 3), (129, 129, 16), (1, 5, 2)])
+    def test_sq_dists_match_one_shot_formula(self, m, n, dims):
+        # Formed in the product's buffer one 64-row block at a time (the
+        # last block ragged), the squared distances equal the one-shot
+        # formula bit for bit, clipped self-distances included.
+        rng = np.random.default_rng(m + n)
+        rows, cols = rng.standard_normal((m, dims)), rng.standard_normal((n, dims))
+        for a, b in ((rows, cols), (rows, rows)):
+            sr, sc = np.sum(a * a, axis=1), np.sum(b * b, axis=1)
+            want = np.maximum((sr[:, None] + sc[None, :]) - (2.0 * a) @ b.T, 0.0)
+            assert _sq_dists(a, b).tobytes() == want.tobytes()
+
     def test_knn_features_peak_memory_is_one_block(self):
-        # The full N x N matrix alone would be 32 MB here; the bound is
-        # three test x train blocks (24 MB).
+        # One test x train block is live (8 MB here): the product's buffer,
+        # in which the squared distances are formed, plus row-block
+        # temporaries.  The full N x N matrix alone would be 32 MB, and a
+        # second block takes the peak past the bound of 1.5 blocks.
         rng = np.random.default_rng(5)
         labels = np.repeat(np.arange(10), 200)
         pts = rng.standard_normal((2000, 64))
@@ -236,7 +255,7 @@ class TestBatchedAgainstLoop:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 3 * split.test_idx.size * split.train_idx.size * 8
+        assert peak < 1.5 * split.test_idx.size * split.train_idx.size * 8
 
     def test_knn_nan_in_tied_vote_rejected(self):
         labels = np.array([0, 1, 2])
@@ -263,11 +282,17 @@ class TestBatchedAgainstLoop:
         np.testing.assert_array_equal(score.per_query, _retrieval_loop(labels, dist, k))
         assert score.k == k
 
-    def test_retrieval_leaves_input_untouched(self):
-        labels = np.repeat(np.arange(3), 4)
-        d = _block_distances(labels) + 1.0
+    def test_evaluators_leave_distances_untouched(self):
+        # Retrieval ranks the caller's matrix where it lies, over several
+        # 64-row steps; neither evaluator writes into it, so its diagonal
+        # stays 0 and never becomes inf.
+        labels = np.repeat(np.arange(3), 50)
+        d = _block_distances(labels) + np.random.default_rng(4).random((150, 150))
+        d += d.T
+        np.fill_diagonal(d, 0.0)
         before = d.copy()
         retrieval_topk(labels, distances=d, k=3)
+        knn_classify(seeded_split(labels, 0.5, seed=0), distances=d, k=3)
         np.testing.assert_array_equal(d, before)
 
 
@@ -351,9 +376,10 @@ class TestSelectionAtScale:
     @pytest.mark.parametrize("ties", [False, True], ids=["random", "one-decimal"])
     def test_retrieval_block_matches_stable_argsort(self, ties):
         dist = _scale_matrix(600, ties)
+        ref = _inf_diagonal(dist)
         for k in (1, 10, 598, 599, 600):
-            block, order = _nearest(600, k, distances=dist)
-            np.testing.assert_array_equal(order, np.argsort(block, kind="stable")[:, :k])
+            _, order = _nearest(600, k, distances=dist)
+            np.testing.assert_array_equal(order, np.argsort(ref, kind="stable")[:, :k])
 
     @pytest.mark.parametrize("ties", [False, True], ids=["random", "one-decimal"])
     def test_knn_block_matches_stable_argsort(self, ties):
@@ -380,9 +406,10 @@ class TestSelectionAtScale:
         dist[7, ::3] = np.inf
         dist[7, 1::3] = np.nan
         dist[:20, 200:] = 1.0
+        ref = _inf_diagonal(dist)
         for k in (1, 10):
-            block, order = _nearest(300, k, distances=dist)
-            np.testing.assert_array_equal(order, np.argsort(block, kind="stable")[:, :k])
+            _, order = _nearest(300, k, distances=dist)
+            np.testing.assert_array_equal(order, np.argsort(ref, kind="stable")[:, :k])
             _, order = _nearest(300, k, np.arange(150), np.arange(150, 300), distances=dist)
             np.testing.assert_array_equal(
                 order, np.argsort(dist[:150, 150:], kind="stable")[:, :k]
@@ -390,9 +417,10 @@ class TestSelectionAtScale:
 
     @pytest.mark.parametrize("fill", ["random", "all-tied"])
     def test_retrieval_peak_memory(self, fill):
-        # The block copy is one N x N matrix; the ranking adds a few row
-        # blocks, even when every distance ties.  A full N x N index array
-        # would take the peak past the bound.
+        # The caller's matrix is ranked where it lies: only a few row blocks
+        # are live (a step's row copy, partition and masks), even when every
+        # distance ties, about 0.2 N^2 floats.  A copy of the matrix, or a
+        # full N x N index array, would take the peak past the bound.
         n = 1000
         labels = np.repeat(np.arange(10), n // 10)
         rng = np.random.default_rng(9)
@@ -403,7 +431,7 @@ class TestSelectionAtScale:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 2.0 * n * n * 8
+        assert peak <= 0.5 * n * n * 8
 
 
 class TestIntegerK:

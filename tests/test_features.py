@@ -53,6 +53,13 @@ class TestNormalizeViews:
         with pytest.raises(ValueError, match="all zeros"):
             normalize_views(MultiViewFeatureSet([np.zeros((3, 5))]))
 
+    def test_overflowing_scale_rejected(self):
+        # The squared norm of a 1e200 entry overflows; no warning, one error.
+        z = np.ones((3, 5))
+        z[0, 0] = 1e200
+        with pytest.raises(NumericalError, match="overflows"):
+            normalize_views(MultiViewFeatureSet([z]))
+
 
 class TestFeatureSetValidation:
     def test_instance_count_mismatch(self):

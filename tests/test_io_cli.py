@@ -1295,6 +1295,8 @@ _settings_case = st.fixed_dictionaries({
     "outlier": st.booleans(),
 })
 
+_FIT_OUTLIER = {"command": "fit-mv", "settings": (1e-3, 1e-3), "cap": 2, "outlier": True}
+
 
 class TestCliSweep:
     """Every small, degenerate or extreme input exits 0, 2 or 3, never with a traceback."""
@@ -1310,9 +1312,19 @@ class TestCliSweep:
     @example(case={  # cmvree's gradient at alpha 3 meets the outlier's 0 kernel
         "command": "embed", "solver": 3, "settings": (0.1, 3.0), "cap": 8, "outlier": True,
     })
+    @example(case={  # every cmvree ascent trial at step 1e300 overflows
+        "command": "embed", "solver": 3, "settings": (1e300, 0.5), "cap": 1, "outlier": False,
+    })
+    # Each feature solver's squared residuals, or its products, overflow on
+    # the outlier read as a feature.
+    @example(case={**_FIT_OUTLIER, "solver": 0})
+    @example(case={**_FIT_OUTLIER, "solver": 1})
+    @example(case={**_FIT_OUTLIER, "solver": 2})
+    @example(case={**_FIT_OUTLIER, "solver": 3})
     def test_solver_settings_at_extremes(self, case):
         # embed's step, alpha and max_iter, on views with or without the outlier
-        # pair; fit-mv's c1, c2 and iteration caps, on plain features.
+        # pair; fit-mv's c1, c2 and iteration caps, on plain features or on
+        # the outlier view pair read as features.
         with tempfile.TemporaryDirectory() as tmp:
             tmp = Path(tmp)
             first, second = case["settings"]
@@ -1324,10 +1336,13 @@ class TestCliSweep:
                 config = {"step": first, "alpha": second, "max_iter": case["cap"]}
             else:
                 solver = sorted(robustmv.cli._FIT_SOLVERS)[case["solver"]]
-                f = np.random.default_rng(1).standard_normal((4, 30))
-                views = [tmp / "view1.csv", tmp / "view2.csv"]
-                write_matrix_csv(views[0], f[:2])
-                write_matrix_csv(views[1], f[2:])
+                if case["outlier"]:
+                    views = _outlier_views(tmp, True)
+                else:
+                    f = np.random.default_rng(1).standard_normal((4, 30))
+                    views = [tmp / "view1.csv", tmp / "view2.csv"]
+                    write_matrix_csv(views[0], f[:2])
+                    write_matrix_csv(views[1], f[2:])
                 config = {"latent_dim": 2, "c1": first, "c2": second,
                           "max_outer": case["cap"], "max_inner": case["cap"]}
             argv = [case["command"], "--solver", solver, "--views", *map(str, views),
