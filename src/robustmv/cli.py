@@ -2,10 +2,12 @@
 
 Subcommands: ``synth`` (data generation), ``fit-mv`` (feature-space
 solvers), ``embed`` (dissimilarity solvers), ``eval`` (downstream scoring)
-and ``recipe`` (full experiment pipelines).  Every command writes a
-``run.json`` echo with parameters, seed and input hashes, and does its work
-before it creates ``--out``, so a rejected or failed run leaves no
-directory.  Only ``fit-mv`` and ``embed`` take ``--config``.  ``fit-mv``
+and ``recipe`` (full experiment pipelines).  Every command does its work
+first and then hands its artifacts and its ``run.json`` echo (parameters,
+seed and input hashes) to ``io.write_run``, the only writer of ``--out``, so
+a rejected or failed run leaves no directory.  Only ``fit-mv`` and
+``embed`` take ``--config``; ``--config``, ``--params`` and ``--corrupt``
+must be strict JSON with finite numbers.  ``fit-mv``
 reads exactly one input source, ``--views`` or ``--uci-dir``, and
 ``--uci-views`` only with ``--uci-dir``.  Each ``eval``
 task reads the file flags and options its ``_EVAL_TASKS`` entry lists and
@@ -53,17 +55,13 @@ from .features import (
     normalize_views,
 )
 from .io import (
+    dataset_files,
     ingest_dissimilarities,
     ingest_features,
     ingest_uci_directory,
     read_labels,
     read_matrix_csv,
-    write_dataset,
-    write_json,
-    write_labels,
-    write_matrix_csv,
-    write_run_json,
-    write_trace_csv,
+    write_run,
 )
 from .losses import check_integer
 from .recipes import RECIPE_NAMES, run_recipe
@@ -108,27 +106,31 @@ def _parse_config(raw, flag):
     if raw is None:
         return {}
     if not raw.lstrip().startswith("{") and os.path.isfile(raw):
-        with open(raw, "r", encoding="utf-8") as fh:
-            raw = fh.read()
+        raw = Path(raw).read_text(encoding="utf-8")
     try:
-        cfg = json.loads(raw)
-    except json.JSONDecodeError as exc:
+        cfg = json.loads(raw, parse_constant=_finite, parse_float=_finite,
+                         parse_int=functools.partial(_finite, kind=int))
+    except ValueError as exc:  # JSONDecodeError, or a number _finite rejects
         raise ValueError(f"{flag} is not valid JSON: {exc}") from None
     if not isinstance(cfg, dict):
         raise ValueError(f"{flag} must be a JSON object")
     return cfg
 
 
-def _out_dir(args):
-    # Called once the work has succeeded, so a rejected run leaves no directory.
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+def _finite(token, kind=float):
+    # Parses a JSON number or a NaN/Infinity token as ``kind``: NaN, +-Infinity
+    # and a number that overflows a float, such as 1e400, are rejected.
+    if not np.isfinite(float(token)):
+        raise ValueError(f"{token} is not a finite number")
+    return kind(token)
 
 
-def _echo(out, record, inputs, line):
-    """Write ``run.json`` (``record`` plus the hash of every input) and print ``line``."""
-    write_run_json(out, record, {str(f): f for f in inputs})
+def _finish(args, files, record, inputs, line):
+    """Write ``files`` and ``run.json`` (``record`` plus the hash of every input) to ``--out``.
+
+    Then print ``line``; returns the exit code 0.
+    """
+    write_run(args.out, files, record, {str(f): f for f in inputs})
     print(json.dumps(line))
     return 0
 
@@ -176,13 +178,13 @@ def _cmd_synth(args):
     else:
         labels, views = gen_cluster_retrieval_views(seed=args.seed, **p)
         matrices = views.deltas
-    out = _out_dir(args)
-    files = write_dataset(out, matrices, labels, truth)
+    files = dataset_files(matrices, labels, truth)
     params = {"seed": args.seed, "params": p}
     if noise is not None:
         params["corrupt"] = noise
     record = {"command": f"synth {args.kind}", "params": params}
-    return _echo(out, record, files, {"written": [str(f) for f in files]})
+    written = [Path(args.out) / name for name in files]
+    return _finish(args, files, record, written, {"written": [str(f) for f in written]})
 
 
 def _noise_spec(args):
@@ -224,13 +226,14 @@ def _cmd_fit_mv(args):
         fs = normalize_views(fs)
     config = _solver_config(args, {"latent_dim": 10})
     model = globals()[f"{args.solver}_fit"](fs, CmvConfig(**config))
-    out = _out_dir(args)
-    write_matrix_csv(out / "X.csv", model.X)
-    write_trace_csv(out / "trace.csv", model.trace)
-    write_matrix_csv(out / "weights.csv", instance_weight_profile(model))
+    written = {
+        "X.csv": model.X,
+        "trace.csv": model.trace,
+        "weights.csv": instance_weight_profile(model),
+    }
     params = {"seed": args.seed, "normalize": args.normalize, "config": config}
     record, summary = _solver_record(args, model.trace, params)
-    return _echo(out, record, [Path(f) for f in files], summary)
+    return _finish(args, written, record, [Path(f) for f in files], summary)
 
 
 def _cmd_embed(args):
@@ -246,20 +249,15 @@ def _cmd_embed(args):
             raise ValueError("ree takes exactly one view (use mvree for several)")
         loss = "correntropy" if args.solver == "cmvree" else "l1"
         result = ree_fit(views, cfg, loss=loss)
-    out = _out_dir(args)
-    write_matrix_csv(out / "configuration.csv", result.configuration)
-    write_matrix_csv(out / "eigenvalues.csv", result.eigenvalues)
-    write_matrix_csv(out / "gram.csv", result.gram)
-    write_trace_csv(out / "trace.csv", result.trace)
-    record, summary = _solver_record(args, result.trace, {"seed": args.seed, "config": config})
-    meta = {
-        **summary,
-        "config": config,
-        "ingest_report": report,
-        "eigenvalue_head": [float(x) for x in result.eigenvalues[:5]],
+    written = {
+        "configuration.csv": result.configuration,
+        "eigenvalues.csv": result.eigenvalues,
+        "gram.csv": result.gram,
+        "trace.csv": result.trace,
     }
-    write_json(out / "meta.json", meta)
-    return _echo(out, record, args.views, summary)
+    record, summary = _solver_record(args, result.trace, {"seed": args.seed, "config": config})
+    record["ingest_report"] = report
+    return _finish(args, written, record, args.views, summary)
 
 
 def _eval_inputs(args):
@@ -338,13 +336,10 @@ def _cmd_eval(args):
         ) from None
     read = {key: _read_eval_file(flag, getattr(args, flag)) for flag, key in inputs.items()}
     scores, written = globals()[f"_score_{args.task}"](args, **read)
-    out = _out_dir(args)
-    for name, labels in written.items():
-        write_labels(out / name, labels)
-    write_json(out / "scores.json", scores)
     record = {"command": f"eval {args.task}", "params": {"seed": args.seed}}
     line = {k: v for k, v in scores.items() if k not in ("per_query", "confusion")}
-    return _echo(out, record, [getattr(args, flag) for flag in inputs], line)
+    files = {**written, "scores.json": scores}
+    return _finish(args, files, record, [getattr(args, flag) for flag in inputs], line)
 
 
 def _cmd_recipe(args):

@@ -157,12 +157,12 @@ class EmbedConfig:
             setattr(self, name, check_integer(getattr(self, name), name))
         if self.target_dim < 1:
             raise ValueError("target_dim must be >= 1")
-        if not self.alpha > 0:
-            raise ValueError("alpha must be > 0")
+        if not 0 < self.alpha < np.inf:
+            raise ValueError("alpha must be finite and > 0")
         if self.sigma is not None:
             check_kernel_size(self.sigma, self.alpha)
-        if not self.step > 0:
-            raise ValueError("step must be > 0")
+        if not 0 < self.step < np.inf:
+            raise ValueError("step must be finite and > 0")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
 
@@ -417,7 +417,9 @@ def ree_fit(
             y = np.subtract(grad, prev_grad, out=prev_grad)
             sy, yy = -np.vdot(s, y), np.vdot(y, y)
             del s, y, prev_b, prev_grad
-            step = sy / yy if sy > 0 else 2.0 * step
+            with np.errstate(all="ignore"):  # yy can underflow to 0
+                bb = sy / yy
+            step = bb if sy > 0 and np.isfinite(bb) else 2.0 * step
         while step >= cfg.step * _MIN_STEP_SCALE:
             with np.errstate(over="ignore"):  # an overflowing trial is rejected
                 trial = b + step * grad

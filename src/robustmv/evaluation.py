@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .losses import check_integer
+from .trace import NumericalError
 
 __all__ = [
     "LabeledSplit",
@@ -245,17 +246,20 @@ def procrustes_align(estimate, reference):
 def procrustes_rmse(estimate, reference, subset=None) -> float:
     """RMSE over ``subset`` rows after aligning on all rows.
 
-    ``subset`` holds at least one row index, each in ``[0, N)``.
+    ``subset`` holds at least one row index, each in ``[0, N)``.  An RMSE
+    that overflows (points near 1e300, say) raises ``NumericalError``.
     """
-    aligned = procrustes_align(estimate, reference)
-    ref = np.asarray(reference, dtype=float)
-    err = aligned - ref
-    if subset is not None:
-        rows = np.asarray(subset, dtype=int).ravel()
-        if rows.size == 0 or rows.min() < 0 or rows.max() >= len(err):
-            raise ValueError(f"subset must hold row indices in [0, {len(err)}), got {subset}")
-        err = err[rows]
-    return float(np.sqrt(np.mean(np.sum(err * err, axis=1))))
+    with np.errstate(all="ignore"):  # a non-finite RMSE is reported below
+        err = procrustes_align(estimate, reference) - np.asarray(reference, dtype=float)
+        if subset is not None:
+            rows = np.asarray(subset, dtype=int).ravel()
+            if rows.size == 0 or rows.min() < 0 or rows.max() >= len(err):
+                raise ValueError(f"subset must hold row indices in [0, {len(err)}), got {subset}")
+            err = err[rows]
+        rmse = float(np.sqrt(np.mean(np.sum(err * err, axis=1))))
+    if not np.isfinite(rmse):
+        raise NumericalError(f"Procrustes RMSE is not finite ({rmse})")
+    return rmse
 
 
 def confusion_matrix(predictions, labels, classes=None):

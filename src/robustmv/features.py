@@ -126,12 +126,12 @@ class CmvConfig:
         if self.latent_dim < 1:
             raise ValueError("latent_dim must be >= 1")
         check_kernel_size(self.sigma)
-        if not (self.c1 > 0 and self.c2 > 0):
-            raise ValueError("c1 and c2 must be > 0")
+        if not (0 < self.c1 < np.inf and 0 < self.c2 < np.inf):
+            raise ValueError("c1 and c2 must be finite and > 0")
         if self.max_outer < 1 or self.max_inner < 1:
             raise ValueError("iteration caps must be >= 1")
-        if self.rel_tol < 0:
-            raise ValueError("rel_tol must be >= 0")
+        if not 0 <= self.rel_tol < np.inf:
+            raise ValueError("rel_tol must be finite and >= 0")
 
 
 @dataclass

@@ -1,14 +1,16 @@
 """File ingestion and artifact output.
 
 Feature views are CSV with rows = feature dimensions and columns =
-instances; dissimilarity matrices are square CSV.  ``write_dataset`` owns
+instances; dissimilarity matrices are square CSV.  ``dataset_files`` owns
 the dataset layout that ``robustmv synth`` and the recipes write:
 ground-truth files first, then ``view1.csv``, ``view2.csv``, ... and
 ``labels.csv``.  The CSV reader runs numpy's C parser and falls back to a
 line-by-line parser only to report exactly where a file is malformed.
 Writers use full-precision ``%.17g`` so a write/read round trip is exact,
 and JSON artifacts are strict JSON: a NaN or infinity in one is an error,
-not a ``NaN`` token.
+not a ``NaN`` token.  ``write_run`` is the one writer of a run's output
+directory: every CLI command and recipe hands it its artifacts and its
+``run.json`` record.
 """
 
 import hashlib
@@ -22,18 +24,19 @@ import numpy as np
 from . import __version__
 from .embedding import DissimilarityViews
 from .features import MultiViewFeatureSet
+from .trace import SolverTrace
 
 __all__ = [
     "read_matrix_csv",
     "write_matrix_csv",
-    "write_dataset",
+    "dataset_files",
     "read_labels",
     "write_labels",
     "ingest_features",
     "ingest_uci_directory",
     "ingest_dissimilarities",
     "write_json",
-    "write_run_json",
+    "write_run",
     "write_trace_csv",
     "file_sha256",
 ]
@@ -123,22 +126,17 @@ def write_labels(path, labels):
     np.savetxt(path, np.asarray(labels, dtype=int)[:, None], fmt="%d")
 
 
-def write_dataset(directory, views, labels=None, truth=None):
-    """Write a dataset into the existing ``directory``; returns the paths in order.
+def dataset_files(views, labels=None, truth=None):
+    """A dataset's files in the order they are written, as ``{file name: array}``.
 
-    ``truth`` maps file names to ground-truth matrices, written first; then
-    come ``view1.csv``, ``view2.csv``, ... and, when ``labels`` is given,
-    ``labels.csv``.
+    ``truth`` maps file names to ground-truth matrices, which come first;
+    then come ``view1.csv``, ``view2.csv``, ... and, when ``labels`` is
+    given, ``labels.csv``.
     """
-    directory = Path(directory)
-    matrices = {**(truth or {}), **{f"view{v}.csv": z for v, z in enumerate(views, start=1)}}
-    for name, matrix in matrices.items():
-        write_matrix_csv(directory / name, matrix)
-    paths = [directory / name for name in matrices]
+    files = {**(truth or {}), **{f"view{v}.csv": z for v, z in enumerate(views, start=1)}}
     if labels is not None:
-        write_labels(directory / "labels.csv", labels)
-        paths.append(directory / "labels.csv")
-    return paths
+        files["labels.csv"] = np.asarray(labels, dtype=int)
+    return files
 
 
 def ingest_features(paths):
@@ -148,8 +146,6 @@ def ingest_features(paths):
     dimension-reduction baseline of the multi-view solvers.
     """
     paths = [Path(p) for p in paths]
-    if not paths:
-        raise ValueError("no view files given")
     views = [read_matrix_csv(p) for p in paths]
     counts = [z.shape[1] for z in views]
     if len(set(counts)) > 1:
@@ -165,10 +161,7 @@ def ingest_uci_directory(directory, view_names=("pix", "zer")):
     row; they are transposed into the rows-=-dims layout used here.
     """
     directory = Path(directory)
-    views = []
-    for name in view_names:
-        path = directory / f"mfeat-{name}"
-        views.append(read_matrix_csv(path, delimiter=None).T)
+    views = [read_matrix_csv(directory / f"mfeat-{name}", delimiter=None).T for name in view_names]
     counts = {z.shape[1] for z in views}
     if len(counts) > 1:
         raise ValueError(f"{directory}: views disagree on instance count {sorted(counts)}")
@@ -185,8 +178,6 @@ def ingest_dissimilarities(paths, square=False):
     records how much correction was applied.
     """
     paths = [Path(p) for p in paths]
-    if not paths:
-        raise ValueError("no view files given")
     deltas = []
     report = []
     for p in paths:
@@ -222,25 +213,58 @@ def ingest_dissimilarities(paths, square=False):
     return DissimilarityViews(deltas), report
 
 
-def write_json(path, payload):
-    """Write strict JSON; a NaN or infinity raises before the file is opened."""
+def _json_text(path, payload):
     try:
-        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+        return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text + "\n")
 
 
-def write_run_json(directory, record, inputs):
-    """Write ``run.json`` into ``directory`` and return its payload.
+def write_json(path, payload):
+    """Write strict JSON; a NaN or infinity raises before the file is opened."""
+    Path(path).write_text(_json_text(path, payload) + "\n", encoding="utf-8")
 
-    The payload is ``record`` plus the package version, the sha256 of every
-    ``{key: path}`` entry of ``inputs`` under its key, and an ``environment``
-    block: the numpy version, the core count and the BLAS thread settings
-    (``None`` when the variable is unset), so timings and traces from
-    different machines can be read side by side.
+
+def _writer(artifact):
+    # Looked up when called, like every module global, so a patched writer runs.
+    if isinstance(artifact, SolverTrace):
+        return write_trace_csv
+    if isinstance(artifact, dict):
+        return write_json
+    array = np.asarray(artifact)
+    labels = array.ndim == 1 and np.issubdtype(array.dtype, np.integer)
+    return write_labels if labels else write_matrix_csv
+
+
+def write_run(directory, files, record, inputs):
+    """Write a run's artifacts and its ``run.json`` into ``directory``; returns the echo.
+
+    ``files`` maps paths relative to ``directory`` to artifacts, written in
+    the order given; each artifact's type picks its writer: a
+    ``SolverTrace`` goes to ``write_trace_csv``, a dict to ``write_json``, a
+    1-D integer array to ``write_labels`` and any other array to
+    ``write_matrix_csv``.  Every JSON document, ``record`` included, is
+    rendered before anything is created, so a NaN or infinity in one leaves
+    no directory, and a directory that cannot be created (the path names a
+    file, say) is a ``ValueError`` too.  ``run.json`` comes last: ``record`` plus
+    the package version, the sha256 of every ``{key: path}`` entry of
+    ``inputs`` under its key, and an ``environment`` block: the numpy
+    version, the core count and the BLAS thread settings (``None`` when the
+    variable is unset), so timings and traces from different machines can
+    be read side by side.  Nothing else in the package creates an output
+    directory.
     """
+    directory = Path(directory)
+    for name, artifact in [*files.items(), ("run.json", record)]:
+        if isinstance(artifact, dict):
+            _json_text(directory / name, artifact)
+    try:
+        for folder in dict.fromkeys([directory, *((directory / name).parent for name in files)]):
+            folder.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a path that names a file, for instance
+        raise ValueError(f"cannot create directory {exc.filename}: {exc.strerror}") from None
+    for name, artifact in files.items():
+        _writer(artifact)(directory / name, artifact)
     payload = {
         **record,
         "package_version": __version__,
@@ -252,15 +276,13 @@ def write_run_json(directory, record, inputs):
             "OMP_NUM_THREADS": os.environ.get("OMP_NUM_THREADS"),
         },
     }
-    write_json(Path(directory) / "run.json", payload)
+    write_json(directory / "run.json", payload)
     return payload
 
 
 def write_trace_csv(path, trace):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("iteration,objective\n")
-        for i, val in enumerate(trace.objective, start=1):
-            fh.write(f"{i},{val:.17g}\n")
+    rows = "".join(f"{i},{val:.17g}\n" for i, val in enumerate(trace.objective, start=1))
+    Path(path).write_text("iteration,objective\n" + rows, encoding="utf-8")
 
 
 def file_sha256(path):

@@ -4,11 +4,13 @@ Each recipe generates its synthetic inputs, runs the relevant solver lineup
 and evaluates downstream quality; it writes nothing.  Each generator and
 solver setting is written once, in the dict that is passed to the call and
 recorded in ``run.json``'s ``params``.  Once every fit has succeeded,
-``run_recipe`` writes all artifacts (data, learned configurations, traces,
-scores) plus a machine-readable ``summary.json`` and a ``run.json`` echo
-sufficient to reproduce the run exactly.
+``run_recipe`` hands all artifacts (data, learned configurations, traces)
+and the ``run.json`` echo, sufficient to reproduce the run exactly, to one
+``io.write_run`` call, and then writes the machine-readable
+``summary.json``.
 """
 
+import json
 from dataclasses import asdict
 from pathlib import Path
 
@@ -38,7 +40,7 @@ from .features import (
     instance_weight_profile,
     l2mv_fit,
 )
-from .io import write_dataset, write_json, write_matrix_csv, write_run_json, write_trace_csv
+from .io import dataset_files, write_json, write_run
 
 __all__ = ["run_recipe", "RECIPE_NAMES", "FEATURE_METHODS", "fit_feature_method"]
 
@@ -141,7 +143,8 @@ def _uci_noise_grid(seed, full_scale, condition):
                 _, acc = knn_classify(split, features=model.X.T, k=1)
                 row["accuracy"][method] = acc
                 row["stop"][method] = _stop(model.trace)
-                fits[f"m{magnitude:g}_f{frac:g}_{method}"] = ("latent", model.X, model.trace)
+                tag = f"m{magnitude:g}_f{frac:g}_{method}"
+                fits[f"latent/{tag}.csv"], fits[f"traces/{tag}.csv"] = model.X, model.trace
                 if condition == 1 and method in ("cmv", "cemv"):
                     row["weights"][method] = _weight_split(model, idx)
                 elif condition == 2 and method == "cemv":
@@ -161,7 +164,7 @@ def _uci_noise_grid(seed, full_scale, condition):
         "solver": asdict(cfg),
         "classifier": "1-nearest-neighbour (majority vote over the fused latent space)",
     }
-    return params, (fs.views, labels, None), fits, results
+    return params, dataset_files(fs.views, labels), fits, results
 
 
 def _embed_lineup(views, score, steps, **cfg):
@@ -169,8 +172,8 @@ def _embed_lineup(views, score, steps, **cfg):
 
     ``steps`` is the (L1, correntropy) step pair and ``cfg`` holds the other
     ``EmbedConfig`` fields.  Returns ``(fits, results)``: per method its
-    configuration and trace, and ``score(configuration)`` plus the final
-    objective and stop reason.
+    configuration and trace under their file paths, and
+    ``score(configuration)`` plus the final objective and stop reason.
     """
     step_l1, step_corr = steps
     runs = {
@@ -182,7 +185,8 @@ def _embed_lineup(views, score, steps, **cfg):
     fits, results = {}, {}
     for method, (mviews, loss, step) in runs.items():
         res = ree_fit(mviews, EmbedConfig(step=step, **cfg), loss=loss)
-        fits[method] = ("configurations", res.configuration, res.trace)
+        fits[f"configurations/{method}.csv"] = res.configuration
+        fits[f"traces/{method}.csv"] = res.trace
         results[method] = {
             **score(res.configuration),
             "final_objective": res.trace.final_objective,
@@ -221,7 +225,7 @@ def _pointset_25(seed):
 
     fits, results = _embed_lineup(views, score, seed=seed, **embed)
     params = {**data, **embed, "corrupted_points": corrupted}
-    return params, (views.deltas, None, {"points.csv": points}), fits, results
+    return params, dataset_files(views.deltas, truth={"points.csv": points}), fits, results
 
 
 def _cluster_retrieval(seed):
@@ -263,13 +267,14 @@ def _cluster_retrieval(seed):
         "sigma": sigma,
         "max_score": data["classes"] * data["per_class"] * k,
     }
-    return params, (views.deltas, labels, None), fits, results
+    return params, dataset_files(views.deltas, labels), fits, results
 
 
 # Each recipe takes its seed and returns (params, dataset, fits, results):
-# ``dataset`` is ``write_dataset``'s (views, labels, truth) and ``fits`` maps
-# each tag to (matrix directory, matrix, trace).  Only the uci-noise recipes
-# have a full scale; it is passed as a second argument.
+# ``dataset`` is ``dataset_files``'s {file name: array} and ``fits`` maps each
+# fit's matrix and trace paths (``latent/`` or ``configurations/``, and
+# ``traces/``) to them.  Only the uci-noise recipes have a full scale; it is
+# passed as a second argument.
 _RECIPES = {
     "uci-noise-1": lambda seed, full: _uci_noise_grid(seed, full, 1),
     "uci-noise-2": lambda seed, full: _uci_noise_grid(seed, full, 2),
@@ -284,11 +289,12 @@ RECIPE_NAMES = tuple(sorted(_RECIPES))
 def run_recipe(name, seed=0, out_dir=".", full_scale=False):
     """Run one named recipe; returns the summary dict written to disk.
 
-    Every fit and score runs first, so a recipe that fails creates no
-    ``out_dir``.  Then the recipe's inputs go under ``out_dir/data``, each
-    fit's matrix and trace beside them in lineup order, ``run.json`` records
-    its parameters and the hashes of its inputs, and ``summary.json`` adds
-    its results to that record.
+    Every fit and score runs first, and the results must be strict JSON,
+    so a recipe that fails creates no ``out_dir``.  Then one
+    ``io.write_run`` call writes the recipe's inputs under ``out_dir/data``,
+    each fit's matrix and trace beside them in lineup order, and
+    ``run.json``, which records its parameters and the hashes of its inputs;
+    ``summary.json`` adds its results to that record.
     """
     if name not in _RECIPES:
         raise ValueError(f"unknown recipe {name!r}; choose from {RECIPE_NAMES}")
@@ -299,15 +305,11 @@ def run_recipe(name, seed=0, out_dir=".", full_scale=False):
         )
     args = (seed, full_scale) if name in _FULL_SCALE else (seed,)
     params, dataset, fits, results = _RECIPES[name](*args)
+    json.dumps(results, allow_nan=False)  # summary.json is strict JSON: check it first
     out = Path(out_dir)
-    for directory in {"data", "traces", *(d for d, _, _ in fits.values())}:
-        (out / directory).mkdir(parents=True, exist_ok=True)
-    files = write_dataset(out / "data", *dataset)
-    for tag, (directory, matrix, trace) in fits.items():
-        write_matrix_csv(out / directory / f"{tag}.csv", matrix)
-        write_trace_csv(out / "traces" / f"{tag}.csv", trace)
+    files = {**{f"data/{file}": array for file, array in dataset.items()}, **fits}
     record = {"recipe": name, "seed": seed, "params": params}
-    echo = write_run_json(out, record, {f.name: f for f in files})
+    echo = write_run(out, files, record, {file: out / "data" / file for file in dataset})
     summary = {"recipe": name, "seed": seed, "results": results, "run": echo}
     write_json(out / "summary.json", summary)
     return summary

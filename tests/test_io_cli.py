@@ -24,19 +24,21 @@ from robustmv.embedding import EmbedConfig
 from robustmv.evaluation import seeded_split
 from robustmv.features import CmvConfig, MultiViewFeatureSet, normalize_views
 from robustmv.io import (
+    dataset_files,
     file_sha256,
     ingest_dissimilarities,
     ingest_features,
     ingest_uci_directory,
     read_labels,
     read_matrix_csv,
-    write_dataset,
     write_json,
     write_labels,
     write_matrix_csv,
+    write_run,
+    write_trace_csv,
 )
 from robustmv.recipes import FEATURE_METHODS, run_recipe
-from robustmv.trace import NumericalError
+from robustmv.trace import NumericalError, SolverTrace
 
 
 def _check_environment(env):
@@ -155,18 +157,63 @@ class TestWriteJson:
         assert path.read_text() == '{\n  "a": [\n    1,\n    2\n  ],\n  "b": 1.5\n}\n'
 
 
-class TestWriteDataset:
+class TestDatasetFiles:
     def test_layout_and_order(self, tmp_path):
         views = [np.eye(2), np.arange(6.0).reshape(3, 2)]
         truth = {"points.csv": np.full((2, 2), 0.5)}
-        paths = write_dataset(tmp_path, views, labels=[0, 1], truth=truth)
-        names = ("points.csv", "view1.csv", "view2.csv", "labels.csv")
-        assert paths == [tmp_path / name for name in names]
-        np.testing.assert_array_equal(read_matrix_csv(paths[0]), truth["points.csv"])
-        np.testing.assert_array_equal(read_matrix_csv(paths[2]), views[1])
-        np.testing.assert_array_equal(read_labels(paths[3]), [0, 1])
-        (tmp_path / "plain").mkdir()
-        assert write_dataset(tmp_path / "plain", views[:1]) == [tmp_path / "plain" / "view1.csv"]
+        files = dataset_files(views, labels=[0, 1], truth=truth)
+        assert list(files) == ["points.csv", "view1.csv", "view2.csv", "labels.csv"]
+        write_run(tmp_path, files, {}, {})
+        np.testing.assert_array_equal(read_matrix_csv(tmp_path / "points.csv"), truth["points.csv"])
+        np.testing.assert_array_equal(read_matrix_csv(tmp_path / "view2.csv"), views[1])
+        np.testing.assert_array_equal(read_labels(tmp_path / "labels.csv"), [0, 1])
+        assert list(dataset_files(views[:1])) == ["view1.csv"]
+
+
+class TestWriteRun:
+    def test_each_artifact_type_matches_its_writer(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        trace = SolverTrace()
+        for value in (3.5, 1.25, 0.1):
+            trace.record(value)
+        # Paths relative to the run directory, and each artifact's own writer.
+        artifacts = {
+            "matrix.csv": (np.arange(6.0).reshape(2, 3) / 7.0, write_matrix_csv),
+            "eigenvalues.csv": (np.array([2.5, 1.0, 1e-17]), write_matrix_csv),
+            "labels.csv": (np.array([0, 2, 1]), write_labels),
+            "nested/deeper/scores.json": ({"b": [1, 2], "a": 0.5}, write_json),
+            "traces/fit.csv": (trace, write_trace_csv),
+        }
+        run = tmp_path / "run"
+        echo = write_run(run, {name: a for name, (a, _) in artifacts.items()},
+                         {"command": "test"}, {"labels": run / "labels.csv"})
+        reference = tmp_path / "reference"
+        for name, (artifact, writer) in artifacts.items():
+            (reference / name).parent.mkdir(parents=True, exist_ok=True)
+            writer(reference / name, artifact)
+            assert (run / name).read_bytes() == (reference / name).read_bytes(), name
+        assert (run / "eigenvalues.csv").read_text().count("\n") == 1  # one row
+        assert _tree(run) == {*artifacts, "run.json"}
+        assert json.loads((run / "run.json").read_text()) == echo
+        assert echo["command"] == "test" and echo["package_version"] == robustmv.__version__
+        assert echo["inputs"] == {"labels": file_sha256(run / "labels.csv")}
+        _check_environment(echo["environment"])
+
+    @pytest.mark.parametrize("where", ["artifact", "record"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_json_leaves_no_directory(self, tmp_path, where, bad):
+        files = {"view1.csv": np.eye(2), "scores.json": {"accuracy": 0.5}}
+        record = {"params": {"sigma": 1.0}}
+        if where == "artifact":
+            files["scores.json"]["accuracy"] = bad
+            name = "scores.json"
+        else:
+            record["params"]["sigma"] = bad
+            name = "run.json"
+        with pytest.raises(ValueError, match=name):
+            write_run(tmp_path / "out" / "run", files, record, {})
+        assert not (tmp_path / "out").exists()
 
 
 class TestIngestFeatures:
@@ -352,8 +399,9 @@ class TestCli:
         echo = json.loads(capsys.readouterr().out)
         assert echo["reason"] == "no ascent step" and echo["converged"] is True
         assert echo["iterations"] == 0 and echo["final_objective"] is None
-        meta = json.loads((out / "meta.json").read_text())
-        assert meta["reason"] == "no ascent step" and meta["converged"] is True
+        run = json.loads((out / "run.json").read_text())["summary"]
+        assert run["reason"] == "no ascent step" and run["converged"] is True
+        assert not (out / "meta.json").exists()
 
     def test_fit_records_stop_reason(self, tmp_path, capsys):
         f = tmp_path / "v.csv"
@@ -806,6 +854,9 @@ class TestCli:
     @pytest.mark.parametrize("raw, problem", [
         ("{oops", "is not valid JSON"),
         ("[1, 2]", "must be a JSON object"),
+        ('{"seed": NaN}', "is not valid JSON: NaN is not a finite number"),
+        ('{"seed": -Infinity}', "is not valid JSON: -Infinity is not a finite number"),
+        ('{"seed": 1e400}', "is not valid JSON: 1e400 is not a finite number"),
     ])
     @pytest.mark.parametrize("flag", ["--config", "--params", "--corrupt"])
     def test_json_error_names_its_flag(self, tmp_path, capsys, flag, raw, problem):
@@ -910,6 +961,16 @@ class TestCli:
         assert err["error"] == "validation"
         assert "use a size between 1.05e-154 and 9.48e+153" in err["message"]
 
+    @pytest.mark.parametrize("config, field", [
+        (EmbedConfig, "step"), (EmbedConfig, "alpha"),
+        (CmvConfig, "c1"), (CmvConfig, "c2"), (CmvConfig, "rel_tol"),
+    ])
+    @pytest.mark.parametrize("value", [float("inf"), float("nan")])
+    def test_non_finite_settings_rejected(self, config, field, value):
+        base = {"latent_dim": 2} if config is CmvConfig else {"sigma": 1.0}
+        with pytest.raises(ValueError, match=f"{field}.* must be finite"):
+            config(**{**base, field: value})
+
     def test_extreme_feature_kernel_sizes_rejected(self):
         for sigma in (1e-300, 1e300):
             with pytest.raises(ValueError, match="out of range"):
@@ -988,7 +1049,7 @@ class TestCli:
         assert code == 0
         assert caught == []
         assert capsys.readouterr().err == ""
-        report = json.loads((out / "meta.json").read_text())["ingest_report"][0]
+        report = json.loads((out / "run.json").read_text())["ingest_report"][0]
         assert report["max_asymmetry"] == 1e308
         views, _ = ingest_dissimilarities([f])
         np.testing.assert_array_equal(
@@ -1063,6 +1124,45 @@ class TestCli:
         assert code == 2
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and _strict_json(lines[0])["message"] == message
+        assert not (tmp_path / "ev").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["synth", "--kind", "pointset"],
+        ["fit-mv", "--solver", "cmv", "--views", "VIEW", "VIEW", "--config", '{"latent_dim": 2}'],
+        ["embed", "--solver", "cmds", "--views", "DIST"],
+        ["eval", "--task", "retrieval", "--distances", "DIST", "--labels", "LABELS"],
+        ["recipe", "--name", "pointset-25"],
+    ])
+    def test_out_naming_a_file_is_validation_error(self, tmp_path, capsys, argv):
+        files = {"VIEW": tmp_path / "view.csv", "DIST": tmp_path / "dist.csv"}
+        write_matrix_csv(files["VIEW"], np.arange(1.0, 13.0).reshape(3, 4))
+        write_matrix_csv(files["DIST"], np.ones((4, 4)) - np.eye(4))
+        files["LABELS"] = tmp_path / "labels.csv"
+        write_labels(files["LABELS"], [0, 0, 1, 1])
+        out = tmp_path / "taken"
+        out.write_text("keep\n")
+        before = _tree(tmp_path)
+        capsys.readouterr()
+        assert main([str(files.get(a, a)) for a in argv] + ["--out", str(out)]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and _strict_json(lines[0])["error"] == "validation"
+        assert str(out) in lines[0]
+        assert out.read_text() == "keep\n" and _tree(tmp_path) == before
+
+    def test_overflowing_procrustes_error_is_numerical(self, tmp_path, capsys):
+        # Finite points near 1e300 whose cross-covariance and squared error overflow.
+        rng = np.random.default_rng(0)
+        estimate, reference = tmp_path / "estimate.csv", tmp_path / "reference.csv"
+        write_matrix_csv(estimate, rng.standard_normal((6, 2)) * 1e300)
+        write_matrix_csv(reference, rng.standard_normal((6, 2)) * 1e300)
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["eval", "--task", "procrustes", "--estimate", str(estimate),
+                         "--reference", str(reference), "--out", str(tmp_path / "ev")])
+        assert code == 3 and caught == []
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and _strict_json(lines[0])["error"] == "numerical"
         assert not (tmp_path / "ev").exists()
 
     def test_cmds_requires_single_view(self, tmp_path):
@@ -1315,6 +1415,10 @@ class TestCliSweep:
     @example(case={  # every cmvree ascent trial at step 1e300 overflows
         "command": "embed", "solver": 3, "settings": (1e300, 0.5), "cap": 1, "outlier": False,
     })
+    @example(case={  # the gradient change's squared norm underflows to 0 in the BB step
+        "command": "embed", "solver": 3, "settings": (1e-300, 1e-300), "cap": 8,
+        "outlier": False,
+    })
     # Each feature solver's squared residuals, or its products, overflow on
     # the outlier read as a feature.
     @example(case={**_FIT_OUTLIER, "solver": 0})
@@ -1349,20 +1453,43 @@ class TestCliSweep:
                     "--config", json.dumps(config)]
             self._check_run(argv, tmp / "out", case)
 
+    @pytest.mark.parametrize("command, config", [
+        # Backtracking halved an infinite step for ever.
+        ("embed", '{"step": Infinity, "max_iter": 1}'),
+        # The kernel met inf * 0 and warned.
+        ("embed", '{"alpha": Infinity, "sigma": 1.0}'),
+        # The fit ran, then run.json refused the inf and left X.csv, trace.csv
+        # and weights.csv in --out.
+        ("fit-mv", '{"rel_tol": 1e400}'),
+        ("fit-mv", '{"c1": NaN}'),
+        # An integer too large for a float raised OverflowError, a traceback.
+        pytest.param("fit-mv", '{"c1": 1%s}' % ("0" * 400), id="fit-mv-c1-10**400"),
+    ])
+    def test_non_finite_settings_are_validation_errors(self, command, config):
+        with tempfile.TemporaryDirectory() as tmp:
+            views = _outlier_views(Path(tmp), False)
+            solver = "cmvree" if command == "embed" else "cmv"
+            argv = [command, "--solver", solver, "--views", *views, "--config", config]
+            code, lines = self._check_run(argv, Path(tmp) / "out", config)
+        assert code == 2
+        assert _strict_json(lines[0])["message"].startswith("--config is not valid JSON")
+
     @staticmethod
     def _check_run(argv, out, case):
+        """Run the CLI and check how it ended; returns the exit code and the stderr lines."""
         # A RuntimeWarning fails the run: the suite turns it into an error.
         stderr = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
             code = main(argv + ["--out", str(out)])
         assert code in (0, 2, 3), (case, code)
+        lines = stderr.getvalue().splitlines()
         if code != 0:
-            lines = stderr.getvalue().splitlines()
             assert len(lines) == 1, (case, lines)
             assert _strict_json(lines[0])["error"] in ("validation", "numerical")
             assert not out.exists(), case
         for written in out.rglob("*.json") if out.exists() else ():
             _strict_json(written.read_text())
+        return code, lines
 
     @staticmethod
     def _argv(case, tmp):
