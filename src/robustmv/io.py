@@ -6,8 +6,10 @@ the dataset layout that ``robustmv synth`` and the recipes write:
 ground-truth files first, then ``view1.csv``, ``view2.csv``, ... and
 ``labels.csv``.  The CSV reader runs numpy's C parser and falls back to a
 line-by-line parser only to report exactly where a file is malformed.
-Writers use full-precision ``%.17g`` so a write/read round trip is exact,
-and JSON artifacts are strict JSON: a NaN or infinity in one is an error,
+Writers use full-precision ``%.17g`` so a write/read round trip is exact;
+``write_matrix_csv`` formats each value of a symmetric matrix near its
+diagonal once and writes the same bytes as ``np.savetxt`` would.  JSON
+artifacts are strict JSON: a NaN or infinity in one is an error,
 not a ``NaN`` token.  ``write_run`` is the one writer of a run's output
 directory: every CLI command and recipe hands it its artifacts and its
 ``run.json`` record.
@@ -42,6 +44,11 @@ __all__ = [
 ]
 
 _FMT = "%.17g"
+# The symmetric writer works in blocks of _BLOCK rows and tiles of _BLOCK
+# columns, and keeps the tiles of the next _BAND column blocks past the
+# diagonal: about (_BAND * _BLOCK)**2 / 2 formatted cells at most, whatever N.
+_BLOCK = 64
+_BAND = 8
 
 
 def read_matrix_csv(path, delimiter=","):
@@ -56,8 +63,9 @@ def read_matrix_csv(path, delimiter=","):
     column.
     """
     path = Path(path)
-    if not path.exists():
-        raise ValueError(f"missing input file: {path}")
+    if not path.is_file():
+        problem = "is not a file" if path.exists() else "missing input file"
+        raise ValueError(f"{problem}: {path}")
     try:
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", ".*input contained no data", UserWarning)
@@ -109,8 +117,68 @@ def _is_float(cell):
 
 
 def write_matrix_csv(path, matrix):
+    """Write a 1-D or 2-D array as CSV, one ``%.17g`` line per row.
+
+    The file is byte-identical to ``np.savetxt(path, matrix, fmt="%.17g",
+    delimiter=",")``.  A square matrix that equals its transpose bit for bit
+    (so ``-0.0`` against ``0.0``, or two NaN payloads, make it asymmetric)
+    is written with each cell in a band beside the diagonal formatted once:
+    each block of rows formats its diagonal tile and the tiles of the next
+    few column blocks, and keeps the latter to transpose into those blocks'
+    rows.  Cells outside the band, on either side, are formatted one call
+    per row, so the kept text stays a few MB whatever the matrix size.
+    """
     matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
-    np.savetxt(path, matrix, fmt=_FMT, delimiter=",")
+    if _is_symmetric(matrix):
+        lines = _symmetric_lines(matrix)
+    else:
+        lines = (s for i in range(0, len(matrix), _BLOCK) for s in _lines(matrix[i:i + _BLOCK]))
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(line + "\n" for line in lines)
+
+
+def _lines(block):
+    # Each row of a 2-D block as its CSV line, without the newline.
+    fmt = ",".join([_FMT] * block.shape[1])
+    return [fmt % tuple(row) for row in block.tolist()]
+
+
+def _is_symmetric(matrix):
+    n = matrix.shape[0]
+    if matrix.shape[1] != n:
+        return False
+    # Bitwise, so -0.0 against 0.0 or two NaN payloads count as asymmetric.
+    bits = matrix.view(np.uint64)
+    return all(
+        np.array_equal(bits[i:i + _BLOCK], bits[:, i:i + _BLOCK].T) for i in range(0, n, _BLOCK)
+    )
+
+
+def _symmetric_lines(matrix):
+    # Row block b formats its diagonal tile and the tiles of the next _BAND
+    # column blocks c, which it keeps in kept[c]: transposed, they are the
+    # cells of block c's rows left of its diagonal tile.  Cells beyond the
+    # band, on either side, are formatted in one call per row.
+    n = len(matrix)
+    count = -(-n // _BLOCK)
+    kept = [[] for _ in range(count)]
+    for b in range(count):
+        stripe = matrix[b * _BLOCK:(b + 1) * _BLOCK]
+        tiles = [
+            [",".join(cells) for cells in zip(*[line.split(",") for line in tile])]
+            for tile in kept[b]
+        ]
+        kept[b] = None
+        for c in range(b, min(b + _BAND + 1, count)):
+            tiles.append(_lines(stripe[:, c * _BLOCK:(c + 1) * _BLOCK]))
+            if c > b:
+                kept[c].append(tiles[-1])
+        left, right = max(b - _BAND, 0) * _BLOCK, (b + _BAND + 1) * _BLOCK
+        for k, parts in enumerate(zip(*tiles)):
+            row = stripe[k:k + 1]
+            far_left = _lines(row[:, :left]) if left else []
+            far_right = _lines(row[:, right:]) if right < n else []
+            yield ",".join([*far_left, *parts, *far_right])
 
 
 def read_labels(path):

@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -74,6 +75,81 @@ class TestMatrixCsv:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ValueError, match="missing input file"):
             read_matrix_csv(tmp_path / "nope.csv")
+
+    def test_directory_is_not_a_file(self, tmp_path):
+        with pytest.raises(ValueError, match=f"is not a file: {re.escape(str(tmp_path))}$"):
+            read_matrix_csv(tmp_path)
+
+
+def _symmetric(n, seed=0):
+    a = np.random.default_rng(seed).standard_normal((n, n))
+    return a + a.T
+
+
+def _one_cell(m, i, j, value):
+    m = m.copy()
+    m[i, j] = value
+    return m
+
+
+def _one_ulp_apart(n):
+    m = _symmetric(n)
+    return _one_cell(m, 5, 90, np.nextafter(m[5, 90], np.inf))
+
+
+def _non_finite(n):
+    m = _symmetric(n)
+    for (i, j), value in {(1, n - 3): np.nan, (2, 3): np.inf, (n - 5, 10): -np.inf}.items():
+        m[i, j] = m[j, i] = value
+    return m
+
+
+# (matrix, whether the writer takes its symmetric path)
+_WRITER_CASES = {
+    **{f"symmetric-{n}": (_symmetric(n), True) for n in (1, 2, 63, 64, 65, 130)},
+    # 700 > (_BAND + 1) * _BLOCK, so cells outside the band are formatted per row.
+    "symmetric-700": (_symmetric(700), True),
+    "zero-and-negative-zero": (_one_cell(np.zeros((130, 130)), 100, 3, -0.0), False),
+    "one-ulp-apart": (_one_ulp_apart(130), False),
+    "symmetric-nan-inf": (_non_finite(700), True),
+    "fortran-order": (np.asfortranarray(_symmetric(130)), True),
+    "transposed": (_symmetric(700)[::-1, ::-1].T, True),
+    "rectangular": (np.random.default_rng(1).standard_normal((70, 130)), False),
+    "one-row": (np.random.default_rng(2).standard_normal(9), False),
+}
+
+
+class TestMatrixCsvWriter:
+    """write_matrix_csv writes what np.savetxt(fmt="%.17g", delimiter=",") writes.
+
+    A 1-D array is written as one row, as ``np.atleast_2d`` shapes it.
+    """
+
+    @pytest.mark.parametrize("case", list(_WRITER_CASES))
+    def test_bytes_match_savetxt(self, tmp_path, case):
+        matrix, symmetric = _WRITER_CASES[case]
+        matrix2d = np.atleast_2d(matrix)
+        assert robustmv.io._is_symmetric(matrix2d) is symmetric
+        want = io.BytesIO()
+        np.savetxt(want, matrix2d, fmt="%.17g", delimiter=",")
+        write_matrix_csv(tmp_path / "m.csv", matrix)
+        assert (tmp_path / "m.csv").read_bytes() == want.getvalue()
+
+    def test_symmetric_peak_memory_is_bounded(self, tmp_path):
+        # The formatted text kept for the lower triangle is bounded by the
+        # band.  At N 1000 the banded writer peaked at 4.3 MB, nearly all of
+        # it kept tiles, and a writer that keeps every tile at 6.3 MB; at
+        # N 1500 they read 4.4 and 12.9 MB.
+        x = np.random.default_rng(3).standard_normal((1000, 5))
+        d = np.sum((x[:, None] - x[None]) ** 2, axis=2)
+        assert robustmv.io._is_symmetric(d)
+        tracemalloc.start()
+        try:
+            write_matrix_csv(tmp_path / "d.csv", d)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 5.0 * 2**20
 
 
 _RNG_ROWS = np.random.default_rng(11).standard_normal((6, 5)) * 10.0 ** np.arange(-40, 60, 20)
@@ -1065,11 +1141,17 @@ class TestCli:
         ["embed", "--solver", "ree", "--views", "DIST", "--config", '{"seed": "x"}'],
         ["eval", "--task", "retrieval", "--distances", "MISSING", "--labels", "LABELS"],
         ["eval", "--task", "retrieval", "--distances", "DIST", "--labels", "VIEW"],
+        # An input path that names a directory.
+        ["fit-mv", "--solver", "cmv", "--views", "DIR", "DIR"],
+        ["embed", "--solver", "cmds", "--views", "DIR"],
+        ["eval", "--task", "retrieval", "--distances", "DIR", "--labels", "LABELS"],
     ])
     def test_rejected_run_leaves_no_output_directory(self, tmp_path, capsys, argv):
         files = {name: tmp_path / f"{name.lower()}.csv" for name in ("MISSING", "VIEW", "DIST")}
         write_matrix_csv(files["VIEW"], np.arange(1.0, 13.0).reshape(3, 4))
         write_matrix_csv(files["DIST"], np.ones((4, 4)) - np.eye(4))
+        files["DIR"] = tmp_path / "inputs"
+        files["DIR"].mkdir()
         files["LABELS"] = tmp_path / "labels.csv"
         write_labels(files["LABELS"], [0, 0, 1, 1])
         capsys.readouterr()
