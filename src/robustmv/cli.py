@@ -161,9 +161,7 @@ def _cmd_synth(args):
     truth = {}  # ground truth written beside the views: {file name: matrix}
     labels = None
     if args.kind == "planted":
-        fs, w_true, x_true = gen_planted_multiview(
-            p["n_views"], p["n_instances"], p["latent_dim"], p["view_dims"], seed=args.seed
-        )
+        fs, w_true, x_true = gen_planted_multiview(seed=args.seed, **p)
         matrices = fs.views
         truth["true_latents.csv"] = x_true
         for v, w in enumerate(w_true):
@@ -329,7 +327,8 @@ def _score_confusion(args, predictions, labels):
 def _cmd_eval(args):
     inputs = _eval_inputs(args)
     try:  # --subset, like every flag, is checked before any file is read
-        args.subset = [int(i) for i in args.subset.split(",")] if args.subset else None
+        if args.subset is not None:
+            args.subset = [int(i) for i in args.subset.split(",")]
     except ValueError:
         raise ValueError(
             f"--subset takes comma-separated row indices, not {args.subset!r}"

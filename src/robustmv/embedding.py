@@ -14,10 +14,11 @@ input is its own projection.  The correntropy kernel and its derivative
 come from :mod:`robustmv.losses`.  Coordinates come out of the final
 eigendecomposition, ordered by descending eigenvalue.
 
-Entry convention: matrices hold *squared* dissimilarities throughout, and
-objectives/gradients sum over ordered index pairs exactly the way the
-formulas below state, so a symmetric pair contributes twice to the reported
-objective while the gradient treats it once.
+Entry convention: matrices hold *squared* dissimilarities throughout, every
+entry of every view counts equally, and objectives/gradients sum over
+ordered index pairs exactly the way the formulas below state, so a
+symmetric pair contributes twice to the reported objective while the
+gradient treats it once.
 """
 
 from dataclasses import dataclass, field
@@ -67,40 +68,28 @@ def _check_square_symmetric(m, name, atol=0.0):
     return m
 
 
-def _check_entries(m, name):
-    """``m`` as a float array; raise unless it is finite, square, symmetric, >= 0.
-
-    Finiteness is checked first, so a NaN is reported as non-finite rather
-    than as an asymmetry (``NaN != NaN``).
-    """
-    m = np.asarray(m, dtype=float)
-    if not np.all(np.isfinite(m)):
-        raise ValueError(f"{name} contains non-finite values")
-    m = _check_square_symmetric(m, name)
-    if np.any(m < 0):
-        raise ValueError(f"{name} has negative entries")
-    return m
-
-
 @dataclass
 class DissimilarityViews:
     """M symmetric nonnegative N x N matrices with zero diagonal.
 
-    ``weights[v]`` is the per-entry weighting of view v.  Omitted weights
-    default to unit weights, stored as a read-only broadcast of 1.0 rather
-    than an N x N array per view; ``1.0 * x`` is exact, so every solver
-    result is the same as with explicit ``np.ones`` weights.
+    Entries must be finite, and every view must have the same size.  Every
+    entry of every view counts equally in the solvers' costs.
     """
 
     deltas: list
-    weights: list = None
 
     def __post_init__(self):
         if not self.deltas:
             raise ValueError("at least one view is required")
         checked = []
         for v, m in enumerate(self.deltas):
-            m = _check_entries(m, f"view {v}")
+            m = np.asarray(m, dtype=float)
+            # Finiteness first, so a NaN is not reported as an asymmetry.
+            if not np.all(np.isfinite(m)):
+                raise ValueError(f"view {v} contains non-finite values")
+            m = _check_square_symmetric(m, f"view {v}")
+            if np.any(m < 0):
+                raise ValueError(f"view {v} has negative entries")
             if np.any(np.diag(m) != 0):
                 raise ValueError(f"view {v} must have a zero diagonal")
             checked.append(m)
@@ -108,19 +97,11 @@ class DissimilarityViews:
         if len(sizes) != 1:
             raise ValueError(f"views disagree on size: {sorted(sizes)}")
         self.deltas = checked
-        n = checked[0].shape[0]
-        if self.weights is None:
-            self.weights = [np.broadcast_to(1.0, (n, n)) for _ in checked]
-        else:
-            if len(self.weights) != len(checked):
-                raise ValueError("need one weight matrix per view")
-            ws = []
-            for v, w in enumerate(self.weights):
-                w = _check_entries(w, f"weights {v}")
-                if w.shape[0] != n:
-                    raise ValueError(f"weights {v} size mismatch")
-                ws.append(w)
-            self.weights = ws
+
+    @property
+    def weights(self) -> list:
+        """The REE model's unit entry weights ``W_ij``: a read-only 1.0 per view."""
+        return [np.broadcast_to(1.0, m.shape) for m in self.deltas]
 
     @property
     def n_views(self) -> int:
@@ -288,14 +269,14 @@ def median_kernel_size(views: DissimilarityViews) -> float:
 def mvree_subgradient(views: DissimilarityViews, d) -> np.ndarray:
     """Subgradient of the multi-view L1 cost with respect to the Gram matrix.
 
-    Off-diagonal: ``-sum_v W_ij * sign(D_ij - delta_ij)``; diagonal:
-    ``sum_v sum_k W_ik * sign(D_ik - delta_ik)``.  ``sign(0)`` is 0, a valid
+    Off-diagonal: ``-sum_v sign(D_ij - delta_ij)``; diagonal:
+    ``sum_v sum_k sign(D_ik - delta_ik)``.  ``sign(0)`` is 0, a valid
     subgradient choice at ties.
     """
     d = np.asarray(d, dtype=float)
     s = np.zeros_like(d)
-    for w, delta in zip(views.weights, views.deltas):
-        s += w * np.sign(d - delta)
+    for delta in views.deltas:
+        s += np.sign(d - delta)
     g = -s
     np.fill_diagonal(g, s.sum(axis=1))
     return g
@@ -305,38 +286,36 @@ def cmvree_gradient(views: DissimilarityViews, d, sigma: float, alpha: float = 2
     """Gradient of the correntropy score with respect to the Gram matrix.
 
     For ``alpha = 2`` the off-diagonal entry is
-    ``sum_v W_ij * exp(-(delta_ij - D_ij)^2 / 2 sigma^2) * (D_ij - delta_ij) / sigma^2``
+    ``sum_v exp(-(delta_ij - D_ij)^2 / 2 sigma^2) * (D_ij - delta_ij) / sigma^2``
     and the diagonal entry is the row sum with the opposite error sign; a
     general shape exponent replaces the Gaussian kernel by
     ``exp(-|e|^alpha / (2 sigma^alpha))`` with the matching chain rule.
     """
     d = np.asarray(d, dtype=float)
     t = np.zeros_like(d)
-    for w, delta in zip(views.weights, views.deltas):
+    for delta in views.deltas:
         # e = delta - D, so the slope in D is minus the kernel's derivative.
-        t -= w * correntropy_derivative(delta - d, sigma, alpha)
+        t -= correntropy_derivative(delta - d, sigma, alpha)
     g = -t
     np.fill_diagonal(g, t.sum(axis=1))
     return g
 
 
 def f0_objective(views: DissimilarityViews, d) -> float:
-    """Total weighted L1 discrepancy, summed over the full matrix."""
+    """Total L1 discrepancy, summed over the full matrix."""
     d = np.asarray(d, dtype=float)
-    return float(
-        sum(np.sum(w * np.abs(delta - d)) for w, delta in zip(views.weights, views.deltas))
-    )
+    return float(sum(np.sum(np.abs(delta - d)) for delta in views.deltas))
 
 
 def f_objective(views: DissimilarityViews, d, sigma: float, alpha: float = 2.0) -> float:
-    """Total weighted correntropy score, summed over the full matrix.
+    """Total correntropy score, summed over the full matrix.
 
-    Bounded above by the total weight mass sum_v sum_ij W_ij.
+    Bounded above by the entry count ``M * N^2``.
     """
     d = np.asarray(d, dtype=float)
     total = 0.0
-    for w, delta in zip(views.weights, views.deltas):
-        total += np.sum(w * correntropy_kernel(delta - d, sigma, alpha))
+    for delta in views.deltas:
+        total += np.sum(correntropy_kernel(delta - d, sigma, alpha))
     return float(total)
 
 

@@ -182,8 +182,11 @@ def _symmetric_lines(matrix):
 
 
 def read_labels(path):
+    """One integer label per line: a file of one column."""
     raw = read_matrix_csv(path)
-    flat = raw.ravel()
+    if raw.shape[1] != 1:
+        raise ValueError(f"{path}: labels must be one integer per line, got shape {raw.shape}")
+    flat = raw[:, 0]
     labels = flat.astype(int)
     if np.any(labels != flat):
         raise ValueError(f"{path}: labels must be integers")

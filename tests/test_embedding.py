@@ -42,11 +42,11 @@ def _pair_objective_l1(views, b):
     # Independent evaluation over unordered pairs; D rebuilt from scratch.
     n = b.shape[0]
     total = 0.0
-    for w, delta in zip(views.weights, views.deltas):
+    for delta in views.deltas:
         for i in range(n):
             for j in range(i + 1, n):
                 d_ij = b[i, i] + b[j, j] - b[i, j] - b[j, i]
-                total += w[i, j] * abs(delta[i, j] - d_ij)
+                total += abs(delta[i, j] - d_ij)
     return total
 
 
@@ -54,11 +54,11 @@ def _pair_objective_corr(views, b, sigma, alpha):
     n = b.shape[0]
     lam = 1.0 / (2.0 * sigma**alpha)
     total = 0.0
-    for w, delta in zip(views.weights, views.deltas):
+    for delta in views.deltas:
         for i in range(n):
             for j in range(i + 1, n):
                 d_ij = b[i, i] + b[j, j] - b[i, j] - b[j, i]
-                total += w[i, j] * np.exp(-lam * abs(delta[i, j] - d_ij) ** alpha)
+                total += np.exp(-lam * abs(delta[i, j] - d_ij) ** alpha)
     return total
 
 
@@ -288,15 +288,6 @@ class TestSubgradient:
         g = mvree_subgradient(views, d)
         np.testing.assert_allclose(g, [[1.0, -1.0], [-1.0, 1.0]])
 
-    def test_linear_in_weights(self):
-        rng = np.random.default_rng(10)
-        views = _random_views(rng, 5)
-        d = _sq_dists(rng.uniform(0, 3, size=(5, 3)))
-        doubled = DissimilarityViews(views.deltas, [2 * w for w in views.weights])
-        np.testing.assert_allclose(
-            mvree_subgradient(doubled, d), 2 * mvree_subgradient(views, d), rtol=1e-12
-        )
-
     def test_matches_fd_away_from_ties(self):
         rng = np.random.default_rng(11)
         views = _random_views(rng, 5)
@@ -334,7 +325,7 @@ class TestCorrentropyGradient:
         d = _sq_dists(rng.uniform(0, 3, size=(6, 3)))
         sigma = 1e4
         g = cmvree_gradient(views, d, sigma)
-        resid = sum(w * (d - delta) for w, delta in zip(views.weights, views.deltas))
+        resid = sum(d - delta for delta in views.deltas)
         expected = resid.copy()
         np.fill_diagonal(expected, -resid.sum(axis=1))
         np.testing.assert_allclose(sigma**2 * g, expected, rtol=1e-4, atol=1e-8)
@@ -356,6 +347,10 @@ class TestObjectives:
     def test_f_bounded_by_weight_mass(self):
         rng = np.random.default_rng(16)
         views = _random_views(rng, 6)
+        # Every entry weighs 1: the weights are read-only unit broadcasts.
+        for w in views.weights:
+            assert not w.flags.writeable
+            np.testing.assert_array_equal(w, np.ones((6, 6)))
         mass = sum(np.sum(w) for w in views.weights)
         for _ in range(10):
             d = _sq_dists(rng.uniform(0, 4, size=(6, 2)))
@@ -367,19 +362,17 @@ class TestObjectives:
         st.sampled_from([1.5, 2.0]),
         st.floats(0.1, 10.0),
     )
-    def test_f_is_weighted_sum_of_shared_kernel(self, seed, alpha, sigma):
+    def test_f_is_sum_of_shared_kernel(self, seed, alpha, sigma):
         rng = np.random.default_rng(seed)
-        weights = [(w + w.T) / 2 for w in rng.uniform(0, 1, size=(2, 5, 5))]
-        views = DissimilarityViews(_random_views(rng, 5).deltas, weights)
+        views = _random_views(rng, 5)
         d = _sq_dists(rng.uniform(0, 3, size=(5, 2)))
         got = f_objective(views, d, sigma, alpha)
         shared = sum(
-            np.sum(w * correntropy_kernel(delta - d, sigma, alpha))
-            for w, delta in zip(views.weights, views.deltas)
+            np.sum(correntropy_kernel(delta - d, sigma, alpha)) for delta in views.deltas
         )
         direct = sum(
-            np.sum(w * np.exp(-np.abs(delta - d) ** alpha / (2.0 * sigma**alpha)))
-            for w, delta in zip(views.weights, views.deltas)
+            np.sum(np.exp(-np.abs(delta - d) ** alpha / (2.0 * sigma**alpha)))
+            for delta in views.deltas
         )
         assert got == shared
         assert got == pytest.approx(direct, rel=1e-12)
@@ -601,19 +594,6 @@ class TestReeFit:
         b2 = ree_fit(permuted, cfg, loss="correntropy").gram
         np.testing.assert_allclose(b2, b1[np.ix_(perm, perm)], atol=1e-8)
 
-    @pytest.mark.parametrize("loss", ["l1", "correntropy"])
-    def test_default_weights_match_explicit_ones(self, loss):
-        # Default weights are a read-only broadcast of 1.0; 1.0 * x is exact,
-        # so the run is bit for bit the run with stored unit weights.
-        rng = np.random.default_rng(25)
-        views = _random_views(rng, 9, m=3)
-        assert not views.weights[0].flags.writeable
-        ones = DissimilarityViews(views.deltas, [np.ones((9, 9)) for _ in range(3)])
-        cfg = EmbedConfig(target_dim=2, sigma=2.0, step=0.05, max_iter=30)
-        got, want = ree_fit(views, cfg, loss=loss), ree_fit(ones, cfg, loss=loss)
-        np.testing.assert_array_equal(got.gram, want.gram)
-        assert got.trace.objective == want.trace.objective
-
     def test_validation(self):
         rng = np.random.default_rng(24)
         views = _random_views(rng, 5)
@@ -686,17 +666,11 @@ class TestMedianKernel:
             DissimilarityViews([np.eye(3)])
         with pytest.raises(ValueError, match="negative"):
             DissimilarityViews([np.array([[0.0, -1.0], [-1.0, 0.0]])])
+        # NaN != NaN, so finiteness is checked before symmetry.
+        with pytest.raises(ValueError, match="^view 0 contains non-finite values$"):
+            DissimilarityViews([np.array([[0.0, np.nan], [np.nan, 0.0]])])
 
     def test_one_point_is_rejected(self):
         # One point has no off-diagonal entry; np.median of nothing is NaN.
         with pytest.raises(ValueError, match="needs at least two points, got 1"):
             median_kernel_size(DissimilarityViews([np.zeros((1, 1))]))
-
-    @pytest.mark.parametrize("bad", [np.inf, np.nan], ids=["inf", "nan"])
-    def test_non_finite_weights_are_rejected(self, bad):
-        # Checked on entry: an inf weight would only fail inside ree_fit
-        # (inf * 0 is NaN), and NaN != NaN would read as an asymmetry.
-        delta = np.array([[0.0, 1.0], [1.0, 0.0]])
-        weights = np.array([[0.0, bad], [bad, 0.0]])
-        with pytest.raises(ValueError, match="^weights 0 contains non-finite values$"):
-            DissimilarityViews([delta], [weights])

@@ -678,6 +678,36 @@ class TestCli:
         run = json.loads((tmp_path / "norm" / "run.json").read_text())
         assert run["params"]["normalize"] is True
 
+    @pytest.mark.parametrize("kind", ["planted", "labeled", "pointset", "clusters"])
+    def test_synth_rejects_unknown_params_key(self, tmp_path, capsys, kind):
+        # A misspelled key is an error, not a silently ignored setting.
+        out = tmp_path / "syn"
+        capsys.readouterr()
+        assert main(["synth", "--kind", kind, "--out", str(out),
+                     "--params", '{"bogus": 1}']) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = _strict_json(lines[0])
+        assert err["error"] == "validation"
+        assert "unexpected keyword argument 'bogus'" in err["message"]
+        assert not out.exists()
+
+    def test_labels_with_more_than_one_column_are_rejected(self, tmp_path, capsys):
+        data = tmp_path / "clusters"
+        assert main(["synth", "--kind", "clusters", "--out", str(data)]) == 0
+        labels = data / "labels.csv"
+        write_matrix_csv(labels, read_labels(labels).reshape(33, 3))
+        capsys.readouterr()
+        out = tmp_path / "ev"
+        assert main(["eval", "--task", "retrieval", "--distances", str(data / "view1.csv"),
+                     "--labels", str(labels), "--out", str(out)]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert _strict_json(lines[0])["message"] == (
+            f"{labels}: labels must be one integer per line, got shape (33, 3)"
+        )
+        assert not out.exists()
+
     @pytest.mark.parametrize("kind", ["planted", "pointset", "clusters"])
     def test_synth_corrupt_only_for_labeled(self, tmp_path, capsys, kind):
         out = tmp_path / "syn"
@@ -1193,6 +1223,7 @@ class TestCli:
         ("99", "subset must hold row indices in [0, 25), got [99]"),
         ("-1", "subset must hold row indices in [0, 25), got [-1]"),
         ("0,x", "--subset takes comma-separated row indices, not '0,x'"),
+        ("", "--subset takes comma-separated row indices, not ''"),
     ])
     def test_procrustes_subset_is_validated(self, tmp_path, capsys, subset, message):
         data = tmp_path / "pts"
