@@ -8,7 +8,7 @@ and evaluation utilities round out an experiment harness driven by the
 ``robustmv`` command-line tool.
 """
 
-from .losses import CauchyScale, GgdParams, cauchy_loss, correntropy_kernel, gc_loss, ggd
+from .losses import CauchyScale, GgdParams, cauchy_loss, correntropy_kernel, gc_loss
 from .trace import NumericalError, SolverTrace
 from .features import (
     CmvConfig,

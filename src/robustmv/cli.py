@@ -73,7 +73,7 @@ _FIT_SOLVERS = ("cmv", "cemv", "l2mv", "cauchymv")  # fit-mv calls <solver>_fit
 _EMBED_SOLVERS = ("cmds", "ree", "mvree", "cmvree")
 
 _SYNTH_DEFAULTS = {
-    "planted": {"n_views": 2, "n_instances": 50, "latent_dim": 3, "view_dims": [6, 5]},
+    "planted": {"n_instances": 50, "latent_dim": 3, "view_dims": [6, 5]},
     "labeled": {"classes": 10, "per_class": 40, "view_dims": [64, 32], "latent_dim": 8},
     "pointset": {"box": 4.5, "magnitude": 10.0, "noise_on": "squared"},
     "clusters": {"classes": 9, "per_class": 11, "corrupt_per_view": 10, "magnitude": 10.0},
@@ -190,7 +190,7 @@ def _noise_spec(args):
 
     ``run.json`` records it as returned, so the echo rebuilds the same views.
     """
-    if not args.corrupt:
+    if args.corrupt is None:
         return None
     spec = {"view": 0, "kind": "instance_replacement", "seed": args.seed}
     spec.update(_parse_config(args.corrupt, "--corrupt"))
@@ -209,11 +209,11 @@ def _apply_corruption(fs, noise):
 
 
 def _cmd_fit_mv(args):
-    if bool(args.views) == bool(args.uci_dir):
+    if (args.views is None) == (args.uci_dir is None):
         raise ValueError("give exactly one of --views and --uci-dir")
-    if args.uci_views is not None and not args.uci_dir:
+    if args.uci_views is not None and args.uci_dir is None:
         raise ValueError("--uci-views applies to --uci-dir only")
-    if args.uci_dir:
+    if args.uci_dir is not None:
         names = ("pix,zer" if args.uci_views is None else args.uci_views).split(",")
         files = [Path(args.uci_dir) / f"mfeat-{name}" for name in names]
         fs = ingest_uci_directory(args.uci_dir, view_names=names)
@@ -264,13 +264,13 @@ def _eval_inputs(args):
     Options the task reads but was not given are set to their ``_EVAL_OPTIONS`` value.
     """
     feeds, needed, opts = _EVAL_TASKS[args.task]
-    given = [flag for flag in _EVAL_FILES if getattr(args, flag)]
+    given = [flag for flag in _EVAL_FILES if getattr(args, flag) is not None]
     matrix = [flag for flag in given if flag in _MATRIX_FILES]
     if feeds and (len(matrix) != 1 or matrix[0] not in feeds):
         names = ", ".join(f"--{f}" for f in feeds)
         raise ValueError(f"eval --task {args.task} takes exactly one of {names}")
     for flag in needed:
-        if not getattr(args, flag):
+        if getattr(args, flag) is None:
             raise ValueError(f"eval --task {args.task} needs --{flag}")
     unread = [flag for flag in given if flag not in feeds and flag not in needed]
     unread += [opt for opt in _EVAL_OPTIONS if opt not in opts and getattr(args, opt) is not None]

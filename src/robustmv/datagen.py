@@ -31,6 +31,8 @@ _NOISE_KINDS = ("instance_replacement", "pixel_replacement")
 # Rows of a distance matrix filled or mirrored per block: the block's
 # difference stack is _DISTANCE_BLOCK_ROWS x N x d floats.
 _DISTANCE_BLOCK_ROWS = 32
+_CLUSTER_SEPARATION = 12.0  # each class centroid's distance from the origin
+_OBSERVATION_NOISE = 0.01  # labeled-view noise, relative to the view's RMS signal
 
 
 @dataclass
@@ -82,15 +84,14 @@ def _salt_pepper_levels(clean, magnitude):
     return pepper, salt, p_salt
 
 
-def gen_planted_multiview(n_views, n_instances, latent_dim, view_dims, seed=0):
+def gen_planted_multiview(n_instances, latent_dim, view_dims, seed=0):
     """Exactly low-rank multi-view data z_v = W*_v @ X*.
 
-    Returns ``(feature_set, true_maps, true_latents)``.  Requires
-    ``latent_dim < n_instances`` and ``latent_dim <= min(view_dims)`` so the
-    planted model is identifiable in recovery tests.
+    There is one view per entry of ``view_dims``.  Returns ``(feature_set,
+    true_maps, true_latents)``.  Requires ``latent_dim < n_instances`` and
+    ``latent_dim <= min(view_dims)`` so the planted model is identifiable in
+    recovery tests.
     """
-    if len(view_dims) != n_views:
-        raise ValueError("view_dims must have one entry per view")
     if latent_dim >= n_instances:
         raise ValueError(
             f"latent_dim must be < n_instances ({latent_dim} >= {n_instances})"
@@ -248,17 +249,16 @@ def gen_cluster_retrieval_views(
     n_views=2,
     corrupt_per_view=10,
     magnitude=10.0,
-    separation=12.0,
-    spread=1.0,
     seed=0,
 ):
     """Class-structured dissimilarity views with complementary corruption.
 
-    Points sit around well-separated class centroids, so with zero noise
-    retrieval of the ``per_class - 1`` nearest neighbours is perfect on any
-    single view.  Each view then corrupts all distances touching its own
-    disjoint subset of ``corrupt_per_view`` instances, so no single view is
-    sufficient but the ensemble is.  Returns ``(labels, views)``.
+    Points are unit normal draws around class centroids that sit 12 out on
+    one coordinate axis each, so with zero noise retrieval of the
+    ``per_class - 1`` nearest neighbours is perfect on any single view.
+    Each view then corrupts all distances touching its own disjoint subset
+    of ``corrupt_per_view`` instances, so no single view is sufficient but
+    the ensemble is.  Returns ``(labels, views)``.
     """
     if classes < 2 or per_class < 2:
         raise ValueError("need at least 2 classes and 2 instances per class")
@@ -267,8 +267,8 @@ def gen_cluster_retrieval_views(
         raise ValueError("disjoint corruption subsets exceed instance count")
     rng = np.random.default_rng(seed)
     labels = np.repeat(np.arange(classes), per_class)
-    centroids = separation * np.eye(classes)
-    pts = centroids[labels] + spread * rng.standard_normal((n, classes))
+    centroids = _CLUSTER_SEPARATION * np.eye(classes)
+    pts = centroids[labels] + rng.standard_normal((n, classes))
     dist = _pairwise_distances(pts)
     order = rng.permutation(n)
     deltas = []
@@ -286,21 +286,19 @@ def gen_labeled_multiview(
     view_dims=(64, 32),
     latent_dim=8,
     scatter=0.25,
-    observation_noise=0.01,
     seed=0,
 ):
     """Class-structured multi-view features for classification experiments.
 
     Latent vectors sit around ``classes`` random centroids in
     ``latent_dim`` dimensions; each view observes them through its own
-    random linear map plus Gaussian noise (one ``observation_noise`` level for
-    every view, relative to the view's RMS signal), then gets rescaled
-    to unit mean squared column norm (a fixed point of view normalization).
+    random linear map plus Gaussian noise (1% of the view's RMS signal, for
+    every view), then gets rescaled to unit mean squared column norm (a
+    fixed point of view normalization).
     Returns ``(labels, feature_set)``.
     """
     if classes < 2 or per_class < 1:
         raise ValueError("need at least 2 classes and 1 instance per class")
-    observation_noise = float(observation_noise)
     rng = np.random.default_rng(seed)
     n = classes * per_class
     labels = np.repeat(np.arange(classes), per_class)
@@ -310,7 +308,7 @@ def gen_labeled_multiview(
     for dv in view_dims:
         w = rng.standard_normal((dv, latent_dim)) / np.sqrt(latent_dim)
         z = w @ latents.T
-        z += observation_noise * np.sqrt(np.mean(z * z)) * rng.standard_normal((dv, n))
+        z += _OBSERVATION_NOISE * np.sqrt(np.mean(z * z)) * rng.standard_normal((dv, n))
         z /= np.sqrt(np.sum(z * z) / n)  # unit mean squared column norm
         views.append(z)
     return labels, MultiViewFeatureSet(views)

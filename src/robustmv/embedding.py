@@ -152,20 +152,16 @@ class EmbedConfig:
 class EmbeddingResult:
     """Final configuration of an embedding run.
 
-    ``coords`` is the full ``N x N`` configuration ``U * sqrt(clipped
-    eigenvalues)`` with columns ordered by descending eigenvalue;
-    ``coords[:, :target_dim]`` is the working low-dimensional configuration.
+    ``configuration`` is the ``N x target_dim`` working configuration: the
+    leading columns of ``U * sqrt(clipped eigenvalues)``, ordered by
+    descending eigenvalue.  ``eigenvalues`` holds all N of them, unclipped,
+    in that order, and ``gram`` is the clipped Gram matrix they rebuild.
     """
 
-    coords: np.ndarray
+    configuration: np.ndarray
     eigenvalues: np.ndarray
     gram: np.ndarray
-    target_dim: int
     trace: SolverTrace = field(default_factory=SolverTrace)
-
-    @property
-    def configuration(self) -> np.ndarray:
-        return self.coords[:, : self.target_dim]
 
 
 def b_to_d(b) -> np.ndarray:
@@ -221,16 +217,10 @@ def _configuration_from_gram(b, target_dim, trace):
     order = np.argsort(-w, kind="stable")  # descending, ties by original index
     w, v = w[order], v[:, order]
     wpos = np.maximum(w, 0.0)
-    coords = v * np.sqrt(wpos)
     gram = (v * wpos) @ v.T
     gram = (gram + gram.T) / 2.0
-    return EmbeddingResult(
-        coords=coords,
-        eigenvalues=w,
-        gram=gram,
-        target_dim=target_dim,
-        trace=trace,
-    )
+    configuration = v[:, :target_dim] * np.sqrt(wpos[:target_dim])
+    return EmbeddingResult(configuration=configuration, eigenvalues=w, gram=gram, trace=trace)
 
 
 def cmds(delta, target_dim: int) -> EmbeddingResult:
@@ -266,6 +256,22 @@ def median_kernel_size(views: DissimilarityViews) -> float:
     return med
 
 
+def _gram_gradient(views, d, slope):
+    """Gradient in ``B`` of a cost whose slope in ``D_ij`` is ``slope(D_ij - delta_ij)``.
+
+    The D-to-B chain rule of every embedding cost: with ``t = sum_v
+    slope(D - delta_v)`` the gradient is ``-t`` off the diagonal and the row
+    sums of ``t`` on it.
+    """
+    d = np.asarray(d, dtype=float)
+    t = np.zeros_like(d)
+    for delta in views.deltas:
+        t += slope(d - delta)
+    g = -t
+    np.fill_diagonal(g, t.sum(axis=1))
+    return g
+
+
 def mvree_subgradient(views: DissimilarityViews, d) -> np.ndarray:
     """Subgradient of the multi-view L1 cost with respect to the Gram matrix.
 
@@ -273,13 +279,7 @@ def mvree_subgradient(views: DissimilarityViews, d) -> np.ndarray:
     ``sum_v sum_k sign(D_ik - delta_ik)``.  ``sign(0)`` is 0, a valid
     subgradient choice at ties.
     """
-    d = np.asarray(d, dtype=float)
-    s = np.zeros_like(d)
-    for delta in views.deltas:
-        s += np.sign(d - delta)
-    g = -s
-    np.fill_diagonal(g, s.sum(axis=1))
-    return g
+    return _gram_gradient(views, d, np.sign)
 
 
 def cmvree_gradient(views: DissimilarityViews, d, sigma: float, alpha: float = 2.0):
@@ -290,15 +290,10 @@ def cmvree_gradient(views: DissimilarityViews, d, sigma: float, alpha: float = 2
     and the diagonal entry is the row sum with the opposite error sign; a
     general shape exponent replaces the Gaussian kernel by
     ``exp(-|e|^alpha / (2 sigma^alpha))`` with the matching chain rule.
+    The kernel's derivative is odd in the error, so its slope in ``D`` at
+    ``e = delta - D`` is the derivative itself at ``D - delta``.
     """
-    d = np.asarray(d, dtype=float)
-    t = np.zeros_like(d)
-    for delta in views.deltas:
-        # e = delta - D, so the slope in D is minus the kernel's derivative.
-        t -= correntropy_derivative(delta - d, sigma, alpha)
-    g = -t
-    np.fill_diagonal(g, t.sum(axis=1))
-    return g
+    return _gram_gradient(views, d, lambda e: correntropy_derivative(e, sigma, alpha))
 
 
 def f0_objective(views: DissimilarityViews, d) -> float:

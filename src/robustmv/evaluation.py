@@ -62,7 +62,6 @@ class RetrievalScore:
     """Per-query correct-neighbour counts and their total."""
 
     per_query: np.ndarray
-    k: int
 
     def __post_init__(self):
         self.per_query = np.asarray(self.per_query, dtype=int)
@@ -221,7 +220,7 @@ def retrieval_topk(labels, distances=None, configuration=None, k=10) -> Retrieva
         raise ValueError(f"k={k} out of range for N={n}")
     _, top = _nearest(n, k, distances=distances, configuration=configuration)
     counts = np.sum(labels[top] == labels[:, None], axis=1)
-    return RetrievalScore(per_query=counts, k=k)
+    return RetrievalScore(per_query=counts)
 
 
 def procrustes_align(estimate, reference):

@@ -149,7 +149,6 @@ class IntactSpaceModel:
     W: list
     A: object
     trace: SolverTrace
-    solver: str = "cmv"
 
 
 def normalize_views(fs: MultiViewFeatureSet) -> MultiViewFeatureSet:
@@ -354,57 +353,46 @@ def _init_maps(fs, cfg):
     ]
 
 
-def _check_fit_inputs(fs, cfg):
-    if cfg.latent_dim >= fs.n_instances:
-        raise ValueError(
-            f"latent_dim must be < instance count ({cfg.latent_dim} >= {fs.n_instances})"
-        )
-
-
-def _alternate(fs, cfg, solver, *steps):
+def _alternate(fs, cfg, solver, update_a, update_x, update_w, objective, unit_a):
     """Shared double loop: refresh A, then alternate x/W updates.
 
     An overflow, invalid operation or division by zero anywhere in the fit
     (a squared residual past the float range, say) raises ``NumericalError``
-    instead of a warning.  The check changes no value a fit computes.
+    instead of a warning, naming ``solver``.  The check changes no value a
+    fit computes.
     """
-    _check_fit_inputs(fs, cfg)
+    if cfg.latent_dim >= fs.n_instances:
+        raise ValueError(
+            f"latent_dim must be < instance count ({cfg.latent_dim} >= {fs.n_instances})"
+        )
+    trace = SolverTrace()
+    prev = None
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            return _alternate_steps(fs, cfg, solver, *steps)
+            W = _init_maps(fs, cfg)
+            X = update_x(fs, W, unit_a, cfg.c2)
+            for _ in range(cfg.max_outer):
+                A = update_a(fs, X, W, cfg)
+                for _ in range(cfg.max_inner):
+                    X = update_x(fs, W, A, cfg.c2)
+                    W = update_w(fs, X, A, cfg.c1)
+                obj = objective(fs, X, W, A, cfg)
+                if not np.isfinite(obj):
+                    raise NumericalError(f"{solver}: non-finite objective {obj}")
+                trace.record(obj)
+                if not np.any(X):
+                    # A zero latent matrix is a degenerate fit, not a converged one.
+                    trace.finish(False, "latent matrix collapsed to zero")
+                    break
+                if prev is not None and abs(obj - prev) <= cfg.rel_tol * max(1.0, abs(prev)):
+                    trace.finish(True, "objective change below rel_tol")
+                    break
+                prev = obj
+            else:
+                trace.finish(False, "max_outer reached")
     except FloatingPointError as exc:
         raise NumericalError(f"{solver}: {exc}") from None
-
-
-def _alternate_steps(fs, cfg, solver, update_a, update_x, update_w, objective, unit_a):
-    W = _init_maps(fs, cfg)
-    X = update_x(fs, W, unit_a, cfg.c2)
-    trace = SolverTrace()
-    A = None
-    prev = None
-    stopped = False
-    for _ in range(cfg.max_outer):
-        A = update_a(fs, X, W, cfg)
-        for _ in range(cfg.max_inner):
-            X = update_x(fs, W, A, cfg.c2)
-            W = update_w(fs, X, A, cfg.c1)
-        obj = objective(fs, X, W, A, cfg)
-        if not np.isfinite(obj):
-            raise NumericalError(f"{solver}: non-finite objective {obj}")
-        trace.record(obj)
-        if not np.any(X):
-            # A zero latent matrix is a degenerate fit, not a converged one.
-            trace.finish(False, "latent matrix collapsed to zero")
-            stopped = True
-            break
-        if prev is not None and abs(obj - prev) <= cfg.rel_tol * max(1.0, abs(prev)):
-            trace.finish(True, "objective change below rel_tol")
-            stopped = True
-            break
-        prev = obj
-    if not stopped:
-        trace.finish(False, "max_outer reached")
-    return IntactSpaceModel(X=X, W=W, A=A, trace=trace, solver=solver)
+    return IntactSpaceModel(X=X, W=W, A=A, trace=trace)
 
 
 def _unit_instance_weights(fs):

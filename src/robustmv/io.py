@@ -225,8 +225,8 @@ def ingest_features(paths):
     return MultiViewFeatureSet(views)
 
 
-def ingest_uci_directory(directory, view_names=("pix", "zer")):
-    """Load views from a multiple-features style directory.
+def ingest_uci_directory(directory, view_names):
+    """Load the views ``view_names`` from a multiple-features style directory.
 
     Files are named ``mfeat-<name>``, whitespace separated, one instance per
     row; they are transposed into the rows-=-dims layout used here.

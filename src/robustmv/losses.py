@@ -1,12 +1,13 @@
 """Loss and kernel functions: the one definition every solver uses.
 
 The central object is the generalized Gaussian density ``g(e) = gamma *
-exp(-lam * |e|**alpha)`` with shape ``alpha`` and bandwidth ``beta``.  Its
-induced loss ``g(0) - g(e)`` is bounded, which is what makes the multi-view
-solvers in this package robust to gross outliers.  The solvers use it
-unnormalized, as the correntropy kernel ``exp(-|e|**alpha / (2 sigma**alpha))``
-(``alpha = 2`` for the feature solvers, ``EmbedConfig.alpha`` for the
-embedding solvers), together with its derivative.  The Cauchy loss and its
+exp(-lam * |e|**alpha)`` with shape ``alpha`` and bandwidth ``beta``
+(``GgdParams``).  Its induced loss ``g(0) - g(e)`` (``gc_loss``) is bounded,
+which is what makes the multi-view solvers in this package robust to gross
+outliers.  The solvers use the density unnormalized, as the correntropy
+kernel ``exp(-|e|**alpha / (2 sigma**alpha))`` (``alpha = 2`` for the
+feature solvers, ``EmbedConfig.alpha`` for the embedding solvers), together
+with its derivative.  The Cauchy loss and its
 IRLS weight, used by the Cauchy baseline, live here as well.
 """
 
@@ -19,7 +20,6 @@ import numpy as np
 __all__ = [
     "GgdParams",
     "CauchyScale",
-    "ggd",
     "gc_loss",
     "cauchy_loss",
     "cauchy_weight",
@@ -97,19 +97,8 @@ def _maybe_scalar(x, arr):
     return float(arr) if np.isscalar(x) or np.ndim(x) == 0 else arr
 
 
-def ggd(e, p: GgdParams):
-    """Generalized Gaussian density gamma * exp(-lam * |e|**alpha).
-
-    Even in ``e``, strictly positive, maximal at ``e = 0`` where it equals
-    ``p.gamma``.  Accepts scalars or arrays.
-    """
-    e = np.asarray(e, dtype=float)
-    val = p.gamma * np.exp(_exponent(e, p.lam, p.alpha))
-    return _maybe_scalar(e, val)
-
-
 def gc_loss(e, p: GgdParams):
-    """Bounded loss gamma * (1 - exp(-lam * |e|**alpha)) = ggd(0) - ggd(e).
+    """Bounded loss gamma * (1 - exp(-lam * |e|**alpha)) = g(0) - g(e).
 
     Zero iff ``e == 0``, monotone nondecreasing in ``|e|``, bounded above by
     ``p.gamma``.
@@ -137,8 +126,8 @@ def correntropy_kernel(e, sigma: float, alpha: float = 2.0):
     """Unnormalized correntropy kernel exp(-|e|**alpha / (2 * sigma**alpha)).
 
     ``alpha = 2`` is the Gaussian kernel exp(-e**2 / (2 * sigma**2)).  This
-    is the form all solver objectives and weights use; the ggd normalizing
-    constant is deliberately left out.
+    is the form all solver objectives and weights use; the density's
+    normalizing constant ``GgdParams.gamma`` is deliberately left out.
     """
     check_kernel_size(sigma, alpha)
     e = np.asarray(e, dtype=float)
@@ -165,7 +154,7 @@ def correntropy_derivative(e, sigma: float, alpha: float = 2.0):
     return _maybe_scalar(e, val)
 
 
-def check_kernel_size(sigma, alpha=2.0, name="sigma"):
+def check_kernel_size(sigma, alpha=2.0):
     """Reject a kernel size whose ``2 * sigma**alpha`` is not a finite normal float.
 
     Outside that range the kernel's exponent divides by zero or overflows.
@@ -174,7 +163,7 @@ def check_kernel_size(sigma, alpha=2.0, name="sigma"):
     if not alpha > 0:
         raise ValueError(f"alpha must be > 0, got {alpha}")
     if not sigma > 0:
-        raise ValueError(f"{name} must be > 0, got {sigma}")
+        raise ValueError(f"sigma must be > 0, got {sigma}")
     try:
         scale = 2.0 * float(sigma) ** float(alpha)
     except OverflowError:
@@ -182,7 +171,7 @@ def check_kernel_size(sigma, alpha=2.0, name="sigma"):
     if not _SCALE_MIN <= scale <= _SCALE_MAX:
         low, high = ((bound / 2.0) ** (1.0 / alpha) for bound in (_SCALE_MIN, _SCALE_MAX))
         raise ValueError(
-            f"{name}={sigma} is out of range for alpha={alpha}: "
+            f"sigma={sigma} is out of range for alpha={alpha}: "
             f"use a size between {low:.3g} and {high:.3g}"
         )
 

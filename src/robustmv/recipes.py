@@ -217,10 +217,10 @@ def _pointset_25(seed):
     points, views = gen_point_set_views(seed=seed, **data)
     corrupted = sorted({*POINTSET_VIEW1, *POINTSET_VIEW2})
 
-    def score(coords):
+    def score(estimate):
         return {
-            "rmse_all": procrustes_rmse(coords, points),
-            "rmse_corrupted": procrustes_rmse(coords, points, subset=corrupted),
+            "rmse_all": procrustes_rmse(estimate, points),
+            "rmse_corrupted": procrustes_rmse(estimate, points, subset=corrupted),
         }
 
     fits, results = _embed_lineup(views, score, seed=seed, **embed)
@@ -251,7 +251,7 @@ def _cluster_retrieval(seed):
         return {"total_correct": retrieval_topk(labels, k=k, **source).total}
 
     fits, lineup = _embed_lineup(
-        views, lambda coords: score(configuration=coords), seed=seed, sigma=sigma, **embed
+        views, lambda found: score(configuration=found), seed=seed, sigma=sigma, **embed
     )
     results = {
         "raw-view1": score(distances=views.deltas[0]),

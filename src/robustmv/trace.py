@@ -6,7 +6,14 @@ __all__ = ["SolverTrace", "NumericalError"]
 
 
 class NumericalError(RuntimeError):
-    """Raised when a solver produces a non-finite objective."""
+    """Raised when a computation leaves the finite float range.
+
+    Solvers raise it for a non-finite objective or weight, an overflowed
+    ridge system or a floating-point fault inside a feature fit; view
+    normalization raises it when a view's scale overflows, and
+    ``procrustes_rmse`` when the RMSE is not finite.  The CLI maps it to
+    exit code 3.
+    """
 
 
 @dataclass

@@ -67,21 +67,21 @@ def _broadcast_point_set_views(seed, noise_on):
 
 class TestPlantedMultiview:
     def test_deterministic(self):
-        a = gen_planted_multiview(2, 10, 3, [5, 4], seed=7)
-        b = gen_planted_multiview(2, 10, 3, [5, 4], seed=7)
+        a = gen_planted_multiview(10, 3, [5, 4], seed=7)
+        b = gen_planted_multiview(10, 3, [5, 4], seed=7)
         for za, zb in zip(a[0].views, b[0].views):
             assert np.array_equal(za, zb)
 
     def test_zero_residual_under_truth(self):
-        fs, w_true, x_true = gen_planted_multiview(3, 12, 2, [4, 3, 6], seed=8)
+        fs, w_true, x_true = gen_planted_multiview(12, 2, [4, 3, 6], seed=8)
         for z, w in zip(fs.views, w_true):
             np.testing.assert_allclose(z, w @ x_true, atol=1e-14)
 
     def test_degenerate_dims_rejected(self):
         with pytest.raises(ValueError, match="latent_dim"):
-            gen_planted_multiview(1, 5, 5, [6], seed=0)
+            gen_planted_multiview(5, 5, [6], seed=0)
         with pytest.raises(ValueError, match="view dimension"):
-            gen_planted_multiview(1, 9, 5, [3], seed=0)
+            gen_planted_multiview(9, 5, [3], seed=0)
 
 
 class TestNoiseSpec:
@@ -99,7 +99,7 @@ class TestNoiseSpec:
 
 class TestCorruptInstances:
     def test_fraction_zero_is_identity(self):
-        fs, _, _ = gen_planted_multiview(2, 20, 3, [6, 5], seed=9)
+        fs, _, _ = gen_planted_multiview(20, 3, [6, 5], seed=9)
         out, idx = corrupt_instances(
             fs, 0, NoiseSpec(kind="instance_replacement", fraction=0.0, seed=1)
         )
@@ -109,7 +109,7 @@ class TestCorruptInstances:
 
     def test_moment_matching_statistics(self):
         # Full replacement: min/max exact, mean within 2%, over many seeds.
-        fs, _, _ = gen_planted_multiview(1, 200, 4, [30], seed=10)
+        fs, _, _ = gen_planted_multiview(200, 4, [30], seed=10)
         z = fs.views[0]
         mean_errors = []
         for seed in range(50):
@@ -123,7 +123,7 @@ class TestCorruptInstances:
         assert np.mean(mean_errors) < 0.02
 
     def test_grid_fractions_affect_expected_counts(self):
-        fs, _, _ = gen_planted_multiview(1, 400, 4, [10], seed=11)
+        fs, _, _ = gen_planted_multiview(400, 4, [10], seed=11)
         for frac in (0.125, 0.25, 0.5):
             _, idx = corrupt_instances(
                 fs, 0, NoiseSpec(kind="instance_replacement", fraction=frac, seed=3)
@@ -131,7 +131,7 @@ class TestCorruptInstances:
             assert idx.size == int(round(frac * 400))
 
     def test_tiny_fraction_warns_instead_of_failing(self):
-        fs, _, _ = gen_planted_multiview(1, 8, 2, [4], seed=30)
+        fs, _, _ = gen_planted_multiview(8, 2, [4], seed=30)
         with pytest.warns(UserWarning, match="zero instances"):
             out, idx = corrupt_instances(
                 fs, 0, NoiseSpec(kind="instance_replacement", fraction=0.01, seed=1)
@@ -140,7 +140,7 @@ class TestCorruptInstances:
         assert np.array_equal(out.views[0], fs.views[0])
 
     def test_other_views_untouched(self):
-        fs, _, _ = gen_planted_multiview(2, 30, 3, [6, 5], seed=12)
+        fs, _, _ = gen_planted_multiview(30, 3, [6, 5], seed=12)
         out, _ = corrupt_instances(
             fs, 0, NoiseSpec(kind="instance_replacement", fraction=0.5, seed=4)
         )
@@ -149,14 +149,14 @@ class TestCorruptInstances:
 
 class TestCorruptPixels:
     def test_sixty_of_240(self):
-        fs, _, _ = gen_planted_multiview(1, 10, 3, [240], seed=13)
+        fs, _, _ = gen_planted_multiview(10, 3, [240], seed=13)
         _, mask = corrupt_pixels(
             fs, 0, NoiseSpec(kind="pixel_replacement", fraction=0.25, seed=5)
         )
         np.testing.assert_array_equal(mask.sum(axis=0), 60)
 
     def test_magnitude_changes_amplitude_not_positions(self):
-        fs, _, _ = gen_planted_multiview(1, 15, 3, [20], seed=14)
+        fs, _, _ = gen_planted_multiview(15, 3, [20], seed=14)
         spec1 = NoiseSpec(kind="pixel_replacement", fraction=0.5, magnitude=1.0, seed=6)
         spec3 = NoiseSpec(kind="pixel_replacement", fraction=0.5, magnitude=3.0, seed=6)
         out1, mask1 = corrupt_pixels(fs, 0, spec1)
@@ -168,7 +168,7 @@ class TestCorruptPixels:
         np.testing.assert_allclose(dev3, 3.0 * dev1, rtol=1e-12)
 
     def test_grid(self):
-        fs, _, _ = gen_planted_multiview(1, 8, 2, [40], seed=15)
+        fs, _, _ = gen_planted_multiview(8, 2, [40], seed=15)
         for frac in (0.0, 0.25, 0.5, 0.75):
             _, mask = corrupt_pixels(
                 fs, 0, NoiseSpec(kind="pixel_replacement", fraction=frac, seed=7)

@@ -153,10 +153,12 @@ class TestCmds:
         np.testing.assert_allclose(res.configuration, 0.0)
 
     def test_full_dimension_returns_everything(self):
+        # At target_dim = N the configuration holds every column and rebuilds the Gram.
         rng = np.random.default_rng(5)
         delta = _sq_dists(rng.standard_normal((5, 2)))
         res = cmds(delta, 5)
-        np.testing.assert_allclose(res.configuration, res.coords)
+        assert res.configuration.shape == (5, 5)
+        np.testing.assert_allclose(res.configuration @ res.configuration.T, res.gram, atol=1e-12)
 
 
 class TestPsdProject:
@@ -616,8 +618,8 @@ class TestExtractConfiguration:
     def test_column_norms_non_increasing(self):
         rng = np.random.default_rng(26)
         delta = _sq_dists(rng.standard_normal((8, 4)))
-        res = cmds(delta, 4)
-        norms = np.linalg.norm(res.coords, axis=0)
+        res = cmds(delta, 8)
+        norms = np.linalg.norm(res.configuration, axis=0)
         assert np.all(np.diff(norms) <= 1e-10)
 
 

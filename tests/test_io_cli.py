@@ -309,7 +309,7 @@ class TestIngestFeatures:
         zer = rng.standard_normal((10, 3))
         np.savetxt(tmp_path / "mfeat-pix", pix, fmt="%.17g")
         np.savetxt(tmp_path / "mfeat-zer", zer, fmt="%.17g")
-        fs = ingest_uci_directory(tmp_path)
+        fs = ingest_uci_directory(tmp_path, view_names=["pix", "zer"])
         assert fs.view_dims == [6, 3]
         assert fs.n_instances == 10
         np.testing.assert_allclose(fs.views[0], pix.T)
@@ -609,10 +609,23 @@ class TestCli:
              "view1_points": [0, 1], "view2_points": [3, 4]},
             "unexpected keyword argument 'points'", id="points",
         ),
-        # One observation noise level per view: the level is one scalar.
+        # The observation noise level, cluster separation and spread, and the
+        # planted view count are fixed: the count is len(view_dims).
         pytest.param(
-            "labeled", "--params", {"observation_noise": [0.01, 0.02]}, "float() argument",
-            id="observation_noise",
+            "labeled", "--params", {"observation_noise": [0.01, 0.02]},
+            "unexpected keyword argument 'observation_noise'", id="observation_noise",
+        ),
+        pytest.param(
+            "clusters", "--params", {"separation": 5}, "unexpected keyword argument 'separation'",
+            id="separation",
+        ),
+        pytest.param(
+            "clusters", "--params", {"spread": 2.0}, "unexpected keyword argument 'spread'",
+            id="spread",
+        ),
+        pytest.param(
+            "planted", "--params", {"n_views": 2}, "unexpected keyword argument 'n_views'",
+            id="planted-n_views",
         ),
     ])
     def test_synth_rejects_removed_forms(self, tmp_path, capsys, kind, flag, fields, message):
@@ -1175,6 +1188,14 @@ class TestCli:
         ["fit-mv", "--solver", "cmv", "--views", "DIR", "DIR"],
         ["embed", "--solver", "cmds", "--views", "DIR"],
         ["eval", "--task", "retrieval", "--distances", "DIR", "--labels", "LABELS"],
+        # An empty flag is given, not absent.
+        ["synth", "--kind", "labeled", "--corrupt", ""],
+        ["eval", "--task", "retrieval", "--distances", "DIST", "--labels", "LABELS",
+         "--configuration", ""],
+        ["eval", "--task", "procrustes", "--estimate", "VIEW", "--reference", "VIEW",
+         "--labels", ""],
+        ["fit-mv", "--solver", "cmv", "--views", "VIEW", "VIEW", "--uci-dir", "",
+         "--config", '{"latent_dim": 2}'],
     ])
     def test_rejected_run_leaves_no_output_directory(self, tmp_path, capsys, argv):
         files = {name: tmp_path / f"{name.lower()}.csv" for name in ("MISSING", "VIEW", "DIST")}

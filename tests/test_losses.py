@@ -6,33 +6,24 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from robustmv import CauchyScale, GgdParams, cauchy_loss, correntropy_kernel, gc_loss, ggd
+from robustmv import CauchyScale, GgdParams, cauchy_loss, correntropy_kernel, gc_loss
 from robustmv.losses import cauchy_weight, correntropy_derivative
 
 
 class TestGgd:
-    def test_value_at_zero_is_normalizing_constant(self):
+    def test_gamma_normalizes_the_density(self):
+        # The density gamma * exp(-lam * |e|**alpha) integrates to 1.
         for alpha, beta in [(2.0, 1.0), (1.0, 0.5), (3.5, 2.0)]:
             p = GgdParams(alpha, beta)
-            assert ggd(0.0, p) == pytest.approx(p.gamma)
+            grid = np.linspace(-60 * beta, 60 * beta, 600_001)
+            density = p.gamma * np.exp(-p.lam * np.abs(grid) ** p.alpha)
+            assert np.sum(density) * (grid[1] - grid[0]) == pytest.approx(1.0, rel=1e-6)
 
     def test_gaussian_special_case(self):
         # alpha=2, beta=sqrt(2) is the standard Gaussian kernel.
         p = GgdParams(2.0, math.sqrt(2.0))
-        expected = (1.0 / math.sqrt(2.0 * math.pi)) * math.exp(-0.5)
-        assert ggd(1.0, p) == pytest.approx(expected, rel=1e-12)
-
-    @given(st.floats(-1e6, 1e6, allow_nan=False))
-    def test_even_symmetry(self, e):
-        p = GgdParams(1.5, 2.0)
-        assert ggd(e, p) == ggd(-e, p)
-
-    def test_positive_and_maximal_at_zero(self):
-        p = GgdParams(1.3, 0.7)
-        grid = np.linspace(-5, 5, 101)
-        vals = ggd(grid, p)
-        assert np.all(vals > 0)
-        assert np.argmax(vals) == 50
+        assert p.lam == pytest.approx(0.5, rel=1e-15)
+        assert p.gamma == pytest.approx(1.0 / math.sqrt(2.0 * math.pi), rel=1e-12)
 
     def test_invalid_params_rejected(self):
         with pytest.raises(ValueError):
@@ -59,7 +50,13 @@ class TestGcLoss:
     @given(st.floats(-100, 100, allow_nan=False))
     def test_equals_ggd_gap(self, e):
         p = GgdParams(1.7, 1.1)
-        assert gc_loss(e, p) == pytest.approx(ggd(0.0, p) - ggd(e, p), abs=1e-12)
+        gap = p.gamma * (1.0 - math.exp(-p.lam * abs(e) ** p.alpha))
+        assert gc_loss(e, p) == pytest.approx(gap, abs=1e-12)
+
+    @given(st.floats(-1e6, 1e6, allow_nan=False))
+    def test_even_symmetry(self, e):
+        p = GgdParams(1.5, 2.0)
+        assert gc_loss(e, p) == gc_loss(-e, p)
 
     def test_monotone_in_abs_error(self):
         p = GgdParams(1.5, 1.0)
