@@ -47,6 +47,7 @@ __all__ = [
 
 _MIN_STEP_SCALE = 2.0**-20  # backtracking floor of correntropy ascent, relative to cfg.step
 _SCORE_RTOL = 1e-6  # correntropy ascent stops once a step gains at most this share of |score|
+_BLOCK_ENTRIES = 2**14  # a gradient's row block holds at least this many entries
 
 
 def _check_square_symmetric(m, name, atol=0.0):
@@ -171,7 +172,9 @@ def b_to_d(b) -> np.ndarray:
     """
     b = _check_square_symmetric(b, "B", atol=1e-10)
     diag = np.diag(b)
-    d = diag[:, None] + diag[None, :] - b - b.T
+    d = diag[:, None] + diag[None, :]
+    d -= b
+    d -= b.T
     np.fill_diagonal(d, 0.0)
     return d
 
@@ -185,6 +188,23 @@ def double_center(delta) -> np.ndarray:
     return -0.5 * (delta - row - col + grand)
 
 
+def _symmetrize(m):
+    """``(m + m.T) / 2`` in one new buffer, without overflowing.
+
+    An infinite entry is taken as ``m_ij / 2 + m_ji / 2`` instead, which is
+    finite where only the sum overflowed and the same inf where an input
+    entry is one; every other entry is the sum halved, so the result is bit
+    for bit ``(m + m.T) / 2`` wherever that is finite.
+    """
+    with np.errstate(over="ignore"):
+        out = np.add(m, m.T)
+    out /= 2.0
+    over = np.isinf(out)
+    if over.any():
+        out[over] = m[over] / 2.0 + m.T[over] / 2.0
+    return out
+
+
 def psd_project(b) -> np.ndarray:
     """Frobenius-nearest PSD matrix: eigendecompose and clip negatives.
 
@@ -195,21 +215,23 @@ def psd_project(b) -> np.ndarray:
     bit).  Otherwise the input is eigendecomposed and rebuilt from its
     positive eigenpairs only, so the product costs N x N x r for r positive
     eigenvalues rather than N^3; a matrix with none projects to zero.
+    Both exits symmetrize as ``(B + B.T) / 2``, halving first only the
+    entries whose sum would overflow.
     """
     b = _check_square_symmetric(b, "B", atol=1e-10)
     try:
-        factor = np.linalg.cholesky(b)
+        certified = np.all(np.isfinite(np.linalg.cholesky(b)))
     except np.linalg.LinAlgError:
-        pass
-    else:
-        if np.all(np.isfinite(factor)):
-            return (b + b.T) / 2.0
+        certified = False
+    if certified:
+        return _symmetrize(b)
     w, v = np.linalg.eigh(b)
     # eigh sorts ascending, so the positive eigenpairs are the tail.
     k = np.searchsorted(w, 0.0, side="right")
     vp = v[:, k:]
     out = (vp * w[k:]) @ vp.T
-    return (out + out.T) / 2.0
+    del v, vp
+    return _symmetrize(out)
 
 
 def _configuration_from_gram(b, target_dim, trace):
@@ -217,8 +239,7 @@ def _configuration_from_gram(b, target_dim, trace):
     order = np.argsort(-w, kind="stable")  # descending, ties by original index
     w, v = w[order], v[:, order]
     wpos = np.maximum(w, 0.0)
-    gram = (v * wpos) @ v.T
-    gram = (gram + gram.T) / 2.0
+    gram = _symmetrize((v * wpos) @ v.T)
     configuration = v[:, :target_dim] * np.sqrt(wpos[:target_dim])
     return EmbeddingResult(configuration=configuration, eigenvalues=w, gram=gram, trace=trace)
 
@@ -250,10 +271,21 @@ def median_kernel_size(views: DissimilarityViews) -> float:
         raise ValueError(f"median kernel size needs at least two points, got {views.n_points}")
     upper = ~np.tri(views.n_points, dtype=bool)
     pooled = np.concatenate([m[upper] for m in views.deltas])
-    med = float(np.median(pooled))
+    med = float(np.median(pooled, overwrite_input=True))  # pooled is this call's own copy
     if med <= 0:
         raise ValueError("median off-diagonal dissimilarity is not positive")
     return med
+
+
+def _row_blocks(n):
+    """Slices of ``range(n)``: eight row blocks, or fewer of ``_BLOCK_ENTRIES`` entries.
+
+    An entrywise slope evaluated a block at a time keeps each temporary to
+    an eighth of the N x N matrix; a small matrix is one block, since each
+    block costs a few ufunc calls.
+    """
+    rows = max(-(-n // 8), _BLOCK_ENTRIES // max(n, 1))
+    return [slice(i, i + rows) for i in range(0, n, rows)]
 
 
 def _gram_gradient(views, d, slope):
@@ -261,15 +293,18 @@ def _gram_gradient(views, d, slope):
 
     The D-to-B chain rule of every embedding cost: with ``t = sum_v
     slope(D - delta_v)`` the gradient is ``-t`` off the diagonal and the row
-    sums of ``t`` on it.
+    sums of ``t`` on it.  ``t`` is the gradient's own buffer, summed a block
+    of rows at a time.
     """
     d = np.asarray(d, dtype=float)
     t = np.zeros_like(d)
-    for delta in views.deltas:
-        t += slope(d - delta)
-    g = -t
-    np.fill_diagonal(g, t.sum(axis=1))
-    return g
+    for rows in _row_blocks(len(d)):
+        for delta in views.deltas:
+            t[rows] += slope(d[rows] - delta[rows])
+    rows = t.sum(axis=1)
+    np.negative(t, out=t)
+    np.fill_diagonal(t, rows)
+    return t
 
 
 def mvree_subgradient(views: DissimilarityViews, d) -> np.ndarray:
@@ -299,7 +334,11 @@ def cmvree_gradient(views: DissimilarityViews, d, sigma: float, alpha: float = 2
 def f0_objective(views: DissimilarityViews, d) -> float:
     """Total L1 discrepancy, summed over the full matrix."""
     d = np.asarray(d, dtype=float)
-    return float(sum(np.sum(np.abs(delta - d)) for delta in views.deltas))
+    total = 0.0
+    for delta in views.deltas:
+        e = delta - d
+        total += np.sum(np.abs(e, out=e))
+    return float(total)
 
 
 def f_objective(views: DissimilarityViews, d, sigma: float, alpha: float = 2.0) -> float:
@@ -359,32 +398,51 @@ def ree_fit(
     if not 1 <= cfg.target_dim <= n:
         raise ValueError(f"target_dim {cfg.target_dim} out of range for N={n}")
 
-    mean_delta = sum(views.deltas) / views.n_views
-    b = psd_project(double_center(mean_delta))
-    d = b_to_d(b)
     trace = SolverTrace()
     if loss == "l1":
-        b, _ = _l1_descent(views, b, d, cfg.step, cfg.max_iter, trace, callback)
+        b = _l1_descent(views, cfg.step, cfg.max_iter, trace, callback)[0]
         trace.finish(False, "max_iter reached")
-        return _configuration_from_gram(b, cfg.target_dim, trace)
+    else:
+        b = _correntropy_ascent(views, cfg, trace, callback)
+    return _configuration_from_gram(b, cfg.target_dim, trace)
 
+
+def _start(views):
+    """The PSD projection of the double-centered view average, and its distances."""
+    b = sum(views.deltas)
+    b /= views.n_views
+    b = double_center(b)
+    b = psd_project(b)
+    return b, b_to_d(b)
+
+
+def _correntropy_ascent(views, cfg, trace, callback):
+    """Both phases of ``ree_fit(loss="correntropy")``; returns the final Gram matrix.
+
+    Only the current iterate, the previous one and their gradients outlive
+    an iteration: the start and the warm-start end point are dropped once
+    the ascent begins.
+    """
     sigma = median_kernel_size(views) if cfg.sigma is None else cfg.sigma
 
     def score(d):
         return f_objective(views, d, sigma, cfg.alpha)
 
+    b, d = _start(views)
     obj = score(d)
     n_warm = cfg.max_iter // 2
-    b_l1, d_l1 = _l1_descent(views, b, d, cfg.step, n_warm)
+    b_l1, d_l1 = _l1_descent(views, cfg.step, n_warm, start=(b, d))
     obj_l1 = score(d_l1)
     if obj_l1 > obj:
         b, d, obj = b_l1, d_l1, obj_l1
-    _check_finite(obj, loss, 0)
+    del b_l1, d_l1
+    _check_finite(obj, "correntropy", 0)
 
     step = cfg.step
     reason = "max_iter reached"
     for it in range(1, cfg.max_iter - n_warm + 1):
         grad = cmvree_gradient(views, d, sigma, cfg.alpha)
+        del d  # the trials need only B and its gradient
         if it > 1:
             # BB2 for the minimization of -score: <s, -y> / <y, y>.
             s = b - prev_b
@@ -396,14 +454,17 @@ def ree_fit(
             step = bb if sy > 0 and np.isfinite(bb) else 2.0 * step
         while step >= cfg.step * _MIN_STEP_SCALE:
             with np.errstate(over="ignore"):  # an overflowing trial is rejected
-                trial = b + step * grad
+                trial = step * grad
+                trial += b
             if np.all(np.isfinite(trial)):
                 cand = psd_project(trial)
+                del trial
                 d_cand = b_to_d(cand)
                 obj_cand = score(d_cand)
-                _check_finite(obj_cand, loss, it)
+                _check_finite(obj_cand, "correntropy", it)
                 if obj_cand >= obj:
                     break
+                del cand, d_cand
             step /= 2.0
         else:
             reason = "no ascent step"
@@ -411,6 +472,7 @@ def ree_fit(
         gain = obj_cand - obj
         prev_b, prev_grad = b, grad
         b, d, obj = cand, d_cand, obj_cand
+        del grad, cand, d_cand  # one name per array, so each is freed once it is unused
         trace.record(obj)
         if callback is not None:
             callback(it, b, obj)
@@ -418,18 +480,28 @@ def ree_fit(
             reason = "score change below tolerance"
             break
     trace.finish(reason != "max_iter reached", reason)
-    return _configuration_from_gram(b, cfg.target_dim, trace)
+    return b
 
 
-def _l1_descent(views, b, d, step, iters, trace=None, callback=None):
+def _l1_descent(views, step, iters, trace=None, callback=None, start=None):
     """``iters`` projected subgradient steps on the multi-view L1 cost.
 
-    ``d`` is ``b_to_d(b)`` and step i (from 1) is ``step / sqrt(i)``.  Given
-    a ``trace``, the cost of every iterate is recorded there and passed to
-    ``callback``.  Returns the final Gram matrix and its distances.
+    The descent starts from ``start``, a Gram matrix and its ``b_to_d``
+    distances, or by default from ``_start(views)``; step i (from 1) is
+    ``step / sqrt(i)``.  Given a ``trace``, the cost of every iterate is
+    recorded there and passed to ``callback``.  Returns the final Gram
+    matrix and its distances.  Each step is built in its subgradient's
+    buffer, and the previous iterate is released before the projection.
     """
+    b, d = _start(views) if start is None else start
     for it in range(1, iters + 1):
-        b = psd_project(b - (step / np.sqrt(it)) * mvree_subgradient(views, d))
+        g = mvree_subgradient(views, d)
+        # -(s * g) + b is exactly b - s * g.
+        g *= -(step / np.sqrt(it))
+        g += b
+        del b, d
+        b = psd_project(g)
+        del g
         d = b_to_d(b)
         if trace is not None:
             obj = f0_objective(views, d)

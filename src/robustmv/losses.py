@@ -85,12 +85,17 @@ def _abs_pow(e, alpha):
 
 
 def _exponent(e, lam, alpha):
-    # -lam * |e|**alpha; alpha == 2, the solvers' hot path, skips the power.
-    # An exponent that overflows is -inf, whose kernel exp(-inf) is exactly 0.
+    # -lam * |e|**alpha in one new array; alpha == 2, the solvers' hot path,
+    # skips the power.  An exponent that overflows is -inf, whose kernel
+    # exp(-inf) is exactly 0.
     with np.errstate(over="ignore"):
         if alpha == 2.0:
-            return -lam * e * e
-        return -lam * _abs_pow(e, alpha)
+            out = np.multiply(-lam, e, out=np.empty_like(e))
+            out *= e
+        else:
+            out = _abs_pow(e, alpha)
+            out *= -lam
+    return out
 
 
 def _maybe_scalar(x, arr):
@@ -131,7 +136,8 @@ def correntropy_kernel(e, sigma: float, alpha: float = 2.0):
     """
     check_kernel_size(sigma, alpha)
     e = np.asarray(e, dtype=float)
-    val = np.exp(_exponent(e, 1.0 / (2.0 * sigma**alpha), alpha))
+    val = _exponent(e, 1.0 / (2.0 * sigma**alpha), alpha)
+    np.exp(val, out=val)
     return _maybe_scalar(e, val)
 
 
@@ -142,16 +148,23 @@ def correntropy_derivative(e, sigma: float, alpha: float = 2.0):
     which is ``-e * kernel / sigma**2`` for ``alpha = 2``.  Where the kernel
     is 0 the derivative is 0, however large the error.
     """
+    e = np.asarray(e, dtype=float)
     kern = correntropy_kernel(e, sigma, alpha)
     # An error whose kernel is 0 is taken as 0, so its power or quotient
-    # cannot overflow into an inf that meets the kernel's 0 as nan.
-    e = np.where(kern != 0.0, np.asarray(e, dtype=float), 0.0)
+    # cannot overflow into an inf that meets the kernel's 0 as nan.  The
+    # arrays below are this function's own, so each product is formed in
+    # place.
+    e = np.where(kern != 0.0, e, 0.0)
     if alpha == 2.0:
-        val = (e / -(sigma * sigma)) * kern
+        val = e
+        val /= -(sigma * sigma)
     else:
         lam = 1.0 / (2.0 * sigma**alpha)
-        val = -lam * alpha * _abs_pow(e, alpha - 1.0) * np.sign(e) * kern
-    return _maybe_scalar(e, val)
+        val = _abs_pow(e, alpha - 1.0)
+        val *= -lam * alpha
+        val *= np.sign(e, out=e)
+    val *= kern
+    return _maybe_scalar(kern, val)
 
 
 def check_kernel_size(sigma, alpha=2.0):

@@ -1,6 +1,7 @@
 """Embedding solvers against planted configurations and finite differences."""
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -265,6 +266,20 @@ class TestPsdProject:
         b[0, 0] = np.inf
         assert np.all(np.isnan(psd_project(b)))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "b, expected",
+        [
+            (1e308 * np.eye(2), 1e308 * np.eye(2)),
+            (np.diag([1e308, -1e308]), np.diag([1e308, 0.0])),
+        ],
+        ids=["definite", "indefinite"],
+    )
+    def test_entries_near_the_float_maximum_stay_finite(self, b, expected):
+        # b + b.T overflows on the diagonal at both exits; the symmetrized
+        # result must not, and neither may a warning be raised.
+        assert np.array_equal(psd_project(b), expected)
+
     def test_nearest_among_random_candidates(self):
         rng = np.random.default_rng(8)
         b = rng.standard_normal((6, 6))
@@ -301,6 +316,30 @@ class TestSubgradient:
         g = mvree_subgradient(views, b_to_d(b))
         fd = _fd_gradient(lambda bb: _pair_objective_l1(views, bb), b)
         np.testing.assert_allclose(g, fd, atol=1e-6)
+
+
+class TestGramGradient:
+    @pytest.mark.parametrize("alpha", [2.0, 3.0, None], ids=["cmvree", "cmvree-alpha-3", "mvree"])
+    def test_row_blocks_equal_the_whole_matrix_formula(self, alpha):
+        # At N 300 the gradient sums its slopes a row block at a time; every
+        # entry must come out bit for bit as the whole-matrix formula gives it.
+        from robustmv.losses import correntropy_derivative
+
+        rng = np.random.default_rng(17)
+        views = _random_views(rng, 300)
+        x = rng.standard_normal((300, 3))
+        d = b_to_d(x @ x.T)
+        if alpha is None:
+            slope, got = np.sign, mvree_subgradient(views, d)
+        else:
+            slope = lambda e: correntropy_derivative(e, 2.0, alpha)
+            got = cmvree_gradient(views, d, 2.0, alpha)
+        t = np.zeros_like(d)
+        for delta in views.deltas:
+            t += slope(d - delta)
+        want = -t
+        np.fill_diagonal(want, t.sum(axis=1))
+        assert np.array_equal(got, want)
 
 
 class TestCorrentropyGradient:
@@ -585,6 +624,53 @@ class TestReeFit:
                 )
         assert {2, 3} <= set(bb2)
         assert max(len(xs) for xs in trials.values()) > 1  # a halving is checked too
+
+    @pytest.mark.parametrize("loss", ["l1", "correntropy"])
+    def test_nothing_handed_out_is_written_afterwards(self, loss):
+        # The solver builds its steps in buffers it owns: each B passed to
+        # the callback, and every view, keeps the value it had when handed out.
+        from robustmv.datagen import gen_cluster_retrieval_views
+
+        _, raw = gen_cluster_retrieval_views(
+            classes=4, per_class=6, corrupt_per_view=4, magnitude=10.0, seed=5
+        )
+        views = DissimilarityViews([d / median_kernel_size(raw) for d in raw.deltas])
+        before = [d.copy() for d in views.deltas]
+        cfg = EmbedConfig(target_dim=2, step=0.01, max_iter=30)
+        seen = []
+        res = ree_fit(views, cfg, loss=loss, callback=lambda it, b, obj: seen.append((b, b.copy())))
+        assert len(seen) > 2
+        for b, at_call in seen:
+            assert np.array_equal(b, at_call)
+        for delta, copy in zip(views.deltas, before):
+            assert np.array_equal(delta, copy)
+        assert all(res.gram is not b for b, _ in seen)
+
+    @pytest.mark.parametrize("loss, bound", [("l1", 5.0), ("correntropy", 7.0)])
+    def test_peak_memory_in_square_floats(self, loss, bound):
+        # The traced peak in N x N float matrices, at N 200 (the views are
+        # built before tracing).  With the view average, the start point and
+        # the warm-start end point kept for the whole run and every step
+        # built in fresh buffers it read 9.2 (l1) and 13.0 (correntropy).
+        # Freeing each iterate once used and building steps in owned
+        # buffers reads 4.2 and 6.3: the final eigendecomposition (l1), and
+        # the current and previous iterates and gradients beside a row block
+        # of kernel temporaries (correntropy).
+        from robustmv.datagen import gen_cluster_retrieval_views
+
+        _, raw = gen_cluster_retrieval_views(
+            classes=10, per_class=20, corrupt_per_view=20, magnitude=10.0, seed=0
+        )
+        views = DissimilarityViews([d / median_kernel_size(raw) for d in raw.deltas])
+        n = views.n_points
+        cfg = EmbedConfig(target_dim=8, step=0.01, max_iter=6)
+        tracemalloc.start()
+        try:
+            ree_fit(views, cfg, loss=loss)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < bound * n * n * 8
 
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(23)
