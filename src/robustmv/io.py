@@ -8,16 +8,27 @@ ground-truth files first, then ``view1.csv``, ``view2.csv``, ... and
 line-by-line parser only to report exactly where a file is malformed.
 Writers use full-precision ``%.17g`` so a write/read round trip is exact;
 ``write_matrix_csv`` formats each value of a symmetric matrix near its
-diagonal once and writes the same bytes as ``np.savetxt`` would.  JSON
+diagonal once and writes the same bytes as ``np.savetxt`` would.  A large
+matrix is read or written in contiguous row ranges, one per usable core:
+forked children handle all ranges but the first, which the calling process
+handles before it assembles the file or array; any failure in a part makes
+the caller redo the whole call in-process, so results and errors do not
+depend on the split.  JSON
 artifacts are strict JSON: a NaN or infinity in one is an error,
 not a ``NaN`` token.  ``write_run`` is the one writer of a run's output
 directory: every CLI command and recipe hands it its artifacts and its
 ``run.json`` record.
 """
 
+import contextlib
 import hashlib
 import json
 import os
+import shutil
+import signal
+import struct
+import tempfile
+import threading
 import warnings
 from pathlib import Path
 
@@ -49,6 +60,12 @@ _FMT = "%.17g"
 # diagonal: about (_BAND * _BLOCK)**2 / 2 formatted cells at most, whatever N.
 _BLOCK = 64
 _BAND = 8
+# A matrix is split across processes only when every part formats at least
+# _SPLIT_CELLS cells (writer) or parses at least _SPLIT_BYTES bytes (reader):
+# about 0.1 s of work at either size, far more than a fork costs.
+_SPLIT_CELLS = 1 << 18
+_SPLIT_BYTES = 1 << 22
+_SHAPE = struct.Struct("<2q")  # a worker's header: the rows and columns it parsed
 
 
 def read_matrix_csv(path, delimiter=","):
@@ -60,23 +77,168 @@ def read_matrix_csv(path, delimiter=","):
     cells, ragged rows and files without a data row are rejected.  numpy's
     C parser reads the file; whatever it refuses is parsed again line by
     line, so every error names the file, the line and, for a bad cell, the
-    column.
+    column.  A large file is parsed in byte ranges that end at a newline,
+    one per usable core, and the parts are stacked; a part that is refused,
+    holds no row or disagrees with the first on width makes the whole file
+    be read again in-process.
     """
     path = Path(path)
     if not path.is_file():
         problem = "is not a file" if path.exists() else "missing input file"
         raise ValueError(f"{problem}: {path}")
+    parts = _part_count(path.stat().st_size, _SPLIT_BYTES)
+    data = _read_parts(path, delimiter, parts)
+    if data is None and parts > 1:
+        data = _read_parts(path, delimiter, 1)
+    return _read_matrix_lines(path, delimiter) if data is None else data
+
+
+def _workers():
+    # Processes a large CSV is split across: the usable cores, or 1 where
+    # fork is missing or another Python thread runs (a fork copies only the
+    # calling thread).
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return 1
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def _part_count(size, minimum):
+    # Parts for work of ``size``: one per worker, each at least ``minimum``.
+    return max(1, min(_workers(), size // minimum))
+
+
+@contextlib.contextmanager
+def _forked():
+    """Yield ``(start, wait)`` for forking workers in the ``with`` block.
+
+    ``start(work, *args)`` runs ``work(*args)`` in a forked child, which
+    leaves through ``os._exit`` (status 0 when ``work`` returned), so it
+    never flushes the stdio buffers it inherited or runs exit handlers.
+    ``wait()`` reaps every child started so far and says whether all of
+    them succeeded.  Leaving the block kills the children still running,
+    whose parts are no longer wanted, and reaps them.
+    """
+    pids = []
+
+    def start(work, *args):
+        pid = os.fork()
+        if pid == 0:
+            status = 1
+            try:
+                work(*args)
+                status = 0
+            finally:
+                os._exit(status)
+        pids.append(pid)
+
+    def wait():
+        statuses = [os.waitpid(pids.pop(), 0)[1] for _ in range(len(pids))]
+        return not any(statuses)
+
+    try:
+        yield start, wait
+    finally:
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+        wait()
+
+
+def _read_parts(path, delimiter, parts):
+    # The file parsed in ``parts`` byte ranges, all but the first in forked
+    # workers; None when a part is refused, holds no row or has another
+    # width than the first.  With one part this is np.loadtxt of the path.
+    bounds = _line_bounds(path, parts)
+    with _forked() as (start, _), contextlib.ExitStack() as pipes:
+        readers = []
+        try:
+            for lo, hi in zip(bounds[1:-1], bounds[2:]):
+                fd_in, fd_out = os.pipe()
+                readers.append(pipes.enter_context(open(fd_in, "rb", buffering=0)))
+                try:
+                    start(_send_part, fd_out, path, delimiter, lo, hi)
+                finally:
+                    os.close(fd_out)
+        except OSError:  # no pipe or process to be had: read in-process
+            return None
+        first = _load(path if len(bounds) == 2 else _byte_lines(path, *bounds[:2]), delimiter)
+        if first is None or not readers:
+            return first
+        shapes = [first.shape]
+        for reader in readers:
+            header = bytearray(_SHAPE.size)
+            if not _read_into(reader, header):
+                return None
+            shapes.append(_SHAPE.unpack(header))
+        if any(width != first.shape[1] for _, width in shapes):
+            return None
+        data = np.empty((sum(rows for rows, _ in shapes), first.shape[1]))
+        data[: len(first)] = first
+        row = len(first)
+        del first
+        for reader, (rows, _) in zip(readers, shapes[1:]):
+            if not _read_into(reader, data[row:row + rows]):
+                return None
+            row += rows
+    return data
+
+
+def _line_bounds(path, parts):
+    # Byte offsets 0 < ... < size that cut the file into about equal ranges,
+    # each of them ending just after a newline.
+    size = path.stat().st_size
+    bounds = [0]
+    with open(path, "rb") as fh:
+        for j in range(1, parts):
+            fh.seek(max(j * size // parts - 1, bounds[-1]))
+            while (piece := fh.readline(1 << 16)) and not piece.endswith(b"\n"):
+                pass
+            if bounds[-1] < fh.tell() < size:
+                bounds.append(fh.tell())
+    return [*bounds, size]
+
+
+def _byte_lines(path, start, end):
+    # The lines in bytes [start, end) of the file, which begin and end there.
+    with open(path, "rb") as fh:
+        fh.seek(start)
+        while start < end and (line := fh.readline(end - start)):
+            start += len(line)
+            yield line
+
+
+def _load(source, delimiter):
+    # np.loadtxt of a path or of byte lines; None when it refuses them or
+    # finds no data.
     try:
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", ".*input contained no data", UserWarning)
             data = np.loadtxt(
-                path, delimiter=delimiter, comments=None, ndmin=2, encoding="utf-8"
+                source, delimiter=delimiter, comments=None, ndmin=2, encoding="utf-8"
             )
     except ValueError:
-        data = None
-    if data is None or data.size == 0:
-        return _read_matrix_lines(path, delimiter)
-    return data
+        return None
+    return data if data.size else None
+
+
+def _send_part(fd, path, delimiter, start, end):
+    # A reader worker: parse bytes [start, end) and send the shape, then the
+    # values.  It sends nothing when it finds no data or is refused.
+    with open(fd, "wb") as out:
+        data = _load(_byte_lines(path, start, end), delimiter)
+        if data is not None:
+            out.write(_SHAPE.pack(*data.shape))
+            out.write(memoryview(np.ascontiguousarray(data)).cast("B"))
+
+
+def _read_into(reader, buffer):
+    # Fill ``buffer`` from ``reader``; False when the stream ends first.
+    view = memoryview(buffer).cast("B")
+    while view:
+        got = reader.readinto(view)
+        if not got:
+            return False
+        view = view[got:]
+    return True
 
 
 def _read_matrix_lines(path, delimiter):
@@ -126,15 +288,76 @@ def write_matrix_csv(path, matrix):
     each block of rows formats its diagonal tile and the tiles of the next
     few column blocks, and keeps the latter to transpose into those blocks'
     rows.  Cells outside the band, on either side, are formatted one call
-    per row, so the kept text stays a few MB whatever the matrix size.
+    per row, so the kept text stays a few MB whatever the matrix size.  A
+    large matrix is cut into row ranges that format about equal numbers of
+    cells, one per usable core; a range's first blocks format their cells
+    left of the band themselves.
     """
     matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
-    if _is_symmetric(matrix):
-        lines = _symmetric_lines(matrix)
-    else:
-        lines = (s for i in range(0, len(matrix), _BLOCK) for s in _lines(matrix[i:i + _BLOCK]))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(line + "\n" for line in lines)
+    symmetric = _is_symmetric(matrix)
+    parts = _part_count(matrix.size, _SPLIT_CELLS)
+    if not _write_parts(path, matrix, symmetric, parts):
+        _write_parts(path, matrix, symmetric, 1)
+
+
+def _write_parts(path, matrix, symmetric, parts):
+    # Write the rows in ``parts`` ranges of row blocks, all but the first
+    # formatted by forked workers into unnamed temporary files that are
+    # appended in order; False when a worker failed.
+    bounds = _block_bounds(matrix, symmetric, parts)
+    lines = _symmetric_lines if symmetric else _row_lines
+    with _forked() as (start, wait), contextlib.ExitStack() as spills:
+        files = []
+        try:
+            for lo, hi in zip(bounds[1:-1], bounds[2:]):
+                files.append(spills.enter_context(tempfile.TemporaryFile(dir=Path(path).parent)))
+                start(_spill, files[-1].fileno(), lines(matrix, lo, hi))
+        except OSError:  # no temporary file or process to be had: write in-process
+            return False
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.writelines(line + "\n" for line in lines(matrix, *bounds[:2]))
+            if not wait():
+                return False
+            fh.flush()
+            for spill in files:
+                spill.seek(0)
+                shutil.copyfileobj(spill, fh.buffer)
+    return True
+
+
+def _spill(fd, lines):
+    # A writer worker: its lines go to the temporary file ``fd``, left open.
+    with open(fd, "w", encoding="utf-8", closefd=False) as out:
+        out.writelines(line + "\n" for line in lines)
+
+
+def _block_bounds(matrix, symmetric, parts):
+    # Row-block bounds 0 < ... < count of ``parts`` ranges that format about
+    # equal numbers of cells: the symmetric writer's blocks skip the cells
+    # they take from earlier blocks of their range.
+    n, width = matrix.shape
+    count = -(-n // _BLOCK)
+
+    def cells(lo, hi):
+        total = 0
+        for b in range(lo, hi):
+            kept = (b - max(b - _BAND, lo)) * _BLOCK if symmetric else 0
+            total += min(_BLOCK, n - b * _BLOCK) * (width - kept)
+        return total
+
+    bounds = [0]
+    for rest in range(min(parts, count) - 1, 0, -1):  # ranges still to cut after this one
+        lo = bounds[-1]
+        bounds.append(min(
+            range(lo + 1, count - rest + 1), key=lambda b: abs(cells(lo, b) - cells(b, count) / rest)
+        ))
+    return [*bounds, count]
+
+
+def _row_lines(matrix, lo, hi):
+    # The lines of row blocks [lo, hi).
+    for i in range(lo * _BLOCK, min(hi * _BLOCK, len(matrix)), _BLOCK):
+        yield from _lines(matrix[i:i + _BLOCK])
 
 
 def _lines(block):
@@ -154,26 +377,27 @@ def _is_symmetric(matrix):
     )
 
 
-def _symmetric_lines(matrix):
-    # Row block b formats its diagonal tile and the tiles of the next _BAND
-    # column blocks c, which it keeps in kept[c]: transposed, they are the
-    # cells of block c's rows left of its diagonal tile.  Cells beyond the
-    # band, on either side, are formatted in one call per row.
+def _symmetric_lines(matrix, lo, hi):
+    # The lines of row blocks [lo, hi).  Row block b formats its diagonal
+    # tile and the tiles of the next _BAND column blocks c, which it keeps in
+    # kept[c] when c < hi: transposed, they are the cells of block c's rows
+    # left of its diagonal tile.  Cells beyond the band, on either side, and
+    # cells left of the band's part that lies in the range (blocks before
+    # lo keep nothing here) are formatted in one call per row.
     n = len(matrix)
     count = -(-n // _BLOCK)
-    kept = [[] for _ in range(count)]
-    for b in range(count):
+    kept = {b: [] for b in range(lo, hi)}
+    for b in range(lo, hi):
         stripe = matrix[b * _BLOCK:(b + 1) * _BLOCK]
         tiles = [
             [",".join(cells) for cells in zip(*[line.split(",") for line in tile])]
-            for tile in kept[b]
+            for tile in kept.pop(b)
         ]
-        kept[b] = None
         for c in range(b, min(b + _BAND + 1, count)):
             tiles.append(_lines(stripe[:, c * _BLOCK:(c + 1) * _BLOCK]))
-            if c > b:
+            if b < c < hi:
                 kept[c].append(tiles[-1])
-        left, right = max(b - _BAND, 0) * _BLOCK, (b + _BAND + 1) * _BLOCK
+        left, right = max(b - _BAND, lo) * _BLOCK, (b + _BAND + 1) * _BLOCK
         for k, parts in enumerate(zip(*tiles)):
             row = stripe[k:k + 1]
             far_left = _lines(row[:, :left]) if left else []
@@ -246,7 +470,9 @@ def ingest_dissimilarities(paths, square=False):
     cell, or a square that overflows, is rejected.  Each input is then
     symmetrized via A/2 + A'/2, its diagonal zeroed and negative entries
     clamped to 0.  Returns ``(views, report)`` where the per-view report
-    records how much correction was applied.
+    records how much correction was applied.  Each matrix is repaired in
+    place, one pair of mirrored tiles at a time, so a view costs the matrix
+    read plus a tile.
     """
     paths = [Path(p) for p in paths]
     deltas = []
@@ -257,20 +483,19 @@ def ingest_dissimilarities(paths, square=False):
             raise ValueError(f"{p}: matrix is not square ({m.shape[0]}x{m.shape[1]})")
         if square:
             with np.errstate(over="ignore"):  # an overflow is rejected below
-                m = m * m
+                np.multiply(m, m, out=m)
         if not np.all(np.isfinite(m)):
             after = " after squaring" if square else ""
             raise ValueError(f"{p}: matrix contains a non-finite value (nan or inf){after}")
         # Halving first keeps finite cells near the float maximum finite;
         # for normal floats the result equals (m - m.T) / 2 and (m + m.T) / 2.
-        half = m / 2.0
-        asym = float(np.max(np.abs(half - half.T))) if m.size else 0.0
-        m = half + half.T
+        m /= 2.0
+        asym = _symmetrize_halves(m)
         diag = float(np.max(np.abs(np.diag(m)))) if m.size else 0.0
         np.fill_diagonal(m, 0.0)
         negatives = int(np.sum(m < 0))
         most_negative = float(m.min()) if negatives else 0.0
-        m = np.maximum(m, 0.0)
+        np.maximum(m, 0.0, out=m)
         deltas.append(m)
         report.append(
             {
@@ -282,6 +507,21 @@ def ingest_dissimilarities(paths, square=False):
             }
         )
     return DissimilarityViews(deltas), report
+
+
+def _symmetrize_halves(m):
+    # Replace the square matrix m by m + m.T in place, tile pair by tile
+    # pair, and return max |m - m.T| as it was.  Both mirrored tiles get the
+    # same sums, since IEEE addition commutes.
+    asym = 0.0
+    for i in range(0, len(m), _BLOCK):
+        for j in range(i, len(m), _BLOCK):
+            upper, lower = m[i:i + _BLOCK, j:j + _BLOCK], m[j:j + _BLOCK, i:i + _BLOCK]
+            asym = max(asym, float(np.max(np.abs(upper - lower.T))))
+            both = upper + lower.T
+            upper[...] = both
+            lower[...] = both.T
+    return asym
 
 
 def _json_text(path, payload):
@@ -320,10 +560,11 @@ def write_run(directory, files, record, inputs):
     file, say) is a ``ValueError`` too.  ``run.json`` comes last: ``record`` plus
     the package version, the sha256 of every ``{key: path}`` entry of
     ``inputs`` under its key, and an ``environment`` block: the numpy
-    version, the core count and the BLAS thread settings (``None`` when the
-    variable is unset), so timings and traces from different machines can
-    be read side by side.  Nothing else in the package creates an output
-    directory.
+    version, the core count, the number of processes a large CSV is read or
+    written across (``io_workers``) and the BLAS thread settings (``None``
+    when the variable is unset), so timings and traces from different
+    machines can be read side by side.  Nothing else in the package creates
+    an output directory.
     """
     directory = Path(directory)
     for name, artifact in [*files.items(), ("run.json", record)]:
@@ -343,6 +584,7 @@ def write_run(directory, files, record, inputs):
         "environment": {
             "numpy": np.__version__,
             "cpu_count": os.cpu_count(),
+            "io_workers": _workers(),
             "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
             "OMP_NUM_THREADS": os.environ.get("OMP_NUM_THREADS"),
         },

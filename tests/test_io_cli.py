@@ -8,6 +8,8 @@ import re
 import subprocess
 import sys
 import tempfile
+import threading
+import time
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -20,7 +22,13 @@ import robustmv.cli
 import robustmv.io
 import robustmv.recipes
 from robustmv.cli import main
-from robustmv.datagen import NoiseSpec, corrupt_instances, corrupt_pixels, gen_labeled_multiview
+from robustmv.datagen import (
+    NoiseSpec,
+    corrupt_instances,
+    corrupt_pixels,
+    gen_cluster_retrieval_views,
+    gen_labeled_multiview,
+)
 from robustmv.embedding import EmbedConfig
 from robustmv.evaluation import seeded_split
 from robustmv.features import CmvConfig, MultiViewFeatureSet, normalize_views
@@ -47,6 +55,7 @@ def _check_environment(env):
     assert env == {
         "numpy": np.__version__,
         "cpu_count": os.cpu_count(),
+        "io_workers": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1,
         "OPENBLAS_NUM_THREADS": "1",
         "OMP_NUM_THREADS": None,
     }
@@ -219,6 +228,252 @@ class TestReaderParity:
             read_matrix_csv(path, delimiter=None)
 
 
+class _Split:
+    """The part count a split test asks for and the forks made in this process."""
+
+    def __init__(self, parts):
+        self.parts = parts
+        self.forks = 0
+        self.whole_file_loads = 0
+
+
+@pytest.fixture(params=[2, 3], ids=["2-parts", "3-parts"])
+def split(request, monkeypatch):
+    """Split every CSV read and write of more than one line or row block.
+
+    The size constants drop to 1 and the worker count is the parameter,
+    whatever the host's cores.  ``os.fork`` and whole-file parses by the
+    calling process are counted.  Afterwards no child may be left unreaped.
+    """
+    state = _Split(request.param)
+    fork, load = os.fork, robustmv.io._load
+
+    def counted_fork():
+        state.forks += 1
+        return fork()
+
+    def counted_load(source, delimiter):
+        state.whole_file_loads += isinstance(source, Path)
+        return load(source, delimiter)
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    monkeypatch.setattr(robustmv.io, "_load", counted_load)
+    monkeypatch.setattr(robustmv.io, "_SPLIT_CELLS", 1)
+    monkeypatch.setattr(robustmv.io, "_SPLIT_BYTES", 1)
+    monkeypatch.setattr(robustmv.io, "_workers", lambda: request.param)
+    yield state
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestSplitWriter:
+    """A write split into row ranges gives np.savetxt's bytes."""
+
+    @pytest.mark.parametrize(
+        "case",
+        ["symmetric-130", "symmetric-700", "symmetric-nan-inf", "transposed", "rectangular",
+         "zero-and-negative-zero"],
+    )
+    def test_bytes_match_savetxt(self, tmp_path, split, case):
+        matrix, _ = _WRITER_CASES[case]
+        want = io.BytesIO()
+        np.savetxt(want, matrix, fmt="%.17g", delimiter=",")
+        write_matrix_csv(tmp_path / "m.csv", matrix)
+        assert (tmp_path / "m.csv").read_bytes() == want.getvalue()
+        blocks = -(-len(matrix) // robustmv.io._BLOCK)
+        assert split.forks == min(split.parts, blocks) - 1
+
+    @pytest.mark.parametrize("rows", [200, 257])
+    def test_rectangular_rows_not_a_block_multiple(self, tmp_path, split, rows):
+        matrix = np.random.default_rng(rows).standard_normal((rows, 90))
+        want = io.BytesIO()
+        np.savetxt(want, matrix, fmt="%.17g", delimiter=",")
+        write_matrix_csv(tmp_path / "m.csv", matrix)
+        assert (tmp_path / "m.csv").read_bytes() == want.getvalue()
+        assert split.forks == split.parts - 1
+
+    def test_failed_worker_is_redone_in_process(self, tmp_path, split, monkeypatch):
+        def fail(fd, lines):
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(robustmv.io, "_spill", fail)
+        matrix = _symmetric(700)
+        want = io.BytesIO()
+        np.savetxt(want, matrix, fmt="%.17g", delimiter=",")
+        write_matrix_csv(tmp_path / "m.csv", matrix)
+        assert (tmp_path / "m.csv").read_bytes() == want.getvalue()
+        assert split.forks == split.parts - 1
+
+    def test_failing_caller_kills_and_reaps_its_workers(self, tmp_path, split, monkeypatch):
+        rows = robustmv.io._row_lines
+
+        def stall(fd, lines):
+            time.sleep(60)
+
+        def lines(matrix, lo, hi):
+            if lo == 0:  # the calling process's own range
+                raise RuntimeError("injected failure")
+            yield from rows(matrix, lo, hi)
+
+        monkeypatch.setattr(robustmv.io, "_spill", stall)
+        monkeypatch.setattr(robustmv.io, "_row_lines", lines)
+        start = time.perf_counter()
+        with pytest.raises(RuntimeError, match="injected failure"):
+            write_matrix_csv(tmp_path / "m.csv", np.zeros((300, 4)))
+        assert time.perf_counter() - start < 30
+        assert split.forks == split.parts - 1
+
+
+def _fixed_rows(count, width=5, seed=0):
+    # CSV lines of equal length, so the split points are easy to predict.
+    values = 1.0 + np.random.default_rng(seed).random((count, width))
+    return [",".join("%.15f" % x for x in row) for row in values]
+
+
+def _part_starts(path, parts):
+    # The 1-based line numbers at which parts 2.. of a split read begin.
+    data = path.read_bytes()
+    return [data[:b].count(b"\n") + 1 for b in robustmv.io._line_bounds(path, parts)[1:-1]]
+
+
+class TestSplitReader:
+    """A read split into byte ranges gives the line parser's array or message."""
+
+    @pytest.mark.parametrize("case", sorted(_PARITY_CASES))
+    def test_parity_cases(self, tmp_path, split, monkeypatch, case):
+        text, delimiter = _PARITY_CASES[case]
+        path = tmp_path / "m.csv"
+        path.write_bytes(text.encode("utf-8"))
+        want = robustmv.io._read_matrix_lines(path, delimiter)
+
+        def refuse(*args):
+            raise AssertionError("well-formed file fell back to the line parser")
+
+        monkeypatch.setattr(robustmv.io, "_read_matrix_lines", refuse)
+        got = read_matrix_csv(path, delimiter=delimiter)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+        assert (split.forks > 0) == (len(text.strip().splitlines()) > 1)
+
+    @pytest.mark.parametrize(
+        "layout",
+        ["blank-lines-at-split", "crlf", "nan-inf", "trailing-blank-lines"],
+    )
+    def test_well_formed(self, tmp_path, split, layout):
+        rows = _fixed_rows(24)
+        if layout == "nan-inf":
+            for i, cell in zip(range(0, 24, 5), ["nan", "inf", "-inf", "NaN", "-0"]):
+                rows[i] = ",".join([cell, *rows[i].split(",")[1:]])
+        end = {"blank-lines-at-split": "\n\n\n", "crlf": "\r\n"}.get(layout, "\n")
+        text = end.join(rows) + end
+        if layout == "trailing-blank-lines":
+            text += "\n" * (4 * len(text))  # the last parts hold no row
+        path = tmp_path / "m.csv"
+        path.write_bytes(text.encode("utf-8"))
+        want = robustmv.io._read_matrix_lines(path, ",")
+        got = read_matrix_csv(path)
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+        assert split.forks == split.parts - 1
+        # A part without rows makes the whole file be read again, in-process.
+        assert split.whole_file_loads == (layout == "trailing-blank-lines")
+
+    @pytest.mark.parametrize(
+        "flaw", ["ragged-after-split", "narrow-part", "wide-part", "bad-cell-in-last-part"]
+    )
+    def test_errors_keep_their_messages(self, tmp_path, split, flaw):
+        path = tmp_path / "m.csv"
+        rows = _fixed_rows(24)
+        path.write_text("\n".join(rows) + "\n")
+        at = _part_starts(path, split.parts)[-1] - 1
+        # Narrow and wide rows keep their length, so the parts stay put.
+        narrow = [row.rsplit(",", 1)[0].ljust(len(row)) for row in rows]
+        wide = [row.rsplit(",", 1)[0] + ",1.1234567,1.12345" for row in rows]
+        if flaw == "ragged-after-split":
+            rows[at] = narrow[at]
+        elif flaw == "narrow-part":
+            rows[at:] = narrow[at:]
+        elif flaw == "wide-part":
+            rows[at:] = wide[at:]
+        else:
+            rows[-1] = rows[-1].replace(rows[-1].split(",")[2], "oops")
+        path.write_text("\n".join(rows) + "\n")
+        assert _part_starts(path, split.parts)[-1] - 1 == at
+        with pytest.raises(ValueError) as want:
+            robustmv.io._read_matrix_lines(path, ",")
+        with pytest.raises(ValueError) as got:
+            read_matrix_csv(path)
+        assert str(got.value) == str(want.value)
+        line = len(rows) if flaw == "bad-cell-in-last-part" else at + 1
+        problem = "non-numeric value in column 3" if line == len(rows) else "expected 5 columns"
+        assert str(got.value).startswith(f"{path}:{line}: {problem}")
+        assert split.forks == split.parts - 1
+
+    def test_failed_worker_is_redone_in_process(self, tmp_path, split, monkeypatch):
+        def fail(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(robustmv.io, "_send_part", fail)
+        path = tmp_path / "m.csv"
+        path.write_text("\n".join(_fixed_rows(24)) + "\n")
+        got = read_matrix_csv(path)
+        assert np.array_equal(got, robustmv.io._read_matrix_lines(path, ","))
+        assert split.forks == split.parts - 1
+        assert split.whole_file_loads == 1
+
+
+class TestWorkerCount:
+    def test_one_core_or_a_second_thread_keeps_the_work_in_process(self, monkeypatch):
+        if not hasattr(os, "fork"):
+            pytest.skip("no fork on this platform")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        assert robustmv.io._part_count(10**9, 1) == 3
+        assert robustmv.io._part_count(5, 2) == 2
+        assert robustmv.io._part_count(1, 2) == 1
+        stop = threading.Event()
+        other = threading.Thread(target=stop.wait)
+        other.start()
+        try:
+            assert robustmv.io._part_count(10**9, 1) == 1
+        finally:
+            stop.set()
+            other.join(timeout=10)
+        assert not other.is_alive()
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert robustmv.io._part_count(10**9, 1) == 1
+
+    def test_piped_synth_prints_one_json_line(self, tmp_path):
+        # With stdout a pipe the text written before synth stays in the
+        # interpreter's buffer while the views are written; a worker that
+        # flushed the buffer it inherited would print it a second time.
+        script = (
+            "import os, sys\n"
+            "from robustmv.cli import main\n"
+            "forks = []\n"
+            "fork = os.fork\n"
+            "os.fork = lambda: forks.append(1) or fork()\n"
+            "sys.stdout.write('start\\n')\n"
+            "code = main(sys.argv[1:])\n"
+            "print(len(forks), file=sys.stderr)\n"
+            "sys.exit(code)\n"
+        )
+        # N 728: each view has 2 * _SPLIT_CELLS cells or more, enough to split.
+        params = {"classes": 8, "per_class": 91, "corrupt_per_view": 10}
+        src = Path(robustmv.__file__).resolve().parents[1]
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        done = subprocess.run(
+            [sys.executable, "-c", script, "synth", "--kind", "clusters",
+             "--params", json.dumps(params), "--out", str(tmp_path / "c")],
+            env={**env, "PYTHONPATH": str(src)}, capture_output=True, text=True, check=True,
+        )
+        first, line = done.stdout.splitlines()
+        assert first == "start"
+        assert _strict_json(line)["written"][-1] == str(tmp_path / "c" / "labels.csv")
+        cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+        assert int(done.stderr) == (2 if cores > 1 else 0)
+
+
 class TestWriteJson:
     def test_nan_rejected_before_writing(self, tmp_path):
         path = tmp_path / "scores.json"
@@ -346,6 +601,26 @@ class TestIngestDissimilarities:
         write_matrix_csv(f, np.zeros((2, 3)))
         with pytest.raises(ValueError, match="not square"):
             ingest_dissimilarities([f])
+
+    def test_peak_memory_in_square_floats(self, tmp_path):
+        # Each view is repaired in place, so the peak is the first repaired
+        # view plus the second being parsed: 2.3 N^2 floats for two N 600
+        # views.  Repairing through whole-matrix temporaries peaked at 5.0.
+        _, views = gen_cluster_retrieval_views(
+            classes=10, per_class=60, corrupt_per_view=60, seed=0
+        )
+        files = [tmp_path / "view1.csv", tmp_path / "view2.csv"]
+        for path, delta in zip(files, views.deltas):
+            write_matrix_csv(path, delta)
+        tracemalloc.start()
+        try:
+            repaired, _ = ingest_dissimilarities(files)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        for got, want in zip(repaired.deltas, views.deltas):
+            assert np.array_equal(got, want)
+        assert peak / (600 * 600 * 8) < 3.0
 
     def test_views_of_different_sizes_rejected(self, tmp_path):
         files = [tmp_path / "a.csv", tmp_path / "b.csv"]
