@@ -88,10 +88,12 @@ def gen_planted_multiview(n_instances, latent_dim, view_dims, seed=0):
     """Exactly low-rank multi-view data z_v = W*_v @ X*.
 
     There is one view per entry of ``view_dims``.  Returns ``(feature_set,
-    true_maps, true_latents)``.  Requires ``latent_dim < n_instances`` and
-    ``latent_dim <= min(view_dims)`` so the planted model is identifiable in
-    recovery tests.
+    true_maps, true_latents)``.  Requires ``1 <= latent_dim < n_instances``
+    and ``latent_dim <= min(view_dims)`` so the planted model is
+    identifiable in recovery tests.
     """
+    if latent_dim < 1:
+        raise ValueError("latent_dim must be >= 1")
     if latent_dim >= n_instances:
         raise ValueError(
             f"latent_dim must be < n_instances ({latent_dim} >= {n_instances})"
@@ -299,6 +301,8 @@ def gen_labeled_multiview(
     """
     if classes < 2 or per_class < 1:
         raise ValueError("need at least 2 classes and 1 instance per class")
+    if latent_dim < 1:
+        raise ValueError("latent_dim must be >= 1")
     rng = np.random.default_rng(seed)
     n = classes * per_class
     labels = np.repeat(np.arange(classes), per_class)

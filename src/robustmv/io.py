@@ -10,14 +10,14 @@ Writers use full-precision ``%.17g`` so a write/read round trip is exact;
 ``write_matrix_csv`` formats each value of a symmetric matrix near its
 diagonal once and writes the same bytes as ``np.savetxt`` would.  A large
 matrix is read or written in contiguous row ranges, one per usable core:
-forked children handle all ranges but the first, which the calling process
-handles before it assembles the file or array; any failure in a part makes
+forked children handle all ranges but the first and hand their parts back
+in unnamed temporary files, which the calling process reads or appends
+after it has handled the first range itself; any failure in a part makes
 the caller redo the whole call in-process, so results and errors do not
-depend on the split.  JSON
-artifacts are strict JSON: a NaN or infinity in one is an error,
-not a ``NaN`` token.  ``write_run`` is the one writer of a run's output
-directory: every CLI command and recipe hands it its artifacts and its
-``run.json`` record.
+depend on the split.  JSON artifacts are strict JSON: a NaN or infinity in
+one is an error, not a ``NaN`` token.  ``write_run`` is the one writer of a
+run's output directory: every CLI command and recipe hands it its artifacts
+and its ``run.json`` record.
 """
 
 import contextlib
@@ -26,7 +26,6 @@ import json
 import os
 import shutil
 import signal
-import struct
 import tempfile
 import threading
 import warnings
@@ -65,7 +64,6 @@ _BAND = 8
 # about 0.1 s of work at either size, far more than a fork costs.
 _SPLIT_CELLS = 1 << 18
 _SPLIT_BYTES = 1 << 22
-_SHAPE = struct.Struct("<2q")  # a worker's header: the rows and columns it parsed
 
 
 def read_matrix_csv(path, delimiter=","):
@@ -78,9 +76,13 @@ def read_matrix_csv(path, delimiter=","):
     C parser reads the file; whatever it refuses is parsed again line by
     line, so every error names the file, the line and, for a bad cell, the
     column.  A large file is parsed in byte ranges that end at a newline,
-    one per usable core, and the parts are stacked; a part that is refused,
-    holds no row or disagrees with the first on width makes the whole file
-    be read again in-process.
+    one per usable core; the workers write their rows to temporary files in
+    the default temporary directory, and the parts are stacked.  A part that
+    is refused, holds no row, is cut short or disagrees with the first on
+    width makes the whole file be read again in-process.  A split parse
+    skips lines of whitespace alone; a one-part parse hands the path to
+    ``np.loadtxt``, which refuses such a line, so that file is read by the
+    line parser.
     """
     path = Path(path)
     if not path.is_file():
@@ -108,77 +110,76 @@ def _part_count(size, minimum):
 
 
 @contextlib.contextmanager
-def _forked():
-    """Yield ``(start, wait)`` for forking workers in the ``with`` block.
+def _forked(work, tasks, directory=None):
+    """Run ``work(fd, *task)`` for each task in a forked child; yield ``collect``.
 
-    ``start(work, *args)`` runs ``work(*args)`` in a forked child, which
-    leaves through ``os._exit`` (status 0 when ``work`` returned), so it
-    never flushes the stdio buffers it inherited or runs exit handlers.
-    ``wait()`` reaps every child started so far and says whether all of
-    them succeeded.  Leaving the block kills the children still running,
-    whose parts are no longer wanted, and reaps them.
+    Each child gets its own unnamed temporary file in ``directory`` (the
+    default temporary directory when None), open as ``fd``, and writes its
+    part there.  It leaves through ``os._exit`` (status 0 when ``work``
+    returned), so it never flushes the stdio buffers it inherited or runs
+    exit handlers.  ``collect()`` reaps every child and returns their files,
+    rewound, in the order of ``tasks``; it returns None when a child failed
+    or no temporary file or process could be had.  Leaving the block kills
+    the children still running, whose parts are no longer wanted, reaps
+    them and closes the files.
     """
-    pids = []
+    pids, files = [], []
 
-    def start(work, *args):
-        pid = os.fork()
-        if pid == 0:
-            status = 1
-            try:
-                work(*args)
-                status = 0
-            finally:
-                os._exit(status)
-        pids.append(pid)
-
-    def wait():
+    def collect():
         statuses = [os.waitpid(pids.pop(), 0)[1] for _ in range(len(pids))]
-        return not any(statuses)
+        if len(files) < len(tasks) or any(statuses):
+            return None
+        for spill in files:
+            spill.seek(0)
+        return files
 
-    try:
-        yield start, wait
-    finally:
-        for pid in pids:
-            os.kill(pid, signal.SIGKILL)
-        wait()
+    with contextlib.ExitStack() as spills:
+        try:
+            with contextlib.suppress(OSError):  # no temporary file or process to be had
+                for task in tasks:
+                    spill = spills.enter_context(tempfile.TemporaryFile(dir=directory))
+                    pid = os.fork()
+                    if pid == 0:
+                        try:
+                            work(spill.fileno(), *task)
+                            os._exit(0)
+                        finally:
+                            os._exit(1)
+                    pids.append(pid)
+                    files.append(spill)
+            yield collect
+        finally:
+            for pid in pids:
+                os.kill(pid, signal.SIGKILL)
+            collect()
 
 
 def _read_parts(path, delimiter, parts):
     # The file parsed in ``parts`` byte ranges, all but the first in forked
-    # workers; None when a part is refused, holds no row or has another
-    # width than the first.  With one part this is np.loadtxt of the path.
+    # workers; None when a part is refused, holds no row, is cut short or has
+    # another width than the first.  With one part this is np.loadtxt of the
+    # path, whose array is returned as it is.
     bounds = _line_bounds(path, parts)
-    with _forked() as (start, _), contextlib.ExitStack() as pipes:
-        readers = []
-        try:
-            for lo, hi in zip(bounds[1:-1], bounds[2:]):
-                fd_in, fd_out = os.pipe()
-                readers.append(pipes.enter_context(open(fd_in, "rb", buffering=0)))
-                try:
-                    start(_send_part, fd_out, path, delimiter, lo, hi)
-                finally:
-                    os.close(fd_out)
-        except OSError:  # no pipe or process to be had: read in-process
-            return None
+    tasks = [(path, delimiter, lo, hi) for lo, hi in zip(bounds[1:-1], bounds[2:])]
+    with _forked(_send_part, tasks) as collect:
         first = _load(path if len(bounds) == 2 else _byte_lines(path, *bounds[:2]), delimiter)
-        if first is None or not readers:
-            return first
-        shapes = [first.shape]
-        for reader in readers:
-            header = bytearray(_SHAPE.size)
-            if not _read_into(reader, header):
-                return None
-            shapes.append(_SHAPE.unpack(header))
-        if any(width != first.shape[1] for _, width in shapes):
+        if first is None or (spills := collect()) is None:
             return None
-        data = np.empty((sum(rows for rows, _ in shapes), first.shape[1]))
-        data[: len(first)] = first
-        row = len(first)
+        if not spills:
+            return first
+        shapes = np.zeros((len(spills), 2), dtype=np.int64)  # a header cut short has width 0
+        for spill, shape in zip(spills, shapes):
+            spill.readinto(shape)
+        if np.any(shapes[:, 1] != first.shape[1]):
+            return None
+        ends = np.cumsum([len(first), *shapes[:, 0]])
+        data = np.empty((ends[-1], first.shape[1]))
+        blocks = np.split(data, ends[:-1])
+        blocks[0][...] = first
         del first
-        for reader, (rows, _) in zip(readers, shapes[1:]):
-            if not _read_into(reader, data[row:row + rows]):
+        for spill, block in zip(spills, blocks[1:]):
+            if spill.readinto(block) < block.nbytes:
                 return None
-            row += rows
     return data
 
 
@@ -198,12 +199,15 @@ def _line_bounds(path, parts):
 
 
 def _byte_lines(path, start, end):
-    # The lines in bytes [start, end) of the file, which begin and end there.
+    # The lines in bytes [start, end) of the file, which begin and end there,
+    # without those of whitespace alone: np.loadtxt refuses a line such as
+    # " ", which the line parser skips as blank.
     with open(path, "rb") as fh:
         fh.seek(start)
         while start < end and (line := fh.readline(end - start)):
             start += len(line)
-            yield line
+            if line.strip():
+                yield line
 
 
 def _load(source, delimiter):
@@ -221,24 +225,14 @@ def _load(source, delimiter):
 
 
 def _send_part(fd, path, delimiter, start, end):
-    # A reader worker: parse bytes [start, end) and send the shape, then the
-    # values.  It sends nothing when it finds no data or is refused.
-    with open(fd, "wb") as out:
+    # A reader worker: parse bytes [start, end) and write the shape, then the
+    # values, to the temporary file ``fd``, left open.  It writes nothing
+    # when it finds no data or is refused.
+    with open(fd, "wb", closefd=False) as out:
         data = _load(_byte_lines(path, start, end), delimiter)
         if data is not None:
-            out.write(_SHAPE.pack(*data.shape))
-            out.write(memoryview(np.ascontiguousarray(data)).cast("B"))
-
-
-def _read_into(reader, buffer):
-    # Fill ``buffer`` from ``reader``; False when the stream ends first.
-    view = memoryview(buffer).cast("B")
-    while view:
-        got = reader.readinto(view)
-        if not got:
-            return False
-        view = view[got:]
-    return True
+            out.write(np.array(data.shape, dtype=np.int64))
+            out.write(np.ascontiguousarray(data))
 
 
 def _read_matrix_lines(path, delimiter):
@@ -289,9 +283,10 @@ def write_matrix_csv(path, matrix):
     few column blocks, and keeps the latter to transpose into those blocks'
     rows.  Cells outside the band, on either side, are formatted one call
     per row, so the kept text stays a few MB whatever the matrix size.  A
-    large matrix is cut into row ranges that format about equal numbers of
-    cells, one per usable core; a range's first blocks format their cells
-    left of the band themselves.
+    large matrix is cut into ranges of about equal numbers of row blocks,
+    one per usable core; a range's first blocks format their cells left of
+    the band themselves.  The workers format into temporary files in the
+    output's directory, which are appended in order.
     """
     matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
     symmetric = _is_symmetric(matrix)
@@ -301,26 +296,23 @@ def write_matrix_csv(path, matrix):
 
 
 def _write_parts(path, matrix, symmetric, parts):
-    # Write the rows in ``parts`` ranges of row blocks, all but the first
-    # formatted by forked workers into unnamed temporary files that are
-    # appended in order; False when a worker failed.
-    bounds = _block_bounds(matrix, symmetric, parts)
+    # Write the rows in ``parts`` ranges of about equal numbers of row
+    # blocks, all but the first formatted by forked workers into temporary
+    # files in the output's directory, which are appended in order; False
+    # when a worker failed or could not be started.
+    count = -(-len(matrix) // _BLOCK)
+    parts = max(1, min(parts, count))
+    bounds = [count * j // parts for j in range(parts + 1)]
     lines = _symmetric_lines if symmetric else _row_lines
-    with _forked() as (start, wait), contextlib.ExitStack() as spills:
-        files = []
-        try:
-            for lo, hi in zip(bounds[1:-1], bounds[2:]):
-                files.append(spills.enter_context(tempfile.TemporaryFile(dir=Path(path).parent)))
-                start(_spill, files[-1].fileno(), lines(matrix, lo, hi))
-        except OSError:  # no temporary file or process to be had: write in-process
-            return False
+    tasks = [(lines(matrix, lo, hi),) for lo, hi in zip(bounds[1:-1], bounds[2:])]
+    with _forked(_spill, tasks, Path(path).parent) as collect:
         with open(path, "w", encoding="utf-8") as fh:
             fh.writelines(line + "\n" for line in lines(matrix, *bounds[:2]))
-            if not wait():
+            spills = collect()
+            if spills is None:
                 return False
             fh.flush()
-            for spill in files:
-                spill.seek(0)
+            for spill in spills:
                 shutil.copyfileobj(spill, fh.buffer)
     return True
 
@@ -329,29 +321,6 @@ def _spill(fd, lines):
     # A writer worker: its lines go to the temporary file ``fd``, left open.
     with open(fd, "w", encoding="utf-8", closefd=False) as out:
         out.writelines(line + "\n" for line in lines)
-
-
-def _block_bounds(matrix, symmetric, parts):
-    # Row-block bounds 0 < ... < count of ``parts`` ranges that format about
-    # equal numbers of cells: the symmetric writer's blocks skip the cells
-    # they take from earlier blocks of their range.
-    n, width = matrix.shape
-    count = -(-n // _BLOCK)
-
-    def cells(lo, hi):
-        total = 0
-        for b in range(lo, hi):
-            kept = (b - max(b - _BAND, lo)) * _BLOCK if symmetric else 0
-            total += min(_BLOCK, n - b * _BLOCK) * (width - kept)
-        return total
-
-    bounds = [0]
-    for rest in range(min(parts, count) - 1, 0, -1):  # ranges still to cut after this one
-        lo = bounds[-1]
-        bounds.append(min(
-            range(lo + 1, count - rest + 1), key=lambda b: abs(cells(lo, b) - cells(b, count) / rest)
-        ))
-    return [*bounds, count]
 
 
 def _row_lines(matrix, lo, hi):

@@ -304,25 +304,6 @@ class TestSplitWriter:
         assert (tmp_path / "m.csv").read_bytes() == want.getvalue()
         assert split.forks == split.parts - 1
 
-    def test_failing_caller_kills_and_reaps_its_workers(self, tmp_path, split, monkeypatch):
-        rows = robustmv.io._row_lines
-
-        def stall(fd, lines):
-            time.sleep(60)
-
-        def lines(matrix, lo, hi):
-            if lo == 0:  # the calling process's own range
-                raise RuntimeError("injected failure")
-            yield from rows(matrix, lo, hi)
-
-        monkeypatch.setattr(robustmv.io, "_spill", stall)
-        monkeypatch.setattr(robustmv.io, "_row_lines", lines)
-        start = time.perf_counter()
-        with pytest.raises(RuntimeError, match="injected failure"):
-            write_matrix_csv(tmp_path / "m.csv", np.zeros((300, 4)))
-        assert time.perf_counter() - start < 30
-        assert split.forks == split.parts - 1
-
 
 def _fixed_rows(count, width=5, seed=0):
     # CSV lines of equal length, so the split points are easy to predict.
@@ -358,13 +339,15 @@ class TestSplitReader:
 
     @pytest.mark.parametrize(
         "layout",
-        ["blank-lines-at-split", "crlf", "nan-inf", "trailing-blank-lines"],
+        ["blank-lines-at-split", "crlf", "nan-inf", "trailing-blank-lines", "whitespace-line"],
     )
-    def test_well_formed(self, tmp_path, split, layout):
+    def test_well_formed(self, tmp_path, split, monkeypatch, layout):
         rows = _fixed_rows(24)
         if layout == "nan-inf":
             for i, cell in zip(range(0, 24, 5), ["nan", "inf", "-inf", "NaN", "-0"]):
                 rows[i] = ",".join([cell, *rows[i].split(",")[1:]])
+        if layout == "whitespace-line":
+            rows.insert(12, " ")  # blank to the line parser, refused by np.loadtxt
         end = {"blank-lines-at-split": "\n\n\n", "crlf": "\r\n"}.get(layout, "\n")
         text = end.join(rows) + end
         if layout == "trailing-blank-lines":
@@ -372,6 +355,11 @@ class TestSplitReader:
         path = tmp_path / "m.csv"
         path.write_bytes(text.encode("utf-8"))
         want = robustmv.io._read_matrix_lines(path, ",")
+
+        def refuse(*args):
+            raise AssertionError("well-formed file fell back to the line parser")
+
+        monkeypatch.setattr(robustmv.io, "_read_matrix_lines", refuse)
         got = read_matrix_csv(path)
         assert np.array_equal(got, want, equal_nan=True)
         assert np.array_equal(np.signbit(got), np.signbit(want))
@@ -421,6 +409,88 @@ class TestSplitReader:
         assert np.array_equal(got, robustmv.io._read_matrix_lines(path, ","))
         assert split.forks == split.parts - 1
         assert split.whole_file_loads == 1
+
+    @pytest.mark.parametrize("cut", ["in-header", "in-values"])
+    def test_part_cut_short_is_redone_in_process(self, tmp_path, split, monkeypatch, cut):
+        send = robustmv.io._send_part
+
+        def cut_short(fd, *args):
+            send(fd, *args)
+            os.ftruncate(fd, 8 if cut == "in-header" else os.fstat(fd).st_size - 8)
+
+        monkeypatch.setattr(robustmv.io, "_send_part", cut_short)
+        path = tmp_path / "m.csv"
+        path.write_text("\n".join(_fixed_rows(24)) + "\n")
+        got = read_matrix_csv(path)
+        assert np.array_equal(got, robustmv.io._read_matrix_lines(path, ","))
+        assert split.forks == split.parts - 1
+        assert split.whole_file_loads == 1
+
+
+class TestSplitTransport:
+    """Workers hand their parts back in temporary files, in either direction."""
+
+    @pytest.mark.parametrize("direction", ["read", "write"])
+    def test_failing_caller_kills_and_reaps_its_workers(
+        self, tmp_path, split, monkeypatch, direction
+    ):
+        worker, lines = {"read": ("_send_part", "_byte_lines"),
+                         "write": ("_spill", "_row_lines")}[direction]
+        own = getattr(robustmv.io, lines)
+
+        def stall(*args):
+            time.sleep(60)
+
+        def fail_first_range(source, lo, hi):
+            if lo == 0:  # the calling process's own range
+                raise RuntimeError("injected failure")
+            return own(source, lo, hi)
+
+        path = tmp_path / "m.csv"
+        path.write_text("\n".join(_fixed_rows(24)) + "\n")
+        monkeypatch.setattr(robustmv.io, worker, stall)
+        monkeypatch.setattr(robustmv.io, lines, fail_first_range)
+        start = time.perf_counter()
+        with pytest.raises(RuntimeError, match="injected failure"):
+            if direction == "read":
+                read_matrix_csv(path)
+            else:
+                write_matrix_csv(path, np.zeros((300, 4)))
+        assert time.perf_counter() - start < 30
+        assert split.forks == split.parts - 1
+
+    @pytest.mark.parametrize("direction", ["read", "write"])
+    @pytest.mark.parametrize("unavailable", ["temporary-file", "fork"])
+    def test_no_temporary_file_or_process_keeps_the_work_in_process(
+        self, tmp_path, split, monkeypatch, direction, unavailable
+    ):
+        # The last worker's temporary file or fork raises OSError; with three
+        # parts, one worker has started by then.
+        module, name = {"temporary-file": (tempfile, "TemporaryFile"),
+                        "fork": (os, "fork")}[unavailable]
+        made, calls = getattr(module, name), []
+
+        def refuse(*args, **kwargs):
+            calls.append(name)
+            if len(calls) == split.parts - 1:
+                raise OSError("resource unavailable")
+            return made(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, refuse)
+        path = tmp_path / "m.csv"
+        if direction == "read":
+            path.write_text("\n".join(_fixed_rows(24)) + "\n")
+            got = read_matrix_csv(path)
+            assert np.array_equal(got, robustmv.io._read_matrix_lines(path, ","))
+            assert split.whole_file_loads == 1
+        else:
+            matrix = _symmetric(700)
+            want = io.BytesIO()
+            np.savetxt(want, matrix, fmt="%.17g", delimiter=",")
+            write_matrix_csv(path, matrix)
+            assert path.read_bytes() == want.getvalue()
+        assert len(calls) == split.parts - 1
+        assert split.forks == split.parts - 2
 
 
 class TestWorkerCount:
@@ -1471,6 +1541,9 @@ class TestCli:
          "--labels", ""],
         ["fit-mv", "--solver", "cmv", "--views", "VIEW", "VIEW", "--uci-dir", "",
          "--config", '{"latent_dim": 2}'],
+        # A generator without latent dimensions.
+        ["synth", "--kind", "planted", "--params", '{"latent_dim": 0}'],
+        ["synth", "--kind", "labeled", "--params", '{"latent_dim": 0}'],
     ])
     def test_rejected_run_leaves_no_output_directory(self, tmp_path, capsys, argv):
         files = {name: tmp_path / f"{name.lower()}.csv" for name in ("MISSING", "VIEW", "DIST")}
