@@ -8,22 +8,30 @@ ground-truth files first, then ``view1.csv``, ``view2.csv``, ... and
 line-by-line parser only to report exactly where a file is malformed.
 Writers use full-precision ``%.17g`` so a write/read round trip is exact;
 ``write_matrix_csv`` formats each value of a symmetric matrix near its
-diagonal once and writes the same bytes as ``np.savetxt`` would.  A large
-matrix is read or written in contiguous row ranges, one per usable core:
-forked children handle all ranges but the first and hand their parts back
-in unnamed temporary files, which the calling process reads or appends
-after it has handled the first range itself; any failure in a part makes
-the caller redo the whole call in-process, so results and errors do not
-depend on the split.  JSON artifacts are strict JSON: a NaN or infinity in
-one is an error, not a ``NaN`` token.  ``write_run`` is the one writer of a
-run's output directory: every CLI command and recipe hands it its artifacts
-and its ``run.json`` record.
+diagonal once and writes the same bytes as ``np.savetxt`` would.
+
+One fork helper, ``_forked``, spreads independent work across the usable
+cores: the calling process does one share, forked children do the others
+and hand their parts back in unnamed temporary files.  It serves two
+callers.  A large matrix is read or written in contiguous row ranges, one
+per core, the calling process taking the first.  ``fork_map`` runs a
+recipe's independent fits, every k-th item to one process, and the
+children pickle their results; it maps concurrently only when BLAS runs
+one thread, since k processes of multi-threaded BLAS would oversubscribe
+the cores.  Either way a failed part makes the caller redo the whole call
+in-process, so results and errors do not depend on the split.
+
+JSON artifacts are strict JSON: a NaN or infinity in one is an error, not
+a ``NaN`` token.  ``write_run`` is the one writer of a run's output
+directory: every CLI command and recipe hands it its artifacts and its
+``run.json`` record.
 """
 
 import contextlib
 import hashlib
 import json
 import os
+import pickle
 import shutil
 import signal
 import tempfile
@@ -39,6 +47,7 @@ from .features import MultiViewFeatureSet
 from .trace import SolverTrace
 
 __all__ = [
+    "fork_map",
     "read_matrix_csv",
     "write_matrix_csv",
     "dataset_files",
@@ -96,12 +105,20 @@ def read_matrix_csv(path, delimiter=","):
 
 
 def _workers():
-    # Processes a large CSV is split across: the usable cores, or 1 where
-    # fork is missing or another Python thread runs (a fork copies only the
-    # calling thread).
+    # Processes a large CSV is split across, and at most as many for
+    # fork_map: the usable cores, or 1 where fork is missing or another
+    # Python thread runs (a fork copies only the calling thread).
     if not hasattr(os, "fork") or threading.active_count() > 1:
         return 1
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def _fit_workers():
+    # Processes fork_map spreads its items across: _workers() when BLAS is
+    # pinned to one thread (OpenBLAS reads OPENBLAS_NUM_THREADS before
+    # OMP_NUM_THREADS), else 1.
+    blas = os.environ.get("OPENBLAS_NUM_THREADS") or os.environ.get("OMP_NUM_THREADS")
+    return _workers() if blas == "1" else 1
 
 
 def _part_count(size, minimum):
@@ -118,16 +135,18 @@ def _forked(work, tasks, directory=None):
     part there.  It leaves through ``os._exit`` (status 0 when ``work``
     returned), so it never flushes the stdio buffers it inherited or runs
     exit handlers.  ``collect()`` reaps every child and returns their files,
-    rewound, in the order of ``tasks``; it returns None when a child failed
-    or no temporary file or process could be had.  Leaving the block kills
-    the children still running, whose parts are no longer wanted, reaps
-    them and closes the files.
+    rewound, in the order of ``tasks``, or None when a child failed.  When
+    no temporary file or process could be had for some task, the block gets
+    None in place of ``collect`` and should return at once: its own share
+    is no longer wanted.  Leaving the block kills the children still
+    running, whose parts are no longer wanted, reaps them and closes the
+    files.
     """
     pids, files = [], []
 
     def collect():
         statuses = [os.waitpid(pids.pop(), 0)[1] for _ in range(len(pids))]
-        if len(files) < len(tasks) or any(statuses):
+        if any(statuses):
             return None
         for spill in files:
             spill.seek(0)
@@ -147,11 +166,56 @@ def _forked(work, tasks, directory=None):
                             os._exit(1)
                     pids.append(pid)
                     files.append(spill)
-            yield collect
+            yield collect if len(pids) == len(tasks) else None
         finally:
             for pid in pids:
                 os.kill(pid, signal.SIGKILL)
             collect()
+
+
+def fork_map(fn, items):
+    """``[fn(x) for x in items]``, the items shared across the usable cores.
+
+    With k workers the calling process maps items 0, k, 2k, ... and forked
+    children the shares that start at items 1 to k - 1; each child pickles
+    its results into its temporary file.  Interleaved shares balance a
+    lineup whose slow fits come first.  k is ``_fit_workers()``: above 1
+    only when BLAS runs one thread, fork exists, no other Python thread
+    runs and more than one core is usable.  A child that fails or cannot be
+    started, a part that cannot be read back, or an exception in the
+    caller's own share makes the whole map run again in-process, so the
+    results and the first error are those of the plain list comprehension.
+    """
+    items = list(items)
+    k = min(_fit_workers(), len(items))
+    if k > 1:
+        with contextlib.suppress(Exception):  # any failure: redone below, where it surfaces
+            if (results := _map_shares(fn, items, k)) is not None:
+                return results
+    return [fn(x) for x in items]
+
+
+def _map_shares(fn, items, k):
+    # fork_map's k interleaved shares, all but the first in forked children;
+    # None when a child failed or could not be started.
+    results = [None] * len(items)
+    with _forked(_send_results, [(fn, items[j::k]) for j in range(1, k)]) as collect:
+        if collect is None:
+            return None
+        results[::k] = [fn(x) for x in items[::k]]
+        spills = collect()
+        if spills is None:
+            return None
+        for j, spill in enumerate(spills, start=1):
+            results[j::k] = pickle.load(spill)
+    return results
+
+
+def _send_results(fd, fn, share):
+    # A fork_map worker: its share's results, pickled into the temporary
+    # file ``fd``, left open.
+    with open(fd, "wb", closefd=False) as out:
+        pickle.dump([fn(x) for x in share], out, protocol=pickle.HIGHEST_PROTOCOL)
 
 
 def _read_parts(path, delimiter, parts):
@@ -162,6 +226,8 @@ def _read_parts(path, delimiter, parts):
     bounds = _line_bounds(path, parts)
     tasks = [(path, delimiter, lo, hi) for lo, hi in zip(bounds[1:-1], bounds[2:])]
     with _forked(_send_part, tasks) as collect:
+        if collect is None:
+            return None
         first = _load(path if len(bounds) == 2 else _byte_lines(path, *bounds[:2]), delimiter)
         if first is None or (spills := collect()) is None:
             return None
@@ -306,6 +372,8 @@ def _write_parts(path, matrix, symmetric, parts):
     lines = _symmetric_lines if symmetric else _row_lines
     tasks = [(lines(matrix, lo, hi),) for lo, hi in zip(bounds[1:-1], bounds[2:])]
     with _forked(_spill, tasks, Path(path).parent) as collect:
+        if collect is None:
+            return False
         with open(path, "w", encoding="utf-8") as fh:
             fh.writelines(line + "\n" for line in lines(matrix, *bounds[:2]))
             spills = collect()
@@ -530,10 +598,11 @@ def write_run(directory, files, record, inputs):
     the package version, the sha256 of every ``{key: path}`` entry of
     ``inputs`` under its key, and an ``environment`` block: the numpy
     version, the core count, the number of processes a large CSV is read or
-    written across (``io_workers``) and the BLAS thread settings (``None``
-    when the variable is unset), so timings and traces from different
-    machines can be read side by side.  Nothing else in the package creates
-    an output directory.
+    written across (``io_workers``), the number a recipe's fits are spread
+    across (``fit_workers``) and the BLAS thread settings (``None`` when the
+    variable is unset), so timings and traces from different machines can
+    be read side by side.  Nothing else in the package creates an output
+    directory.
     """
     directory = Path(directory)
     for name, artifact in [*files.items(), ("run.json", record)]:
@@ -554,6 +623,7 @@ def write_run(directory, files, record, inputs):
             "numpy": np.__version__,
             "cpu_count": os.cpu_count(),
             "io_workers": _workers(),
+            "fit_workers": _fit_workers(),
             "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
             "OMP_NUM_THREADS": os.environ.get("OMP_NUM_THREADS"),
         },

@@ -1,7 +1,11 @@
 """End-to-end experiment recipes.
 
 Each recipe generates its synthetic inputs, runs the relevant solver lineup
-and evaluates downstream quality; it writes nothing.  Each generator and
+and evaluates downstream quality; it writes nothing.  No fit of a lineup
+reads another's result, so each recipe hands all its fits to one
+``io.fork_map`` call: with BLAS pinned to one thread they run side by side
+on the usable cores, otherwise one after another in-process, with the same
+results and errors either way.  Each generator and
 solver setting is written once, in the dict that is passed to the call and
 recorded in ``run.json``'s ``params``.  Once every fit has succeeded,
 ``run_recipe`` hands all artifacts (data, learned configurations, traces)
@@ -40,7 +44,7 @@ from .features import (
     instance_weight_profile,
     l2mv_fit,
 )
-from .io import dataset_files, write_json, write_run
+from .io import dataset_files, fork_map, write_json, write_run
 
 __all__ = ["run_recipe", "RECIPE_NAMES", "FEATURE_METHODS", "fit_feature_method"]
 
@@ -125,37 +129,47 @@ def _uci_noise_grid(seed, full_scale, condition):
         latent_dim=10, sigma=0.5, c1=1e-3, c2=1e-3, max_outer=25, max_inner=3, seed=seed
     )
 
-    fits, results = {}, []
+    # Every cell's corrupted set first, each seeded by its own cell; then
+    # one fork_map over the grid's fits, each scored where it ran.
+    cells = []
     for magnitude in grid["magnitudes"]:
         for level, frac in enumerate(grid["grid"]):
             noise_seed = seed + 1000 * level + int(10000 * magnitude)
             noise = NoiseSpec(grid["noise"], fraction=frac, magnitude=magnitude, seed=noise_seed)
-            if condition == 1:
-                noisy, idx = corrupt_instances(fs, 0, noise)
-            else:
-                noisy, pixel_mask = corrupt_pixels(fs, 0, noise)
-            row = {
-                "fraction": frac, "magnitude": magnitude, "accuracy": {}, "stop": {},
-                "weights": {},
+            corrupt = corrupt_instances if condition == 1 else corrupt_pixels
+            cells.append((magnitude, frac, *corrupt(fs, 0, noise)))
+
+    def fit(entry):
+        cell, method = entry
+        _, _, noisy, corrupted = cells[cell]
+        model = fit_feature_method(method, noisy, cfg)
+        _, acc = knn_classify(split, features=model.X.T, k=1)
+        weights = {}
+        if condition == 1 and method in ("cmv", "cemv"):
+            weights[method] = _weight_split(model, corrupted)
+        elif condition == 2 and method == "cemv":
+            av = np.abs(np.asarray(model.A[0]))
+            weights["cemv_pixels"] = {
+                "noisy_positions": float(av[corrupted].mean()) if corrupted.any() else None,
+                "clean_positions": float(av[~corrupted].mean()),
             }
-            for method in FEATURE_METHODS:
-                model = fit_feature_method(method, noisy, cfg)
-                _, acc = knn_classify(split, features=model.X.T, k=1)
-                row["accuracy"][method] = acc
-                row["stop"][method] = _stop(model.trace)
-                tag = f"m{magnitude:g}_f{frac:g}_{method}"
-                fits[f"latent/{tag}.csv"], fits[f"traces/{tag}.csv"] = model.X, model.trace
-                if condition == 1 and method in ("cmv", "cemv"):
-                    row["weights"][method] = _weight_split(model, idx)
-                elif condition == 2 and method == "cemv":
-                    av = np.abs(np.asarray(model.A[0]))
-                    row["weights"]["cemv_pixels"] = {
-                        "noisy_positions": float(av[pixel_mask].mean())
-                        if pixel_mask.any()
-                        else None,
-                        "clean_positions": float(av[~pixel_mask].mean()),
-                    }
-            results.append(row)
+        return model.X, model.trace, acc, weights
+
+    # Method by method, so that interleaved shares get about as many fits of
+    # each method: in uci-noise-2 a cemv fit costs about five concat fits.
+    entries = [(cell, method) for method in FEATURE_METHODS for cell in range(len(cells))]
+    done = dict(zip(entries, fork_map(fit, entries)))
+    fits, results = {}, []
+    for cell, (magnitude, frac, _, _) in enumerate(cells):
+        row = {"fraction": frac, "magnitude": magnitude, "accuracy": {}, "stop": {}, "weights": {}}
+        for method in FEATURE_METHODS:
+            x, trace, acc, weights = done[cell, method]
+            row["accuracy"][method] = acc
+            row["stop"][method] = _stop(trace)
+            tag = f"m{magnitude:g}_f{frac:g}_{method}"
+            fits[f"latent/{tag}.csv"], fits[f"traces/{tag}.csv"] = x, trace
+            row["weights"].update(weights)
+        results.append(row)
 
     params = {
         **data,
@@ -171,9 +185,10 @@ def _embed_lineup(views, score, steps, **cfg):
     """Fit ree on each of two views, then mvree and cmvree on both.
 
     ``steps`` is the (L1, correntropy) step pair and ``cfg`` holds the other
-    ``EmbedConfig`` fields.  Returns ``(fits, results)``: per method its
-    configuration and trace under their file paths, and
-    ``score(configuration)`` plus the final objective and stop reason.
+    ``EmbedConfig`` fields.  The four fits run through one ``fork_map``.
+    Returns ``(fits, results)``: per method its configuration and trace
+    under their file paths, and ``score(configuration)`` plus the final
+    objective and stop reason.
     """
     step_l1, step_corr = steps
     runs = {
@@ -182,15 +197,20 @@ def _embed_lineup(views, score, steps, **cfg):
         "mvree": (views, "l1", step_l1),
         "cmvree": (views, "correntropy", step_corr),
     }
-    fits, results = {}, {}
-    for method, (mviews, loss, step) in runs.items():
+
+    def fit(run):
+        mviews, loss, step = run
         res = ree_fit(mviews, EmbedConfig(step=step, **cfg), loss=loss)
-        fits[f"configurations/{method}.csv"] = res.configuration
-        fits[f"traces/{method}.csv"] = res.trace
+        return res.configuration, res.trace
+
+    fits, results = {}, {}
+    for method, (configuration, trace) in zip(runs, fork_map(fit, runs.values())):
+        fits[f"configurations/{method}.csv"] = configuration
+        fits[f"traces/{method}.csv"] = trace
         results[method] = {
-            **score(res.configuration),
-            "final_objective": res.trace.final_objective,
-            **_stop(res.trace),
+            **score(configuration),
+            "final_objective": trace.final_objective,
+            **_stop(trace),
         }
     return fits, results
 

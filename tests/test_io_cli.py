@@ -51,11 +51,14 @@ from robustmv.trace import NumericalError, SolverTrace
 
 
 def _check_environment(env):
-    # The test sets OPENBLAS_NUM_THREADS and unsets OMP_NUM_THREADS.
+    # The test sets OPENBLAS_NUM_THREADS to 1 and unsets OMP_NUM_THREADS, so
+    # a recipe's fits are spread across as many processes as a large CSV.
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     assert env == {
         "numpy": np.__version__,
         "cpu_count": os.cpu_count(),
-        "io_workers": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1,
+        "io_workers": cores,
+        "fit_workers": cores,
         "OPENBLAS_NUM_THREADS": "1",
         "OMP_NUM_THREADS": None,
     }
@@ -491,6 +494,129 @@ class TestSplitTransport:
             assert path.read_bytes() == want.getvalue()
         assert len(calls) == split.parts - 1
         assert split.forks == split.parts - 2
+
+
+def _item(x):
+    # A fork_map result that pickles: arrays, a dict and a SolverTrace.
+    trace = SolverTrace()
+    trace.record(x / 3.0)
+    return {"x": x, "squares": np.arange(x) ** 2.5, "trace": trace}
+
+
+def _same_items(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a["x"] == b["x"] and a["trace"] == b["trace"]
+        assert np.array_equal(a["squares"], b["squares"])
+
+
+class TestForkMap:
+    """fork_map gives the list comprehension's results and errors."""
+
+    @pytest.fixture
+    def pinned(self, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+
+    @pytest.mark.parametrize("count", [1, 2, 3, 5])
+    def test_results_in_order(self, split, pinned, count):
+        own = []
+
+        def fn(x):
+            own.append(x)  # in the calling process only
+            return _item(x)
+
+        items = list(range(10, 10 + count))
+        _same_items(robustmv.io.fork_map(fn, items), [_item(x) for x in items])
+        workers = min(split.parts, count)
+        assert split.forks == workers - 1
+        assert own == items[::workers]
+
+    @pytest.mark.parametrize("failing", [{1}, {2}, {1, 2}], ids=["1", "2", "1-and-2"])
+    def test_first_error_is_the_callers_own(self, split, pinned, capfd, failing):
+        # Item 1 runs in a child, item 2 in the calling process (2 workers) or
+        # a child (3); the in-process redo raises what item order gives first.
+        def fn(x):
+            if x in failing:
+                raise {1: KeyError, 2: ValueError}[x](f"item {x} failed")
+            return _item(x)
+
+        capfd.readouterr()
+        error = KeyError if 1 in failing else ValueError
+        with pytest.raises(error) as exc:
+            robustmv.io.fork_map(fn, range(5))
+        assert str(exc.value) == str(error(f"item {min(failing)} failed"))
+        assert split.forks == split.parts - 1
+        assert capfd.readouterr() == ("", "")  # no child printed its traceback
+
+    @pytest.mark.parametrize("blas", [
+        {}, {"OPENBLAS_NUM_THREADS": "2"}, {"OMP_NUM_THREADS": "4"},
+        {"OPENBLAS_NUM_THREADS": "4", "OMP_NUM_THREADS": "1"},
+    ], ids=["unset", "openblas-2", "omp-4", "openblas-4-omp-1"])
+    def test_threaded_blas_maps_in_process(self, monkeypatch, blas):
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        for var, value in blas.items():
+            monkeypatch.setenv(var, value)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        self._check_in_process(monkeypatch)
+
+    @pytest.mark.parametrize("blocker", ["one-core", "second-thread"])
+    def test_one_core_or_a_second_thread_maps_in_process(self, monkeypatch, pinned, blocker):
+        if not hasattr(os, "fork"):
+            pytest.skip("no fork on this platform")
+        cores = {0} if blocker == "one-core" else {0, 1, 2}
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cores, raising=False)
+        if blocker == "one-core":
+            self._check_in_process(monkeypatch)
+            return
+        stop = threading.Event()
+        other = threading.Thread(target=stop.wait)
+        other.start()
+        try:
+            self._check_in_process(monkeypatch)
+        finally:
+            stop.set()
+            other.join(timeout=10)
+        assert not other.is_alive()
+
+    @staticmethod
+    def _check_in_process(monkeypatch):
+        fork, forks = os.fork, []
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        assert robustmv.io._fit_workers() == 1
+        _same_items(robustmv.io.fork_map(_item, range(5)), [_item(x) for x in range(5)])
+        assert forks == []
+
+    @pytest.mark.parametrize("split", [3], indirect=True)
+    def test_no_process_kills_started_children_and_skips_own_share(
+        self, split, pinned, monkeypatch
+    ):
+        # The second fork raises OSError: the first child, which would sleep
+        # for 60 s, is killed at once, and the calling process maps every
+        # item once, in the in-process redo, not its own share first.
+        fork, forks, own = os.fork, [], []
+
+        def second_fails():
+            forks.append(1)
+            if len(forks) == 2:
+                raise OSError("resource unavailable")
+            return fork()
+
+        def fn(x):
+            if os.getpid() != caller:
+                time.sleep(60)
+            own.append(x)
+            return _item(x)
+
+        caller = os.getpid()
+        monkeypatch.setattr(os, "fork", second_fails)
+        start = time.perf_counter()
+        items = list(range(6))
+        _same_items(robustmv.io.fork_map(fn, items), [_item(x) for x in items])
+        assert time.perf_counter() - start < 30
+        assert len(forks) == 2
+        assert own == items
 
 
 class TestWorkerCount:
@@ -1757,7 +1883,10 @@ class TestRecipes:
         self, tmp_path, capsys, monkeypatch, name, target, error, code, kind
     ):
         # The third fit of the lineup fails after two have succeeded; the
-        # recipe writes nothing, not even its data.
+        # recipe writes nothing, not even its data.  With threaded BLAS the
+        # fits run in-process, where the calls are counted.
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
         real = getattr(robustmv.recipes, target)
         calls = []
 
@@ -1773,6 +1902,42 @@ class TestRecipes:
         assert main(["recipe", "--name", name, "--out", str(out)]) == code
         assert len(calls) == 3
         err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert _strict_json(err[0]) == {"error": kind, "message": "injected failure"}
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name, target", [
+        ("pointset-25", "ree_fit"), ("uci-noise-1", "fit_feature_method"),
+    ])
+    @pytest.mark.parametrize("error, code, kind", [
+        (NumericalError, 3, "numerical"), (ValueError, 2, "validation"),
+    ])
+    def test_failed_forked_fit_creates_no_out(
+        self, tmp_path, capfd, monkeypatch, name, target, error, code, kind
+    ):
+        # Two fit processes, whatever the host.  The fourth entry of the
+        # lineup fails: cmvree in the child (pointset-25), or every cell's
+        # l2mv, in both processes (uci-noise-1).  The recipe redoes its fits
+        # in-process, fails with the same error and writes nothing.
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        monkeypatch.setattr(robustmv.io, "_workers", lambda: 2)
+        real, fork, forks = getattr(robustmv.recipes, target), os.fork, []
+
+        def entry_fails(*args, **kwargs):
+            if kwargs.get("loss") == "correntropy" or args[0] == "l2mv":
+                raise error("injected failure")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(robustmv.recipes, target, entry_fails)
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        capfd.readouterr()
+        out = tmp_path / "r"
+        assert main(["recipe", "--name", name, "--out", str(out)]) == code
+        assert forks == [1]
+        out_text, err_text = capfd.readouterr()
+        assert out_text == ""
+        err = err_text.splitlines()
         assert len(err) == 1
         assert _strict_json(err[0]) == {"error": kind, "message": "injected failure"}
         assert not out.exists()
