@@ -7,8 +7,11 @@ first and then hands its artifacts and its ``run.json`` echo (parameters,
 seed and input hashes) to ``io.write_run``, the only writer of ``--out``, so
 a rejected or failed run leaves no directory.  Only ``fit-mv`` and
 ``embed`` take ``--config``; ``--config``, ``--params`` and ``--corrupt``
-must be strict JSON with finite numbers.  ``fit-mv``
-reads exactly one input source, ``--views`` or ``--uci-dir``, and
+must be strict JSON with finite numbers.  Their ``run.json`` records under
+``params.resolved`` every setting the solver ran with, cmvree's median
+kernel size when ``--config`` gave none and cemv's per-view kernel sizes
+``sigma / sqrt(d_v)`` (``view_sigmas``) included.  ``fit-mv`` reads
+exactly one input source, ``--views`` or ``--uci-dir``, and
 ``--uci-views`` only with ``--uci-dir``.  Each ``eval``
 task reads the file flags and options its ``_EVAL_TASKS`` entry lists and
 rejects any other one it is given (``--seed`` and ``--out`` are common to
@@ -19,6 +22,7 @@ on numerical failure, each with a one-line JSON diagnostic on stderr.
 """
 
 import argparse
+import dataclasses
 import functools
 import json
 import os
@@ -37,7 +41,7 @@ from .datagen import (
     gen_planted_multiview,
     gen_point_set_views,
 )
-from .embedding import EmbedConfig, cmds, ree_fit
+from .embedding import EmbedConfig, cmds, median_kernel_size, ree_fit
 from .evaluation import (
     confusion_matrix,
     knn_classify,
@@ -49,6 +53,7 @@ from .features import (
     CmvConfig,
     cauchymv_fit,
     cemv_fit,
+    cemv_sigmas,
     cmv_fit,
     instance_weight_profile,
     l2mv_fit,
@@ -125,12 +130,13 @@ def _finite(token, kind=float):
     return kind(token)
 
 
-def _finish(args, files, record, inputs, line):
+def _finish(args, files, record, inputs, line, digests=None):
     """Write ``files`` and ``run.json`` (``record`` plus the hash of every input) to ``--out``.
 
-    Then print ``line``; returns the exit code 0.
+    ``digests`` holds the hashes of inputs already taken as they were read,
+    under ``str`` of their path.  Then print ``line``; returns the exit code 0.
     """
-    write_run(args.out, files, record, {str(f): f for f in inputs})
+    write_run(args.out, files, record, {str(f): f for f in inputs}, digests)
     print(json.dumps(line))
     return 0
 
@@ -223,13 +229,18 @@ def _cmd_fit_mv(args):
     if args.normalize:
         fs = normalize_views(fs)
     config = _solver_config(args, {"latent_dim": 10})
-    model = globals()[f"{args.solver}_fit"](fs, CmvConfig(**config))
+    cfg = CmvConfig(**config)
+    model = globals()[f"{args.solver}_fit"](fs, cfg)
     written = {
         "X.csv": model.X,
         "trace.csv": model.trace,
         "weights.csv": instance_weight_profile(model),
     }
-    params = {"seed": args.seed, "normalize": args.normalize, "config": config}
+    resolved = dataclasses.asdict(cfg)
+    if args.solver == "cemv":
+        resolved["view_sigmas"] = cemv_sigmas(fs, cfg)
+    params = {"seed": args.seed, "normalize": args.normalize, "config": config,
+              "resolved": resolved}
     record, summary = _solver_record(args, model.trace, params)
     return _finish(args, written, record, [Path(f) for f in files], summary)
 
@@ -253,7 +264,11 @@ def _cmd_embed(args):
         "gram.csv": result.gram,
         "trace.csv": result.trace,
     }
-    record, summary = _solver_record(args, result.trace, {"seed": args.seed, "config": config})
+    resolved = dataclasses.asdict(cfg)
+    if args.solver == "cmvree" and cfg.sigma is None:
+        resolved["sigma"] = median_kernel_size(views)  # the kernel size ree_fit chose
+    params = {"seed": args.seed, "config": config, "resolved": resolved}
+    record, summary = _solver_record(args, result.trace, params)
     record["ingest_report"] = report
     return _finish(args, written, record, args.views, summary)
 
@@ -281,10 +296,11 @@ def _eval_inputs(args):
     return {flag: feeds.get(flag, flag) for flag in given}
 
 
-def _read_eval_file(flag, path):
+def _read_eval_file(flag, path, digests):
+    # A matrix file's hash is taken as it is read and kept in ``digests``.
     if flag in ("labels", "predictions"):
         return read_labels(path)
-    matrix = read_matrix_csv(path)
+    matrix, digests[str(path)] = read_matrix_csv(path, digest=True)
     return matrix.T if flag == "features" else matrix  # --features is dims x instances
 
 
@@ -333,12 +349,16 @@ def _cmd_eval(args):
         raise ValueError(
             f"--subset takes comma-separated row indices, not {args.subset!r}"
         ) from None
-    read = {key: _read_eval_file(flag, getattr(args, flag)) for flag, key in inputs.items()}
+    digests = {}
+    read = {
+        key: _read_eval_file(flag, getattr(args, flag), digests) for flag, key in inputs.items()
+    }
     scores, written = globals()[f"_score_{args.task}"](args, **read)
     record = {"command": f"eval {args.task}", "params": {"seed": args.seed}}
     line = {k: v for k, v in scores.items() if k not in ("per_query", "confusion")}
     files = {**written, "scores.json": scores}
-    return _finish(args, files, record, [getattr(args, flag) for flag in inputs], line)
+    paths = [getattr(args, flag) for flag in inputs]
+    return _finish(args, files, record, paths, line, digests)
 
 
 def _cmd_recipe(args):

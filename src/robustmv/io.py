@@ -12,14 +12,25 @@ diagonal once and writes the same bytes as ``np.savetxt`` would.
 
 One fork helper, ``_forked``, spreads independent work across the usable
 cores: the calling process does one share, forked children do the others
-and hand their parts back in unnamed temporary files.  It serves two
-callers.  A large matrix is read or written in contiguous row ranges, one
-per core, the calling process taking the first.  ``fork_map`` runs a
-recipe's independent fits, every k-th item to one process, and the
-children pickle their results; it maps concurrently only when BLAS runs
-one thread, since k processes of multi-threaded BLAS would oversubscribe
-the cores.  Either way a failed part makes the caller redo the whole call
-in-process, so results and errors do not depend on the split.
+and hand their parts back in unnamed temporary files.  It serves three
+callers.  A large file is read in contiguous byte ranges, one per core,
+the calling process taking the first.  A run's matrices are written in one
+call: their row blocks are laid end to end and cut into ranges of about
+equal numbers of cells, one per core, so two equal views on two cores go
+whole, one to each process, while a single large matrix is split by rows.
+``fork_map`` runs a recipe's independent fits, every k-th item to one
+process, and the children pickle their results; it maps concurrently only
+when BLAS runs one thread, since k processes of multi-threaded BLAS would
+oversubscribe the cores.  In every case a failed part makes the caller redo
+the whole call in-process, so results and errors do not depend on the
+split.
+
+Each file's sha256 is taken where its bytes are already in hand.  A writer
+process hashes each file its range holds whole as it writes it, and the
+calling process hashes every other file from the parts it writes and
+appends; a read asked for its digest hashes the file in the calling
+process while the workers parse their ranges.  ``write_run`` hashes only
+the inputs it neither wrote nor was handed a digest for.
 
 JSON artifacts are strict JSON: a NaN or infinity in one is an error, not
 a ``NaN`` token.  ``write_run`` is the one writer of a run's output
@@ -32,7 +43,6 @@ import hashlib
 import json
 import os
 import pickle
-import shutil
 import signal
 import tempfile
 import threading
@@ -75,33 +85,36 @@ _SPLIT_CELLS = 1 << 18
 _SPLIT_BYTES = 1 << 22
 
 
-def read_matrix_csv(path, delimiter=","):
+def read_matrix_csv(path, delimiter=",", digest=False):
     """Parse a numeric matrix, one row per non-blank line.
 
     Cells are split on ``delimiter`` (``None``: runs of whitespace) and may
-    carry surrounding whitespace; blank lines are skipped and ``nan``,
-    ``inf`` and ``-inf`` cells are accepted.  ``#`` comment lines, empty
-    cells, ragged rows and files without a data row are rejected.  numpy's
-    C parser reads the file; whatever it refuses is parsed again line by
-    line, so every error names the file, the line and, for a bad cell, the
-    column.  A large file is parsed in byte ranges that end at a newline,
-    one per usable core; the workers write their rows to temporary files in
-    the default temporary directory, and the parts are stacked.  A part that
-    is refused, holds no row, is cut short or disagrees with the first on
-    width makes the whole file be read again in-process.  A split parse
-    skips lines of whitespace alone; a one-part parse hands the path to
-    ``np.loadtxt``, which refuses such a line, so that file is read by the
-    line parser.
+    carry surrounding whitespace; blank lines, and lines of whitespace
+    alone, are skipped and ``nan``, ``inf`` and ``-inf`` cells are
+    accepted.  ``#`` comment lines, empty cells, ragged rows and files
+    without a data row are rejected.  numpy's C parser reads the file;
+    whatever it refuses is parsed again line by line, so every error names
+    the file, the line and, for a bad cell, the column.  A large file is
+    parsed in byte ranges that end at a newline, one per usable core; the
+    workers write their rows to temporary files in the default temporary
+    directory, and the parts are stacked.  A part that is refused, holds no
+    row, is cut short or disagrees with the first on width makes the whole
+    file be read again in-process.  With ``digest=True`` the result is
+    ``(matrix, sha256 hex digest of the file)``; the calling process hashes
+    the file once it has parsed its own range, while the workers parse
+    theirs.
     """
     path = Path(path)
     if not path.is_file():
         problem = "is not a file" if path.exists() else "missing input file"
         raise ValueError(f"{problem}: {path}")
     parts = _part_count(path.stat().st_size, _SPLIT_BYTES)
-    data = _read_parts(path, delimiter, parts)
-    if data is None and parts > 1:
-        data = _read_parts(path, delimiter, 1)
-    return _read_matrix_lines(path, delimiter) if data is None else data
+    read = _read_parts(path, delimiter, parts, digest)
+    if read is None and parts > 1:
+        read = _read_parts(path, delimiter, 1, digest)
+    if read is None:
+        read = _read_matrix_lines(path, delimiter), (file_sha256(path) if digest else None)
+    return read if digest else read[0]
 
 
 def _workers():
@@ -218,21 +231,24 @@ def _send_results(fd, fn, share):
         pickle.dump([fn(x) for x in share], out, protocol=pickle.HIGHEST_PROTOCOL)
 
 
-def _read_parts(path, delimiter, parts):
-    # The file parsed in ``parts`` byte ranges, all but the first in forked
-    # workers; None when a part is refused, holds no row, is cut short or has
-    # another width than the first.  With one part this is np.loadtxt of the
-    # path, whose array is returned as it is.
+def _read_parts(path, delimiter, parts, digest):
+    # (array, sha256 hex or None) of the file parsed in ``parts`` byte
+    # ranges, all but the first in forked workers; None when a part is
+    # refused, holds no row, is cut short or has another width than the
+    # first.  The digest, when asked for, is taken while the workers parse.
     bounds = _line_bounds(path, parts)
     tasks = [(path, delimiter, lo, hi) for lo, hi in zip(bounds[1:-1], bounds[2:])]
     with _forked(_send_part, tasks) as collect:
         if collect is None:
             return None
-        first = _load(path if len(bounds) == 2 else _byte_lines(path, *bounds[:2]), delimiter)
-        if first is None or (spills := collect()) is None:
+        first = _load(_byte_lines(path, *bounds[:2]), delimiter)
+        if first is None:
+            return None
+        sha = file_sha256(path) if digest else None
+        if (spills := collect()) is None:
             return None
         if not spills:
-            return first
+            return first, sha
         shapes = np.zeros((len(spills), 2), dtype=np.int64)  # a header cut short has width 0
         for spill, shape in zip(spills, shapes):
             spill.readinto(shape)
@@ -246,7 +262,7 @@ def _read_parts(path, delimiter, parts):
         for spill, block in zip(spills, blocks[1:]):
             if spill.readinto(block) < block.nbytes:
                 return None
-    return data
+    return data, sha
 
 
 def _line_bounds(path, parts):
@@ -277,8 +293,7 @@ def _byte_lines(path, start, end):
 
 
 def _load(source, delimiter):
-    # np.loadtxt of a path or of byte lines; None when it refuses them or
-    # finds no data.
+    # np.loadtxt of byte lines; None when it refuses them or finds no data.
     try:
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", ".*input contained no data", UserWarning)
@@ -348,47 +363,137 @@ def write_matrix_csv(path, matrix):
     each block of rows formats its diagonal tile and the tiles of the next
     few column blocks, and keeps the latter to transpose into those blocks'
     rows.  Cells outside the band, on either side, are formatted one call
-    per row, so the kept text stays a few MB whatever the matrix size.  A
-    large matrix is cut into ranges of about equal numbers of row blocks,
-    one per usable core; a range's first blocks format their cells left of
-    the band themselves.  The workers format into temporary files in the
-    output's directory, which are appended in order.
+    per row, so the kept text stays a few MB whatever the matrix size.  This
+    is the one-file case of the writer ``write_run`` gives all of a run's
+    matrices to, which splits a large matrix across the usable cores by
+    rows.
     """
-    matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
-    symmetric = _is_symmetric(matrix)
-    parts = _part_count(matrix.size, _SPLIT_CELLS)
-    if not _write_parts(path, matrix, symmetric, parts):
-        _write_parts(path, matrix, symmetric, 1)
+    _write_matrices({path: matrix})
 
 
-def _write_parts(path, matrix, symmetric, parts):
-    # Write the rows in ``parts`` ranges of about equal numbers of row
-    # blocks, all but the first formatted by forked workers into temporary
-    # files in the output's directory, which are appended in order; False
-    # when a worker failed or could not be started.
-    count = -(-len(matrix) // _BLOCK)
-    parts = max(1, min(parts, count))
-    bounds = [count * j // parts for j in range(parts + 1)]
-    lines = _symmetric_lines if symmetric else _row_lines
-    tasks = [(lines(matrix, lo, hi),) for lo, hi in zip(bounds[1:-1], bounds[2:])]
-    with _forked(_spill, tasks, Path(path).parent) as collect:
+def _write_matrices(files):
+    # Write {path: array} as CSV and return {path: sha256 hex}.  The files'
+    # row blocks are laid end to end and cut into ranges of about equal
+    # numbers of cells, one per usable core, so equal matrices go whole to
+    # separate processes and a single large one is split by rows.
+    if not files:
+        return {}
+    runs = []  # (path, matrix, whether it is symmetric, row blocks)
+    for path, array in files.items():
+        m = np.atleast_2d(np.asarray(array, dtype=float))
+        runs.append((Path(path), m, _is_symmetric(m), max(1, -(-len(m) // _BLOCK))))
+    parts = _part_count(sum(m.size for _, m, _, _ in runs), _SPLIT_CELLS)
+    digests = _write_parts(runs, parts)
+    return _write_parts(runs, 1) if digests is None else digests
+
+
+def _ranges(files, parts):
+    # Up to ``parts`` ranges of the files' row blocks laid end to end, cut
+    # at the first block boundary at or past each equal share of the cells;
+    # each range is its segments (file index, first block, end block).
+    blocks = [(f, b) for f, (_, _, _, count) in enumerate(files) for b in range(count)]
+    cells = np.cumsum([0] + [files[f][1][b * _BLOCK:(b + 1) * _BLOCK].size for f, b in blocks])
+    cuts = np.searchsorted(cells, cells[-1] * np.arange(1, parts) / parts)
+    bounds = sorted({0, *cuts.tolist(), len(blocks)})
+    ranges = []
+    for lo, hi in zip(bounds, bounds[1:]):
+        segments = {}
+        for f, b in blocks[lo:hi]:
+            segments.setdefault(f, []).append(b)
+        ranges.append([(f, b[0], b[-1] + 1) for f, b in segments.items()])
+    return ranges
+
+
+# A writer worker's temporary file starts with one record per segment of its
+# range: the bytes its part of a file takes there, or the sha256 of a file it
+# wrote whole.
+_HEADER = np.dtype([("size", "<i8"), ("sha256", "S64")])
+
+
+def _write_parts(files, parts):
+    # Write the files in _ranges(files, parts), all but the first range in
+    # forked workers, whose temporary files in the first file's directory
+    # carry the parts of the files that ranges share, appended here in
+    # order; {path: sha256 hex}, or None when a worker failed or could not
+    # be started.
+    ranges = _ranges(files, parts)
+    digests, own = {}, {}  # own: file index -> (open file, sha256) this process writes
+    with contextlib.ExitStack() as stack:
+        tasks = [(files, segments) for segments in ranges[1:]]
+        collect = stack.enter_context(_forked(_spill, tasks, files[0][0].parent))
         if collect is None:
+            return None
+        for f, lo, hi in ranges[0]:
+            fh, sha = stack.enter_context(open(files[f][0], "wb")), hashlib.sha256()
+            _emit(fh, _segment_lines(files[f], lo, hi), sha)
+            own[f] = fh, sha
+        spills = collect()
+        if spills is None:
+            return None
+        for spill, segments in zip(spills, ranges[1:]):
+            head = np.zeros(len(segments), _HEADER)
+            if spill.readinto(head.view(np.uint8)) < head.nbytes:
+                return None
+            for (f, lo, hi), (size, sha256) in zip(segments, head.tolist()):
+                if (lo, hi) == (0, files[f][3]):
+                    digests[files[f][0]] = sha256.decode()
+                    continue
+                if f not in own:
+                    own[f] = stack.enter_context(open(files[f][0], "wb")), hashlib.sha256()
+                if not _append(spill, *own[f], size):
+                    return None
+        for f, (_, sha) in own.items():
+            digests[files[f][0]] = sha.hexdigest()
+    return digests
+
+
+def _spill(fd, files, segments):
+    # A writer worker: each file its range holds whole goes to its path, and
+    # the rest to the temporary file ``fd``, left open, after the header.
+    head = np.zeros(len(segments), _HEADER)
+    with open(fd, "wb", closefd=False) as out:
+        out.seek(head.nbytes)
+        for (f, lo, hi), record in zip(segments, head):
+            if (lo, hi) == (0, files[f][3]):
+                with open(files[f][0], "wb") as fh:
+                    sha = hashlib.sha256()
+                    _emit(fh, _segment_lines(files[f], lo, hi), sha)
+                record["sha256"] = sha.hexdigest()
+            else:
+                record["size"] = _emit(out, _segment_lines(files[f], lo, hi))
+        out.seek(0)
+        out.write(head.tobytes())
+
+
+def _segment_lines(file, lo, hi):
+    # The lines of row blocks [lo, hi) of one of _write_matrices' files.
+    _, matrix, symmetric, _ = file
+    return (_symmetric_lines if symmetric else _row_lines)(matrix, lo, hi)
+
+
+def _emit(out, lines, sha=None):
+    # Write each line and a newline to the binary file ``out``, feeding
+    # ``sha`` when given; returns the bytes written.
+    size = 0
+    for line in lines:
+        data = (line + "\n").encode()
+        if sha is not None:
+            sha.update(data)
+        size += out.write(data)
+    return size
+
+
+def _append(spill, out, sha, size):
+    # Copy the next ``size`` bytes of ``spill`` to ``out``, feeding ``sha``;
+    # False when the spill holds fewer.
+    while size:
+        chunk = spill.read(min(size, 1 << 20))
+        if not chunk:
             return False
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.writelines(line + "\n" for line in lines(matrix, *bounds[:2]))
-            spills = collect()
-            if spills is None:
-                return False
-            fh.flush()
-            for spill in spills:
-                shutil.copyfileobj(spill, fh.buffer)
+        sha.update(chunk)
+        out.write(chunk)
+        size -= len(chunk)
     return True
-
-
-def _spill(fd, lines):
-    # A writer worker: its lines go to the temporary file ``fd``, left open.
-    with open(fd, "w", encoding="utf-8", closefd=False) as out:
-        out.writelines(line + "\n" for line in lines)
 
 
 def _row_lines(matrix, lo, hi):
@@ -455,7 +560,8 @@ def read_labels(path):
 
 
 def write_labels(path, labels):
-    np.savetxt(path, np.asarray(labels, dtype=int)[:, None], fmt="%d")
+    """One integer per line, as ``np.savetxt(path, labels, fmt="%d")``; returns its sha256."""
+    return _write_bytes(path, "".join("%d\n" % v for v in np.asarray(labels, dtype=int).tolist()))
 
 
 def dataset_files(views, labels=None, truth=None):
@@ -569,40 +675,46 @@ def _json_text(path, payload):
 
 
 def write_json(path, payload):
-    """Write strict JSON; a NaN or infinity raises before the file is opened."""
-    Path(path).write_text(_json_text(path, payload) + "\n", encoding="utf-8")
+    """Write strict JSON and return its sha256; a NaN or infinity raises before the file is opened."""
+    return _write_bytes(path, _json_text(path, payload) + "\n")
 
 
 def _writer(artifact):
-    # Looked up when called, like every module global, so a patched writer runs.
+    # Looked up when called, like every module global, so a patched writer
+    # runs; None for a matrix, which goes with the run's other matrices.
     if isinstance(artifact, SolverTrace):
         return write_trace_csv
     if isinstance(artifact, dict):
         return write_json
     array = np.asarray(artifact)
     labels = array.ndim == 1 and np.issubdtype(array.dtype, np.integer)
-    return write_labels if labels else write_matrix_csv
+    return write_labels if labels else None
 
 
-def write_run(directory, files, record, inputs):
+def write_run(directory, files, record, inputs, digests=None):
     """Write a run's artifacts and its ``run.json`` into ``directory``; returns the echo.
 
-    ``files`` maps paths relative to ``directory`` to artifacts, written in
-    the order given; each artifact's type picks its writer: a
-    ``SolverTrace`` goes to ``write_trace_csv``, a dict to ``write_json``, a
-    1-D integer array to ``write_labels`` and any other array to
-    ``write_matrix_csv``.  Every JSON document, ``record`` included, is
+    ``files`` maps paths relative to ``directory`` to artifacts; each
+    artifact's type picks its writer: a ``SolverTrace`` goes to
+    ``write_trace_csv``, a dict to ``write_json`` and a 1-D integer array to
+    ``write_labels``, each in the order given; every other array is a
+    matrix, and all of them then go to one call of the CSV writer, which
+    spreads their rows across the usable cores as ``write_matrix_csv``
+    would a single matrix's.  Every JSON document, ``record`` included, is
     rendered before anything is created, so a NaN or infinity in one leaves
     no directory, and a directory that cannot be created (the path names a
-    file, say) is a ``ValueError`` too.  ``run.json`` comes last: ``record`` plus
-    the package version, the sha256 of every ``{key: path}`` entry of
+    file, say) is a ``ValueError`` too.  ``run.json`` comes last: ``record``
+    plus the package version, the sha256 of every ``{key: path}`` entry of
     ``inputs`` under its key, and an ``environment`` block: the numpy
     version, the core count, the number of processes a large CSV is read or
     written across (``io_workers``), the number a recipe's fits are spread
     across (``fit_workers``) and the BLAS thread settings (``None`` when the
     variable is unset), so timings and traces from different machines can
-    be read side by side.  Nothing else in the package creates an output
-    directory.
+    be read side by side.  An input's digest is taken from ``digests``
+    (``{key: sha256 hex}``, for files the caller read with
+    ``read_matrix_csv(..., digest=True)``), else from the write when this
+    call wrote the file, else by hashing the file.  Nothing else in the
+    package creates an output directory.
     """
     directory = Path(directory)
     for name, artifact in [*files.items(), ("run.json", record)]:
@@ -613,12 +725,21 @@ def write_run(directory, files, record, inputs):
             folder.mkdir(parents=True, exist_ok=True)
     except OSError as exc:  # a path that names a file, for instance
         raise ValueError(f"cannot create directory {exc.filename}: {exc.strerror}") from None
+    written, matrices = {}, {}
     for name, artifact in files.items():
-        _writer(artifact)(directory / name, artifact)
+        if (writer := _writer(artifact)) is None:
+            matrices[directory / name] = artifact
+        else:
+            written[directory / name] = writer(directory / name, artifact)
+    written.update(_write_matrices(matrices))
+    digests = digests or {}
     payload = {
         **record,
         "package_version": __version__,
-        "inputs": {key: file_sha256(path) for key, path in inputs.items()},
+        "inputs": {
+            key: digests.get(key) or written.get(Path(path)) or file_sha256(path)
+            for key, path in inputs.items()
+        },
         "environment": {
             "numpy": np.__version__,
             "cpu_count": os.cpu_count(),
@@ -633,8 +754,16 @@ def write_run(directory, files, record, inputs):
 
 
 def write_trace_csv(path, trace):
+    """``iteration,objective`` CSV, one line per iteration; returns its sha256."""
     rows = "".join(f"{i},{val:.17g}\n" for i, val in enumerate(trace.objective, start=1))
-    Path(path).write_text("iteration,objective\n" + rows, encoding="utf-8")
+    return _write_bytes(path, "iteration,objective\n" + rows)
+
+
+def _write_bytes(path, text):
+    # Write ``text`` as UTF-8 and return the sha256 hex digest of its bytes.
+    data = text.encode("utf-8")
+    Path(path).write_bytes(data)
+    return hashlib.sha256(data).hexdigest()
 
 
 def file_sha256(path):

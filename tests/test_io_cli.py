@@ -1,6 +1,7 @@
 """File ingestion, artifact round trips and the command-line surface."""
 
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -29,7 +30,7 @@ from robustmv.datagen import (
     gen_cluster_retrieval_views,
     gen_labeled_multiview,
 )
-from robustmv.embedding import EmbedConfig
+from robustmv.embedding import EmbedConfig, median_kernel_size
 from robustmv.evaluation import seeded_split
 from robustmv.features import CmvConfig, MultiViewFeatureSet, normalize_views
 from robustmv.io import (
@@ -246,21 +247,22 @@ def split(request, monkeypatch):
 
     The size constants drop to 1 and the worker count is the parameter,
     whatever the host's cores.  ``os.fork`` and whole-file parses by the
-    calling process are counted.  Afterwards no child may be left unreaped.
+    calling process (the byte range from 0 to the file's size) are counted.
+    Afterwards no child may be left unreaped.
     """
     state = _Split(request.param)
-    fork, load = os.fork, robustmv.io._load
+    fork, byte_lines = os.fork, robustmv.io._byte_lines
 
     def counted_fork():
         state.forks += 1
         return fork()
 
-    def counted_load(source, delimiter):
-        state.whole_file_loads += isinstance(source, Path)
-        return load(source, delimiter)
+    def counted_byte_lines(path, start, end):
+        state.whole_file_loads += (start, end) == (0, path.stat().st_size)
+        return byte_lines(path, start, end)
 
     monkeypatch.setattr(os, "fork", counted_fork)
-    monkeypatch.setattr(robustmv.io, "_load", counted_load)
+    monkeypatch.setattr(robustmv.io, "_byte_lines", counted_byte_lines)
     monkeypatch.setattr(robustmv.io, "_SPLIT_CELLS", 1)
     monkeypatch.setattr(robustmv.io, "_SPLIT_BYTES", 1)
     monkeypatch.setattr(robustmv.io, "_workers", lambda: request.param)
@@ -496,6 +498,161 @@ class TestSplitTransport:
         assert split.forks == split.parts - 2
 
 
+def _run_files():
+    # Two equal symmetric views, an asymmetric matrix and labels: at two or
+    # three parts every range shares a file with the next.
+    return {
+        "view1.csv": _symmetric(130, seed=1),
+        "view2.csv": _symmetric(130, seed=2),
+        "data/asymmetric.csv": np.random.default_rng(4).standard_normal((70, 130)),
+        "labels.csv": np.arange(130) % 3,
+    }
+
+
+def _savetxt_bytes(matrix):
+    want = io.BytesIO()
+    np.savetxt(want, np.atleast_2d(matrix), fmt="%.17g", delimiter=",")
+    return want.getvalue()
+
+
+class TestRunWriter:
+    """write_run writes a run's matrices in one split call and hashes what it writes."""
+
+    @pytest.fixture
+    def hashed(self, monkeypatch):
+        """The paths io.file_sha256 reads, and the parts the calling process appends."""
+        calls = {"file_sha256": [], "_append": 0}
+        sha, append = robustmv.io.file_sha256, robustmv.io._append
+
+        def counted_sha(path):
+            calls["file_sha256"].append(Path(path))
+            return sha(path)
+
+        def counted_append(*args):
+            calls["_append"] += 1
+            return append(*args)
+
+        monkeypatch.setattr(robustmv.io, "file_sha256", counted_sha)
+        monkeypatch.setattr(robustmv.io, "_append", counted_append)
+        return calls
+
+    @staticmethod
+    def _check(run, files, echo, hashed):
+        for name, artifact in files.items():
+            if name == "labels.csv":
+                want = "".join(f"{v}\n" for v in artifact).encode()
+            else:
+                want = _savetxt_bytes(artifact)
+            assert (run / name).read_bytes() == want, name
+        assert echo["inputs"] == {name: file_sha256(run / name) for name in files}
+        assert json.loads((run / "run.json").read_text())["inputs"] == echo["inputs"]
+        assert hashed["file_sha256"] == []  # every input was written here
+
+    def _write(self, tmp_path):
+        files = _run_files()
+        run = tmp_path / "run"
+        echo = write_run(run, files, {}, {name: run / name for name in files})
+        return run, files, echo
+
+    def test_split_write_matches_savetxt_and_hashes_in_hand(self, tmp_path, split, hashed):
+        run, files, echo = self._write(tmp_path)
+        self._check(run, files, echo, hashed)
+        assert split.forks == split.parts - 1
+        # Cut after view1 and a block of view2 (two parts), or inside view1
+        # and inside view2 (three), whose second range holds two file parts.
+        assert hashed["_append"] == {2: 1, 3: 3}[split.parts]
+
+    @pytest.mark.parametrize("split", [2], indirect=True)
+    def test_two_equal_views_go_whole_side_by_side(self, tmp_path, split, hashed):
+        files = _run_files()
+        del files["data/asymmetric.csv"]
+        run = tmp_path / "run"
+        echo = write_run(run, files, {}, {name: run / name for name in files})
+        self._check(run, files, echo, hashed)
+        assert split.forks == 1 and hashed["_append"] == 0
+
+    def test_one_large_matrix_splits_by_rows(self, tmp_path, split, hashed):
+        matrix = _symmetric(700)
+        run = tmp_path / "run"
+        echo = write_run(run, {"m.csv": matrix}, {}, {"m": run / "m.csv"})
+        assert (run / "m.csv").read_bytes() == _savetxt_bytes(matrix)
+        assert echo["inputs"] == {"m": file_sha256(run / "m.csv")}
+        assert hashed["file_sha256"] == []
+        assert split.forks == split.parts - 1
+        assert hashed["_append"] == split.parts - 1
+
+    def test_one_worker_writes_in_process(self, tmp_path, monkeypatch, hashed):
+        fork, forks = os.fork, []
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        monkeypatch.setattr(robustmv.io, "_SPLIT_CELLS", 1)
+        monkeypatch.setattr(robustmv.io, "_workers", lambda: 1)
+        run, files, echo = self._write(tmp_path)
+        self._check(run, files, echo, hashed)
+        assert forks == [] and hashed["_append"] == 0
+
+    @pytest.mark.parametrize("flaw", ["worker-fails", "part-cut-short", "fork", "temporary-file"])
+    def test_failed_part_is_redone_in_process(self, tmp_path, split, monkeypatch, hashed, flaw):
+        spill = robustmv.io._spill
+        if flaw == "worker-fails":
+            def worker(fd, *args):
+                raise OSError("no space left on device")
+            monkeypatch.setattr(robustmv.io, "_spill", worker)
+        elif flaw == "part-cut-short":
+            def worker(fd, *args):
+                spill(fd, *args)
+                os.ftruncate(fd, os.fstat(fd).st_size - 8)
+            monkeypatch.setattr(robustmv.io, "_spill", worker)
+        else:
+            module, name = {"fork": (os, "fork"), "temporary-file": (tempfile, "TemporaryFile")}[flaw]
+            made = getattr(module, name)
+
+            def refuse(*args, **kwargs):  # the last worker's start fails
+                refuse.calls += 1
+                if refuse.calls == split.parts - 1:
+                    raise OSError("resource unavailable")
+                return made(*args, **kwargs)
+
+            refuse.calls = 0
+            monkeypatch.setattr(module, name, refuse)
+        run, files, echo = self._write(tmp_path)
+        self._check(run, files, echo, hashed)
+        started = split.parts - (2 if flaw in ("fork", "temporary-file") else 1)
+        assert split.forks == started
+
+    @pytest.mark.parametrize("parts", ["split", "one-part"])
+    def test_eval_records_the_digest_of_what_it_read(self, tmp_path, monkeypatch, hashed, parts):
+        labels, views = gen_cluster_retrieval_views(classes=3, per_class=20, seed=0)
+        data = tmp_path / "data"
+        write_run(data, dataset_files(views.deltas, labels), {}, {})
+        monkeypatch.setattr(robustmv.io, "_SPLIT_BYTES", 1)
+        monkeypatch.setattr(robustmv.io, "_workers", lambda: 2 if parts == "split" else 1)
+        fork, forks = os.fork, []
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        view = data / "view1.csv"
+        assert main(["eval", "--task", "retrieval", "--k", "3", "--labels",
+                     str(data / "labels.csv"), "--distances", str(view),
+                     "--out", str(tmp_path / "eval")]) == 0
+        inputs = json.loads((tmp_path / "eval" / "run.json").read_text())["inputs"]
+        assert inputs == {str(p): file_sha256(p) for p in (view, data / "labels.csv")}
+        assert len(forks) == (2 if parts == "split" else 0)  # labels, then the view
+        # The view was hashed once, by its read; write_run hashed the labels.
+        assert hashed["file_sha256"] == [view, data / "labels.csv"]
+
+    def test_one_part_read_skips_a_whitespace_line(self, tmp_path, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("one-part read fell back to the line parser")
+
+        path = tmp_path / "m.csv"
+        rows = _fixed_rows(8)
+        path.write_text("\n".join(rows[:4] + [" "] + rows[4:]) + "\n")
+        want = robustmv.io._read_matrix_lines(path, ",")
+        monkeypatch.setattr(robustmv.io, "_workers", lambda: 1)
+        monkeypatch.setattr(robustmv.io, "_read_matrix_lines", refuse)
+        got, digest = read_matrix_csv(path, digest=True)
+        assert np.array_equal(got, want) and got.shape == (8, 5)
+        assert digest == file_sha256(path)
+
+
 def _item(x):
     # A fork_map result that pickles: arrays, a dict and a SolverTrace.
     trace = SolverTrace()
@@ -654,7 +811,8 @@ class TestWorkerCount:
             "print(len(forks), file=sys.stderr)\n"
             "sys.exit(code)\n"
         )
-        # N 728: each view has 2 * _SPLIT_CELLS cells or more, enough to split.
+        # N 728: the two views hold 4 * _SPLIT_CELLS cells or more, enough for
+        # four parts, written in one call across the usable cores.
         params = {"classes": 8, "per_class": 91, "corrupt_per_view": 10}
         src = Path(robustmv.__file__).resolve().parents[1]
         env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
@@ -667,7 +825,7 @@ class TestWorkerCount:
         assert first == "start"
         assert _strict_json(line)["written"][-1] == str(tmp_path / "c" / "labels.csv")
         cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-        assert int(done.stderr) == (2 if cores > 1 else 0)
+        assert int(done.stderr) == min(cores, 4) - 1
 
 
 class TestWriteJson:
@@ -980,6 +1138,31 @@ class TestCli:
         recorded = json.loads((out / "run.json").read_text())["summary"]
         assert recorded == printed
         assert recorded["reason"] == printed["reason"] != ""
+
+    @pytest.mark.parametrize("solver", ["cmvree", "mvree", "cemv", "cmv"])
+    def test_run_json_records_resolved_settings(self, tmp_path, solver):
+        rng = np.random.default_rng(7)
+        out = tmp_path / "out"
+        if solver in ("cemv", "cmv"):
+            files = [tmp_path / "a.csv", tmp_path / "b.csv"]
+            write_matrix_csv(files[0], rng.standard_normal((4, 9)))
+            write_matrix_csv(files[1], rng.standard_normal((9, 9)))
+            argv = ["fit-mv", "--config", '{"latent_dim": 2, "max_outer": 3}']
+            want = dataclasses.asdict(CmvConfig(latent_dim=2, max_outer=3))
+            if solver == "cemv":
+                want["view_sigmas"] = [0.5 / 2.0, 0.5 / 3.0]
+        else:
+            x = rng.standard_normal((6, 2))
+            files = [tmp_path / "d.csv"] * 2
+            write_matrix_csv(files[0], np.sum((x[:, None] - x[None]) ** 2, axis=2))
+            argv = ["embed", "--config", '{"max_iter": 6}']
+            want = dataclasses.asdict(EmbedConfig(max_iter=6))
+            if solver == "cmvree":
+                want["sigma"] = median_kernel_size(ingest_dissimilarities(files)[0])
+        argv += ["--solver", solver, "--views", *map(str, files), "--out", str(out)]
+        assert main(argv) == 0
+        params = json.loads((out / "run.json").read_text())["params"]
+        assert params["resolved"] == want
 
     def test_cli_import_loads_no_scipy(self):
         src = Path(robustmv.cli.__file__).parents[1]
