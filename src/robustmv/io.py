@@ -12,25 +12,24 @@ diagonal once and writes the same bytes as ``np.savetxt`` would.
 
 One fork helper, ``_forked``, spreads independent work across the usable
 cores: the calling process does one share, forked children do the others
-and hand their parts back in unnamed temporary files.  It serves three
+and hand their parts back in unnamed temporary files.  It serves two
 callers.  A large file is read in contiguous byte ranges, one per core,
-the calling process taking the first.  A run's matrices are written in one
-call: their row blocks are laid end to end and cut into ranges of about
-equal numbers of cells, one per core, so two equal views on two cores go
-whole, one to each process, while a single large matrix is split by rows.
-``fork_map`` runs a recipe's independent fits, every k-th item to one
-process, and the children pickle their results; it maps concurrently only
-when BLAS runs one thread, since k processes of multi-threaded BLAS would
-oversubscribe the cores.  In every case a failed part makes the caller redo
-the whole call in-process, so results and errors do not depend on the
-split.
+the calling process taking the first.  A map (``fork_map``, and the
+writer of a run's matrices) gives every k-th item to one process, and the
+children pickle their results.  ``fork_map`` runs a recipe's independent
+fits and maps concurrently only when BLAS runs one thread, since k
+processes of multi-threaded BLAS would oversubscribe the cores.  A run's
+matrices are mapped whole, one file per item, across as many processes as
+their cells fill, so two equal views on two cores are written one by each
+process, and a single matrix is written by the calling process alone.  In
+every case a failed part makes the caller redo the whole call in-process,
+so results and errors do not depend on the split.
 
-Each file's sha256 is taken where its bytes are already in hand.  A writer
-process hashes each file its range holds whole as it writes it, and the
-calling process hashes every other file from the parts it writes and
-appends; a read asked for its digest hashes the file in the calling
-process while the workers parse their ranges.  ``write_run`` hashes only
-the inputs it neither wrote nor was handed a digest for.
+Each file's sha256 is taken where its bytes are already in hand: every
+writer hashes the bytes it writes and returns the digest, and a read asked
+for its digest hashes the file in the calling process while the workers
+parse their ranges.  ``write_run`` hashes only the inputs it neither wrote
+nor was handed a digest for.
 
 JSON artifacts are strict JSON: a NaN or infinity in one is an error, not
 a ``NaN`` token.  ``write_run`` is the one writer of a run's output
@@ -78,9 +77,10 @@ _FMT = "%.17g"
 # diagonal: about (_BAND * _BLOCK)**2 / 2 formatted cells at most, whatever N.
 _BLOCK = 64
 _BAND = 8
-# A matrix is split across processes only when every part formats at least
-# _SPLIT_CELLS cells (writer) or parses at least _SPLIT_BYTES bytes (reader):
-# about 0.1 s of work at either size, far more than a fork costs.
+# A run's matrices are spread across processes only when each process
+# formats at least _SPLIT_CELLS cells, and a file is read in parts only when
+# each parses at least _SPLIT_BYTES bytes: about 0.1 s of work at either
+# size, far more than a fork costs.
 _SPLIT_CELLS = 1 << 18
 _SPLIT_BYTES = 1 << 22
 
@@ -118,9 +118,10 @@ def read_matrix_csv(path, delimiter=",", digest=False):
 
 
 def _workers():
-    # Processes a large CSV is split across, and at most as many for
-    # fork_map: the usable cores, or 1 where fork is missing or another
-    # Python thread runs (a fork copies only the calling thread).
+    # Processes a large CSV read or a run's matrices are spread across, and
+    # at most as many for fork_map: the usable cores, or 1 where fork is
+    # missing or another Python thread runs (a fork copies only the calling
+    # thread).
     if not hasattr(os, "fork") or threading.active_count() > 1:
         return 1
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
@@ -140,20 +141,19 @@ def _part_count(size, minimum):
 
 
 @contextlib.contextmanager
-def _forked(work, tasks, directory=None):
+def _forked(work, tasks):
     """Run ``work(fd, *task)`` for each task in a forked child; yield ``collect``.
 
-    Each child gets its own unnamed temporary file in ``directory`` (the
-    default temporary directory when None), open as ``fd``, and writes its
-    part there.  It leaves through ``os._exit`` (status 0 when ``work``
-    returned), so it never flushes the stdio buffers it inherited or runs
-    exit handlers.  ``collect()`` reaps every child and returns their files,
-    rewound, in the order of ``tasks``, or None when a child failed.  When
-    no temporary file or process could be had for some task, the block gets
-    None in place of ``collect`` and should return at once: its own share
-    is no longer wanted.  Leaving the block kills the children still
-    running, whose parts are no longer wanted, reaps them and closes the
-    files.
+    Each child gets its own unnamed temporary file in the default temporary
+    directory, open as ``fd``, and writes its part there.  It leaves through
+    ``os._exit`` (status 0 when ``work`` returned), so it never flushes the
+    stdio buffers it inherited or runs exit handlers.  ``collect()`` reaps
+    every child and returns their files, rewound, in the order of ``tasks``,
+    or None when a child failed.  When no temporary file or process could be
+    had for some task, the block gets None in place of ``collect`` and
+    should return at once: its own share is no longer wanted.  Leaving the
+    block kills the children still running, whose parts are no longer
+    wanted, reaps them and closes the files.
     """
     pids, files = [], []
 
@@ -169,7 +169,7 @@ def _forked(work, tasks, directory=None):
         try:
             with contextlib.suppress(OSError):  # no temporary file or process to be had
                 for task in tasks:
-                    spill = spills.enter_context(tempfile.TemporaryFile(dir=directory))
+                    spill = spills.enter_context(tempfile.TemporaryFile())
                     pid = os.fork()
                     if pid == 0:
                         try:
@@ -199,8 +199,13 @@ def fork_map(fn, items):
     caller's own share makes the whole map run again in-process, so the
     results and the first error are those of the plain list comprehension.
     """
+    return _map(fn, items, _fit_workers())
+
+
+def _map(fn, items, k):
+    # fork_map's body, across k processes but no more than there are items.
     items = list(items)
-    k = min(_fit_workers(), len(items))
+    k = min(k, len(items))
     if k > 1:
         with contextlib.suppress(Exception):  # any failure: redone below, where it surfaces
             if (results := _map_shares(fn, items, k)) is not None:
@@ -209,7 +214,7 @@ def fork_map(fn, items):
 
 
 def _map_shares(fn, items, k):
-    # fork_map's k interleaved shares, all but the first in forked children;
+    # _map's k interleaved shares, all but the first in forked children;
     # None when a child failed or could not be started.
     results = [None] * len(items)
     with _forked(_send_results, [(fn, items[j::k]) for j in range(1, k)]) as collect:
@@ -225,7 +230,7 @@ def _map_shares(fn, items, k):
 
 
 def _send_results(fd, fn, share):
-    # A fork_map worker: its share's results, pickled into the temporary
+    # A map worker: its share's results, pickled into the temporary
     # file ``fd``, left open.
     with open(fd, "wb", closefd=False) as out:
         pickle.dump([fn(x) for x in share], out, protocol=pickle.HIGHEST_PROTOCOL)
@@ -354,152 +359,39 @@ def _is_float(cell):
 
 
 def write_matrix_csv(path, matrix):
-    """Write a 1-D or 2-D array as CSV, one ``%.17g`` line per row.
+    """Write a 1-D or 2-D array as CSV, one ``%.17g`` line per row; returns its sha256.
 
-    The file is byte-identical to ``np.savetxt(path, matrix, fmt="%.17g",
-    delimiter=",")``.  A square matrix that equals its transpose bit for bit
-    (so ``-0.0`` against ``0.0``, or two NaN payloads, make it asymmetric)
-    is written with each cell in a band beside the diagonal formatted once:
-    each block of rows formats its diagonal tile and the tiles of the next
-    few column blocks, and keeps the latter to transpose into those blocks'
-    rows.  Cells outside the band, on either side, are formatted one call
-    per row, so the kept text stays a few MB whatever the matrix size.  This
-    is the one-file case of the writer ``write_run`` gives all of a run's
-    matrices to, which splits a large matrix across the usable cores by
-    rows.
+    The file is byte-identical to ``np.savetxt(path, np.atleast_2d(matrix),
+    fmt="%.17g", delimiter=",")``: a 1-D array is one row.  A square matrix
+    that equals its transpose bit for bit (so ``-0.0`` against ``0.0``, or
+    two NaN payloads, make it asymmetric) is written with each cell in a
+    band beside the diagonal formatted once: each block of rows formats its
+    diagonal tile and the tiles of the next few column blocks, and keeps the
+    latter to transpose into those blocks' rows.  Cells outside the band, on
+    either side, are formatted one call per row, so the kept text stays a
+    few MB whatever the matrix size.  The digest is taken from the bytes as
+    they are written.
     """
-    _write_matrices({path: matrix})
+    m = np.atleast_2d(np.asarray(matrix, dtype=float))
+    if _is_symmetric(m):
+        lines = _symmetric_lines(m)
+    else:
+        lines = (line for i in range(0, len(m), _BLOCK) for line in _lines(m[i:i + _BLOCK]))
+    sha = hashlib.sha256()
+    with open(path, "wb") as out:
+        for line in lines:
+            data = (line + "\n").encode()
+            sha.update(data)
+            out.write(data)
+    return sha.hexdigest()
 
 
 def _write_matrices(files):
-    # Write {path: array} as CSV and return {path: sha256 hex}.  The files'
-    # row blocks are laid end to end and cut into ranges of about equal
-    # numbers of cells, one per usable core, so equal matrices go whole to
-    # separate processes and a single large one is split by rows.
-    if not files:
-        return {}
-    runs = []  # (path, matrix, whether it is symmetric, row blocks)
-    for path, array in files.items():
-        m = np.atleast_2d(np.asarray(array, dtype=float))
-        runs.append((Path(path), m, _is_symmetric(m), max(1, -(-len(m) // _BLOCK))))
-    parts = _part_count(sum(m.size for _, m, _, _ in runs), _SPLIT_CELLS)
-    digests = _write_parts(runs, parts)
-    return _write_parts(runs, 1) if digests is None else digests
-
-
-def _ranges(files, parts):
-    # Up to ``parts`` ranges of the files' row blocks laid end to end, cut
-    # at the first block boundary at or past each equal share of the cells;
-    # each range is its segments (file index, first block, end block).
-    blocks = [(f, b) for f, (_, _, _, count) in enumerate(files) for b in range(count)]
-    cells = np.cumsum([0] + [files[f][1][b * _BLOCK:(b + 1) * _BLOCK].size for f, b in blocks])
-    cuts = np.searchsorted(cells, cells[-1] * np.arange(1, parts) / parts)
-    bounds = sorted({0, *cuts.tolist(), len(blocks)})
-    ranges = []
-    for lo, hi in zip(bounds, bounds[1:]):
-        segments = {}
-        for f, b in blocks[lo:hi]:
-            segments.setdefault(f, []).append(b)
-        ranges.append([(f, b[0], b[-1] + 1) for f, b in segments.items()])
-    return ranges
-
-
-# A writer worker's temporary file starts with one record per segment of its
-# range: the bytes its part of a file takes there, or the sha256 of a file it
-# wrote whole.
-_HEADER = np.dtype([("size", "<i8"), ("sha256", "S64")])
-
-
-def _write_parts(files, parts):
-    # Write the files in _ranges(files, parts), all but the first range in
-    # forked workers, whose temporary files in the first file's directory
-    # carry the parts of the files that ranges share, appended here in
-    # order; {path: sha256 hex}, or None when a worker failed or could not
-    # be started.
-    ranges = _ranges(files, parts)
-    digests, own = {}, {}  # own: file index -> (open file, sha256) this process writes
-    with contextlib.ExitStack() as stack:
-        tasks = [(files, segments) for segments in ranges[1:]]
-        collect = stack.enter_context(_forked(_spill, tasks, files[0][0].parent))
-        if collect is None:
-            return None
-        for f, lo, hi in ranges[0]:
-            fh, sha = stack.enter_context(open(files[f][0], "wb")), hashlib.sha256()
-            _emit(fh, _segment_lines(files[f], lo, hi), sha)
-            own[f] = fh, sha
-        spills = collect()
-        if spills is None:
-            return None
-        for spill, segments in zip(spills, ranges[1:]):
-            head = np.zeros(len(segments), _HEADER)
-            if spill.readinto(head.view(np.uint8)) < head.nbytes:
-                return None
-            for (f, lo, hi), (size, sha256) in zip(segments, head.tolist()):
-                if (lo, hi) == (0, files[f][3]):
-                    digests[files[f][0]] = sha256.decode()
-                    continue
-                if f not in own:
-                    own[f] = stack.enter_context(open(files[f][0], "wb")), hashlib.sha256()
-                if not _append(spill, *own[f], size):
-                    return None
-        for f, (_, sha) in own.items():
-            digests[files[f][0]] = sha.hexdigest()
-    return digests
-
-
-def _spill(fd, files, segments):
-    # A writer worker: each file its range holds whole goes to its path, and
-    # the rest to the temporary file ``fd``, left open, after the header.
-    head = np.zeros(len(segments), _HEADER)
-    with open(fd, "wb", closefd=False) as out:
-        out.seek(head.nbytes)
-        for (f, lo, hi), record in zip(segments, head):
-            if (lo, hi) == (0, files[f][3]):
-                with open(files[f][0], "wb") as fh:
-                    sha = hashlib.sha256()
-                    _emit(fh, _segment_lines(files[f], lo, hi), sha)
-                record["sha256"] = sha.hexdigest()
-            else:
-                record["size"] = _emit(out, _segment_lines(files[f], lo, hi))
-        out.seek(0)
-        out.write(head.tobytes())
-
-
-def _segment_lines(file, lo, hi):
-    # The lines of row blocks [lo, hi) of one of _write_matrices' files.
-    _, matrix, symmetric, _ = file
-    return (_symmetric_lines if symmetric else _row_lines)(matrix, lo, hi)
-
-
-def _emit(out, lines, sha=None):
-    # Write each line and a newline to the binary file ``out``, feeding
-    # ``sha`` when given; returns the bytes written.
-    size = 0
-    for line in lines:
-        data = (line + "\n").encode()
-        if sha is not None:
-            sha.update(data)
-        size += out.write(data)
-    return size
-
-
-def _append(spill, out, sha, size):
-    # Copy the next ``size`` bytes of ``spill`` to ``out``, feeding ``sha``;
-    # False when the spill holds fewer.
-    while size:
-        chunk = spill.read(min(size, 1 << 20))
-        if not chunk:
-            return False
-        sha.update(chunk)
-        out.write(chunk)
-        size -= len(chunk)
-    return True
-
-
-def _row_lines(matrix, lo, hi):
-    # The lines of row blocks [lo, hi).
-    for i in range(lo * _BLOCK, min(hi * _BLOCK, len(matrix)), _BLOCK):
-        yield from _lines(matrix[i:i + _BLOCK])
+    # Write {path: array} as CSV and return {path: sha256 hex}: a map of
+    # write_matrix_csv over whole files, across as many processes as the
+    # cells fill at _SPLIT_CELLS each.
+    k = _part_count(sum(np.size(matrix) for matrix in files.values()), _SPLIT_CELLS)
+    return dict(zip(files, _map(lambda item: write_matrix_csv(*item), files.items(), k)))
 
 
 def _lines(block):
@@ -519,17 +411,16 @@ def _is_symmetric(matrix):
     )
 
 
-def _symmetric_lines(matrix, lo, hi):
-    # The lines of row blocks [lo, hi).  Row block b formats its diagonal
-    # tile and the tiles of the next _BAND column blocks c, which it keeps in
-    # kept[c] when c < hi: transposed, they are the cells of block c's rows
-    # left of its diagonal tile.  Cells beyond the band, on either side, and
-    # cells left of the band's part that lies in the range (blocks before
-    # lo keep nothing here) are formatted in one call per row.
+def _symmetric_lines(matrix):
+    # The lines of a bitwise-symmetric matrix.  Row block b formats its
+    # diagonal tile and the tiles of the next _BAND column blocks c, which it
+    # keeps in kept[c]: transposed, they are the cells of block c's rows left
+    # of its diagonal tile.  Cells beyond the band, on either side, are
+    # formatted in one call per row.
     n = len(matrix)
     count = -(-n // _BLOCK)
-    kept = {b: [] for b in range(lo, hi)}
-    for b in range(lo, hi):
+    kept = {b: [] for b in range(count)}
+    for b in range(count):
         stripe = matrix[b * _BLOCK:(b + 1) * _BLOCK]
         tiles = [
             [",".join(cells) for cells in zip(*[line.split(",") for line in tile])]
@@ -537,9 +428,9 @@ def _symmetric_lines(matrix, lo, hi):
         ]
         for c in range(b, min(b + _BAND + 1, count)):
             tiles.append(_lines(stripe[:, c * _BLOCK:(c + 1) * _BLOCK]))
-            if b < c < hi:
+            if c > b:
                 kept[c].append(tiles[-1])
-        left, right = max(b - _BAND, lo) * _BLOCK, (b + _BAND + 1) * _BLOCK
+        left, right = max(b - _BAND, 0) * _BLOCK, (b + _BAND + 1) * _BLOCK
         for k, parts in enumerate(zip(*tiles)):
             row = stripe[k:k + 1]
             far_left = _lines(row[:, :left]) if left else []
@@ -698,23 +589,23 @@ def write_run(directory, files, record, inputs, digests=None):
     artifact's type picks its writer: a ``SolverTrace`` goes to
     ``write_trace_csv``, a dict to ``write_json`` and a 1-D integer array to
     ``write_labels``, each in the order given; every other array is a
-    matrix, and all of them then go to one call of the CSV writer, which
-    spreads their rows across the usable cores as ``write_matrix_csv``
-    would a single matrix's.  Every JSON document, ``record`` included, is
-    rendered before anything is created, so a NaN or infinity in one leaves
-    no directory, and a directory that cannot be created (the path names a
-    file, say) is a ``ValueError`` too.  ``run.json`` comes last: ``record``
-    plus the package version, the sha256 of every ``{key: path}`` entry of
-    ``inputs`` under its key, and an ``environment`` block: the numpy
-    version, the core count, the number of processes a large CSV is read or
-    written across (``io_workers``), the number a recipe's fits are spread
-    across (``fit_workers``) and the BLAS thread settings (``None`` when the
-    variable is unset), so timings and traces from different machines can
-    be read side by side.  An input's digest is taken from ``digests``
-    (``{key: sha256 hex}``, for files the caller read with
-    ``read_matrix_csv(..., digest=True)``), else from the write when this
-    call wrote the file, else by hashing the file.  Nothing else in the
-    package creates an output directory.
+    matrix, and all of them then go to ``write_matrix_csv`` in one map
+    across the usable cores, each file whole in one process.  Every JSON
+    document, ``record`` included, is rendered before anything is created,
+    so a NaN or infinity in one leaves no directory, and a directory that
+    cannot be created (the path names a file, say) is a ``ValueError`` too.
+    ``run.json`` comes last: ``record`` plus the package version, the sha256
+    of every ``{key: path}`` entry of ``inputs`` under its key, and an
+    ``environment`` block: the numpy version, the core count, the number of
+    processes a large CSV is read or a run's matrices are written across
+    (``io_workers``), the number a recipe's fits are spread across
+    (``fit_workers``) and the BLAS thread settings (``None`` when the
+    variable is unset), so timings and traces from different machines can be
+    read side by side.  An input's digest is taken from ``digests`` (``{key:
+    sha256 hex}``, for files the caller read with ``read_matrix_csv(...,
+    digest=True)``), else from the write when this call wrote the file, else
+    by hashing the file.  Nothing else in the package creates an output
+    directory.
     """
     directory = Path(directory)
     for name, artifact in [*files.items(), ("run.json", record)]:

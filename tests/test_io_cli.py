@@ -243,7 +243,7 @@ class _Split:
 
 @pytest.fixture(params=[2, 3], ids=["2-parts", "3-parts"])
 def split(request, monkeypatch):
-    """Split every CSV read and write of more than one line or row block.
+    """Split every CSV read of more than one line, and every map of more than one item.
 
     The size constants drop to 1 and the worker count is the parameter,
     whatever the host's cores.  ``os.fork`` and whole-file parses by the
@@ -271,8 +271,28 @@ def split(request, monkeypatch):
         os.waitpid(-1, os.WNOHANG)
 
 
+def _savetxt_bytes(matrix):
+    want = io.BytesIO()
+    np.savetxt(want, np.atleast_2d(matrix), fmt="%.17g", delimiter=",")
+    return want.getvalue()
+
+
 class TestSplitWriter:
-    """A write split into row ranges gives np.savetxt's bytes."""
+    """A run's matrices, mapped whole across processes, give np.savetxt's bytes."""
+
+    @staticmethod
+    def _write(tmp_path, matrix):
+        # The case, its twin and a 257-row matrix: three whole files, so
+        # every worker of the split fixture writes one.
+        files = {
+            tmp_path / "m.csv": matrix,
+            tmp_path / "twin.csv": matrix.copy(),
+            tmp_path / "rows-257.csv": np.random.default_rng(257).standard_normal((257, 90)),
+        }
+        digests = robustmv.io._write_matrices(files)
+        for path, written in files.items():
+            assert path.read_bytes() == _savetxt_bytes(written), path.name
+        assert digests == {path: file_sha256(path) for path in files}
 
     @pytest.mark.parametrize(
         "case",
@@ -280,33 +300,22 @@ class TestSplitWriter:
          "zero-and-negative-zero"],
     )
     def test_bytes_match_savetxt(self, tmp_path, split, case):
-        matrix, _ = _WRITER_CASES[case]
-        want = io.BytesIO()
-        np.savetxt(want, matrix, fmt="%.17g", delimiter=",")
-        write_matrix_csv(tmp_path / "m.csv", matrix)
-        assert (tmp_path / "m.csv").read_bytes() == want.getvalue()
-        blocks = -(-len(matrix) // robustmv.io._BLOCK)
-        assert split.forks == min(split.parts, blocks) - 1
-
-    @pytest.mark.parametrize("rows", [200, 257])
-    def test_rectangular_rows_not_a_block_multiple(self, tmp_path, split, rows):
-        matrix = np.random.default_rng(rows).standard_normal((rows, 90))
-        want = io.BytesIO()
-        np.savetxt(want, matrix, fmt="%.17g", delimiter=",")
-        write_matrix_csv(tmp_path / "m.csv", matrix)
-        assert (tmp_path / "m.csv").read_bytes() == want.getvalue()
+        self._write(tmp_path, _WRITER_CASES[case][0])
         assert split.forks == split.parts - 1
 
+    def test_a_lone_matrix_is_written_in_process(self, tmp_path, split):
+        matrix = _symmetric(700)
+        digest = write_matrix_csv(tmp_path / "m.csv", matrix)
+        assert (tmp_path / "m.csv").read_bytes() == _savetxt_bytes(matrix)
+        assert digest == file_sha256(tmp_path / "m.csv")
+        assert split.forks == 0
+
     def test_failed_worker_is_redone_in_process(self, tmp_path, split, monkeypatch):
-        def fail(fd, lines):
+        def fail(fd, *args):
             raise OSError("no space left on device")
 
-        monkeypatch.setattr(robustmv.io, "_spill", fail)
-        matrix = _symmetric(700)
-        want = io.BytesIO()
-        np.savetxt(want, matrix, fmt="%.17g", delimiter=",")
-        write_matrix_csv(tmp_path / "m.csv", matrix)
-        assert (tmp_path / "m.csv").read_bytes() == want.getvalue()
+        monkeypatch.setattr(robustmv.io, "_send_results", fail)
+        self._write(tmp_path, _symmetric(700))
         assert split.forks == split.parts - 1
 
 
@@ -439,28 +448,33 @@ class TestSplitTransport:
     def test_failing_caller_kills_and_reaps_its_workers(
         self, tmp_path, split, monkeypatch, direction
     ):
-        worker, lines = {"read": ("_send_part", "_byte_lines"),
-                         "write": ("_spill", "_row_lines")}[direction]
-        own = getattr(robustmv.io, lines)
+        own = robustmv.io._byte_lines
 
         def stall(*args):
             time.sleep(60)
 
-        def fail_first_range(source, lo, hi):
+        def fail_first_range(path, lo, hi):
             if lo == 0:  # the calling process's own range
                 raise RuntimeError("injected failure")
-            return own(source, lo, hi)
+            return own(path, lo, hi)
 
+        def fail(*args):  # only the calling process writes: the workers stall
+            raise RuntimeError("injected failure")
+
+        worker, hook, caller = {"read": ("_send_part", "_byte_lines", fail_first_range),
+                                "write": ("_send_results", "write_matrix_csv", fail)}[direction]
         path = tmp_path / "m.csv"
         path.write_text("\n".join(_fixed_rows(24)) + "\n")
         monkeypatch.setattr(robustmv.io, worker, stall)
-        monkeypatch.setattr(robustmv.io, lines, fail_first_range)
+        monkeypatch.setattr(robustmv.io, hook, caller)
         start = time.perf_counter()
         with pytest.raises(RuntimeError, match="injected failure"):
             if direction == "read":
                 read_matrix_csv(path)
             else:
-                write_matrix_csv(path, np.zeros((300, 4)))
+                robustmv.io._write_matrices(
+                    {tmp_path / f"m{j}.csv": np.zeros((300, 4)) for j in range(3)}
+                )
         assert time.perf_counter() - start < 30
         assert split.forks == split.parts - 1
 
@@ -482,25 +496,21 @@ class TestSplitTransport:
             return made(*args, **kwargs)
 
         monkeypatch.setattr(module, name, refuse)
-        path = tmp_path / "m.csv"
         if direction == "read":
+            path = tmp_path / "m.csv"
             path.write_text("\n".join(_fixed_rows(24)) + "\n")
             got = read_matrix_csv(path)
             assert np.array_equal(got, robustmv.io._read_matrix_lines(path, ","))
             assert split.whole_file_loads == 1
         else:
-            matrix = _symmetric(700)
-            want = io.BytesIO()
-            np.savetxt(want, matrix, fmt="%.17g", delimiter=",")
-            write_matrix_csv(path, matrix)
-            assert path.read_bytes() == want.getvalue()
+            TestSplitWriter._write(tmp_path, _symmetric(700))
         assert len(calls) == split.parts - 1
         assert split.forks == split.parts - 2
 
 
 def _run_files():
-    # Two equal symmetric views, an asymmetric matrix and labels: at two or
-    # three parts every range shares a file with the next.
+    # Two equal symmetric views, an asymmetric matrix and labels: three
+    # matrices, so each worker of the split fixture writes one whole.
     return {
         "view1.csv": _symmetric(130, seed=1),
         "view2.csv": _symmetric(130, seed=2),
@@ -509,31 +519,25 @@ def _run_files():
     }
 
 
-def _savetxt_bytes(matrix):
-    want = io.BytesIO()
-    np.savetxt(want, np.atleast_2d(matrix), fmt="%.17g", delimiter=",")
-    return want.getvalue()
-
-
 class TestRunWriter:
-    """write_run writes a run's matrices in one split call and hashes what it writes."""
+    """write_run maps a run's matrices across processes and hashes what it writes."""
 
     @pytest.fixture
     def hashed(self, monkeypatch):
-        """The paths io.file_sha256 reads, and the parts the calling process appends."""
-        calls = {"file_sha256": [], "_append": 0}
-        sha, append = robustmv.io.file_sha256, robustmv.io._append
+        """The paths io.file_sha256 reads, and the matrices the calling process writes."""
+        calls = {"file_sha256": [], "write_matrix_csv": []}
+        sha, write = robustmv.io.file_sha256, robustmv.io.write_matrix_csv
 
         def counted_sha(path):
             calls["file_sha256"].append(Path(path))
             return sha(path)
 
-        def counted_append(*args):
-            calls["_append"] += 1
-            return append(*args)
+        def counted_write(path, matrix):
+            calls["write_matrix_csv"].append(Path(path))  # lost with a worker
+            return write(path, matrix)
 
         monkeypatch.setattr(robustmv.io, "file_sha256", counted_sha)
-        monkeypatch.setattr(robustmv.io, "_append", counted_append)
+        monkeypatch.setattr(robustmv.io, "write_matrix_csv", counted_write)
         return calls
 
     @staticmethod
@@ -558,9 +562,9 @@ class TestRunWriter:
         run, files, echo = self._write(tmp_path)
         self._check(run, files, echo, hashed)
         assert split.forks == split.parts - 1
-        # Cut after view1 and a block of view2 (two parts), or inside view1
-        # and inside view2 (three), whose second range holds two file parts.
-        assert hashed["_append"] == {2: 1, 3: 3}[split.parts]
+        # The calling process writes every parts-th matrix, from the first.
+        matrices = [run / name for name in ("view1.csv", "view2.csv", "data/asymmetric.csv")]
+        assert hashed["write_matrix_csv"] == matrices[::split.parts]
 
     @pytest.mark.parametrize("split", [2], indirect=True)
     def test_two_equal_views_go_whole_side_by_side(self, tmp_path, split, hashed):
@@ -569,17 +573,16 @@ class TestRunWriter:
         run = tmp_path / "run"
         echo = write_run(run, files, {}, {name: run / name for name in files})
         self._check(run, files, echo, hashed)
-        assert split.forks == 1 and hashed["_append"] == 0
+        assert split.forks == 1 and hashed["write_matrix_csv"] == [run / "view1.csv"]
 
-    def test_one_large_matrix_splits_by_rows(self, tmp_path, split, hashed):
+    def test_one_matrix_is_written_in_process(self, tmp_path, split, hashed):
         matrix = _symmetric(700)
         run = tmp_path / "run"
         echo = write_run(run, {"m.csv": matrix}, {}, {"m": run / "m.csv"})
         assert (run / "m.csv").read_bytes() == _savetxt_bytes(matrix)
         assert echo["inputs"] == {"m": file_sha256(run / "m.csv")}
         assert hashed["file_sha256"] == []
-        assert split.forks == split.parts - 1
-        assert hashed["_append"] == split.parts - 1
+        assert split.forks == 0 and hashed["write_matrix_csv"] == [run / "m.csv"]
 
     def test_one_worker_writes_in_process(self, tmp_path, monkeypatch, hashed):
         fork, forks = os.fork, []
@@ -588,20 +591,35 @@ class TestRunWriter:
         monkeypatch.setattr(robustmv.io, "_workers", lambda: 1)
         run, files, echo = self._write(tmp_path)
         self._check(run, files, echo, hashed)
-        assert forks == [] and hashed["_append"] == 0
+        assert forks == [] and len(hashed["write_matrix_csv"]) == 3
 
-    @pytest.mark.parametrize("flaw", ["worker-fails", "part-cut-short", "fork", "temporary-file"])
+    @pytest.mark.parametrize(
+        "flaw", ["worker-fails", "part-cut-short", "fork", "temporary-file", "caller-fails"]
+    )
     def test_failed_part_is_redone_in_process(self, tmp_path, split, monkeypatch, hashed, flaw):
-        spill = robustmv.io._spill
+        send = robustmv.io._send_results
         if flaw == "worker-fails":
             def worker(fd, *args):
                 raise OSError("no space left on device")
-            monkeypatch.setattr(robustmv.io, "_spill", worker)
+            monkeypatch.setattr(robustmv.io, "_send_results", worker)
         elif flaw == "part-cut-short":
             def worker(fd, *args):
-                spill(fd, *args)
+                send(fd, *args)
                 os.ftruncate(fd, os.fstat(fd).st_size - 8)
-            monkeypatch.setattr(robustmv.io, "_spill", worker)
+            monkeypatch.setattr(robustmv.io, "_send_results", worker)
+        elif flaw == "caller-fails":
+            write, caller = robustmv.io.write_matrix_csv, os.getpid()
+
+            def write_once(path, matrix):  # the workers stall; the caller's first write fails
+                if os.getpid() != caller:
+                    time.sleep(60)
+                if not write_once.failed:
+                    write_once.failed = True
+                    raise OSError("no space left on device")
+                return write(path, matrix)
+
+            write_once.failed = False
+            monkeypatch.setattr(robustmv.io, "write_matrix_csv", write_once)
         else:
             module, name = {"fork": (os, "fork"), "temporary-file": (tempfile, "TemporaryFile")}[flaw]
             made = getattr(module, name)
@@ -614,7 +632,9 @@ class TestRunWriter:
 
             refuse.calls = 0
             monkeypatch.setattr(module, name, refuse)
+        start = time.perf_counter()
         run, files, echo = self._write(tmp_path)
+        assert time.perf_counter() - start < 30
         self._check(run, files, echo, hashed)
         started = split.parts - (2 if flaw in ("fork", "temporary-file") else 1)
         assert split.forks == started
@@ -745,6 +765,25 @@ class TestForkMap:
         _same_items(robustmv.io.fork_map(_item, range(5)), [_item(x) for x in range(5)])
         assert forks == []
 
+    def test_results_cut_short_are_redone_in_process(self, split, pinned, monkeypatch):
+        # A child's pickled results lose their last bytes: the caller maps
+        # its own share, fails to load the child's, and redoes every item.
+        send, own = robustmv.io._send_results, []
+
+        def cut_short(fd, *args):
+            send(fd, *args)
+            os.ftruncate(fd, os.fstat(fd).st_size - 8)
+
+        def fn(x):
+            own.append(x)  # in the calling process only
+            return _item(x)
+
+        monkeypatch.setattr(robustmv.io, "_send_results", cut_short)
+        items = list(range(5))
+        _same_items(robustmv.io.fork_map(fn, items), [_item(x) for x in items])
+        assert split.forks == split.parts - 1
+        assert own == items[::split.parts] + items
+
     @pytest.mark.parametrize("split", [3], indirect=True)
     def test_no_process_kills_started_children_and_skips_own_share(
         self, split, pinned, monkeypatch
@@ -811,8 +850,8 @@ class TestWorkerCount:
             "print(len(forks), file=sys.stderr)\n"
             "sys.exit(code)\n"
         )
-        # N 728: the two views hold 4 * _SPLIT_CELLS cells or more, enough for
-        # four parts, written in one call across the usable cores.
+        # N 728: the two views hold 4 * _SPLIT_CELLS cells or more, so they
+        # are written one by each process on two or more usable cores.
         params = {"classes": 8, "per_class": 91, "corrupt_per_view": 10}
         src = Path(robustmv.__file__).resolve().parents[1]
         env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
@@ -825,7 +864,7 @@ class TestWorkerCount:
         assert first == "start"
         assert _strict_json(line)["written"][-1] == str(tmp_path / "c" / "labels.csv")
         cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-        assert int(done.stderr) == min(cores, 4) - 1
+        assert int(done.stderr) == min(cores, 2) - 1
 
 
 class TestWriteJson:
