@@ -8,6 +8,7 @@ and class-structured stand-ins for the labeled feature / retrieval-fusion
 experiments.
 """
 
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -42,8 +43,8 @@ class NoiseSpec:
     ``fraction``, in [0, 1], is the share of instances or pixels drawn, from
     ``seed``, as the affected subset.  ``magnitude`` scales the salt/pepper
     amplitude around the clean mean (1.0 reproduces the clean min/max
-    exactly).  ``seed`` must be an integer, and ``fraction`` and
-    ``magnitude`` reject booleans.
+    exactly).  ``seed`` must be an integer, ``fraction`` rejects booleans
+    and ``magnitude`` must be a number >= 0, not a boolean.
     """
 
     kind: str
@@ -54,14 +55,20 @@ class NoiseSpec:
     def __post_init__(self):
         if self.kind not in _NOISE_KINDS:
             raise ValueError(f"unknown noise kind {self.kind!r}")
-        for name in ("fraction", "magnitude"):
-            if isinstance(getattr(self, name), bool):
-                raise ValueError(f"{name} must be a number, not a bool")
+        if isinstance(self.fraction, bool):
+            raise ValueError("fraction must be a number, not a bool")
         self.seed = check_integer(self.seed, "seed")
         if not 0.0 <= self.fraction <= 1.0:
             raise ValueError("fraction must be in [0, 1]")
-        if self.magnitude < 0:
-            raise ValueError("magnitude must be >= 0")
+        _check_magnitude(self.magnitude)
+
+
+def _check_magnitude(magnitude):
+    # A noise amplitude, here or for a distance generator: a number >= 0.
+    if isinstance(magnitude, bool) or not isinstance(magnitude, numbers.Real):
+        raise ValueError(f"magnitude must be a number, not a {type(magnitude).__name__}")
+    if magnitude < 0:
+        raise ValueError("magnitude must be >= 0")
 
 
 def _pick_indices(spec, total, rng, what):
@@ -98,6 +105,8 @@ def gen_planted_multiview(n_instances, latent_dim, view_dims, seed=0):
         raise ValueError(
             f"latent_dim must be < n_instances ({latent_dim} >= {n_instances})"
         )
+    if len(view_dims) == 0:
+        raise ValueError("view_dims must give at least one view dimension")
     if latent_dim > min(view_dims):
         raise ValueError("latent_dim must not exceed any view dimension")
     rng = np.random.default_rng(seed)
@@ -234,6 +243,7 @@ def gen_point_set_views(
     """
     if noise_on not in ("raw", "squared"):
         raise ValueError(f"noise_on must be 'raw' or 'squared', got {noise_on!r}")
+    _check_magnitude(magnitude)
     rng = np.random.default_rng(seed)
     points = rng.uniform(0.0, box, size=(n_points, 2))
     for p in (*view1_points, *view2_points):
@@ -267,6 +277,7 @@ def gen_cluster_retrieval_views(
     n = classes * per_class
     if n_views * corrupt_per_view > n:
         raise ValueError("disjoint corruption subsets exceed instance count")
+    _check_magnitude(magnitude)
     rng = np.random.default_rng(seed)
     labels = np.repeat(np.arange(classes), per_class)
     centroids = _CLUSTER_SEPARATION * np.eye(classes)

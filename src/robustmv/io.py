@@ -10,20 +10,20 @@ Writers use full-precision ``%.17g`` so a write/read round trip is exact;
 ``write_matrix_csv`` formats each value of a symmetric matrix near its
 diagonal once and writes the same bytes as ``np.savetxt`` would.
 
-One fork helper, ``_forked``, spreads independent work across the usable
-cores: the calling process does one share, forked children do the others
-and hand their parts back in unnamed temporary files.  It serves two
-callers.  A large file is read in contiguous byte ranges, one per core,
-the calling process taking the first.  A map (``fork_map``, and the
-writer of a run's matrices) gives every k-th item to one process, and the
-children pickle their results.  ``fork_map`` runs a recipe's independent
-fits and maps concurrently only when BLAS runs one thread, since k
-processes of multi-threaded BLAS would oversubscribe the cores.  A run's
-matrices are mapped whole, one file per item, across as many processes as
-their cells fill, so two equal views on two cores are written one by each
-process, and a single matrix is written by the calling process alone.  In
-every case a failed part makes the caller redo the whole call in-process,
-so results and errors do not depend on the split.
+One fork map, ``_map``, spreads independent work across the usable cores:
+with k processes the calling process maps items 0, k, 2k, ... and forked
+children the shares that start at items 1 to k - 1, each child pickling
+its results back in an unnamed temporary file.  It serves three callers.
+``fork_map`` runs a recipe's independent fits and maps concurrently only
+when BLAS runs one thread, since k processes of multi-threaded BLAS would
+oversubscribe the cores.  A run's matrices are mapped whole, one file per
+item, across as many processes as their cells fill, so two equal views on
+two cores are written one by each process, and a single matrix is written
+by the calling process alone.  A large file is read as a map of parses
+over byte ranges, a few per core: a worker pickles its ranges' rows back,
+and the calling process copies the blocks into one array.  In every case a
+failed share makes the caller redo the whole map in-process, so results
+and errors do not depend on the split.
 
 Each file's sha256 is taken where its bytes are already in hand: every
 writer hashes the bytes it writes and returns the digest, and a read asked
@@ -83,6 +83,13 @@ _BAND = 8
 # size, far more than a fork costs.
 _SPLIT_CELLS = 1 << 18
 _SPLIT_BYTES = 1 << 22
+# A split read gives each process _RANGES byte ranges, whose parsed blocks
+# are copied into the result one by one and dropped, so the read holds
+# about the matrix plus one block.  CI's eval of an N 1500 view peaked at
+# 2.02 N^2 floats above the import with one range per process and the
+# blocks stacked at the end, 1.64 with one range copied block by block,
+# 1.36-1.40 with two ranges and 1.26-1.29 with four (bound 1.6).
+_RANGES = 4
 
 
 def read_matrix_csv(path, delimiter=",", digest=False):
@@ -95,14 +102,16 @@ def read_matrix_csv(path, delimiter=",", digest=False):
     without a data row are rejected.  numpy's C parser reads the file;
     whatever it refuses is parsed again line by line, so every error names
     the file, the line and, for a bad cell, the column.  A large file is
-    parsed in byte ranges that end at a newline, one per usable core; the
-    workers write their rows to temporary files in the default temporary
-    directory, and the parts are stacked.  A part that is refused, holds no
-    row, is cut short or disagrees with the first on width makes the whole
-    file be read again in-process.  With ``digest=True`` the result is
-    ``(matrix, sha256 hex digest of the file)``; the calling process hashes
-    the file once it has parsed its own range, while the workers parse
-    theirs.
+    parsed in byte ranges that end at a newline, a few per usable core,
+    through the fork map that also writes a run's matrices and runs a
+    recipe's fits: each worker pickles its ranges' rows back in a temporary
+    file in the default temporary directory, and the blocks are copied into
+    one array.  A worker that fails or a part cut short makes the calling
+    process parse every range itself; a range that is refused, holds no row
+    or disagrees with the first on width makes the whole file be read again
+    in one part.  With ``digest=True`` the result is ``(matrix, sha256 hex
+    digest of the file)``; the calling process hashes the file once it has
+    parsed its first range, while the workers parse theirs.
     """
     path = Path(path)
     if not path.is_file():
@@ -140,52 +149,6 @@ def _part_count(size, minimum):
     return max(1, min(_workers(), size // minimum))
 
 
-@contextlib.contextmanager
-def _forked(work, tasks):
-    """Run ``work(fd, *task)`` for each task in a forked child; yield ``collect``.
-
-    Each child gets its own unnamed temporary file in the default temporary
-    directory, open as ``fd``, and writes its part there.  It leaves through
-    ``os._exit`` (status 0 when ``work`` returned), so it never flushes the
-    stdio buffers it inherited or runs exit handlers.  ``collect()`` reaps
-    every child and returns their files, rewound, in the order of ``tasks``,
-    or None when a child failed.  When no temporary file or process could be
-    had for some task, the block gets None in place of ``collect`` and
-    should return at once: its own share is no longer wanted.  Leaving the
-    block kills the children still running, whose parts are no longer
-    wanted, reaps them and closes the files.
-    """
-    pids, files = [], []
-
-    def collect():
-        statuses = [os.waitpid(pids.pop(), 0)[1] for _ in range(len(pids))]
-        if any(statuses):
-            return None
-        for spill in files:
-            spill.seek(0)
-        return files
-
-    with contextlib.ExitStack() as spills:
-        try:
-            with contextlib.suppress(OSError):  # no temporary file or process to be had
-                for task in tasks:
-                    spill = spills.enter_context(tempfile.TemporaryFile())
-                    pid = os.fork()
-                    if pid == 0:
-                        try:
-                            work(spill.fileno(), *task)
-                            os._exit(0)
-                        finally:
-                            os._exit(1)
-                    pids.append(pid)
-                    files.append(spill)
-            yield collect if len(pids) == len(tasks) else None
-        finally:
-            for pid in pids:
-                os.kill(pid, signal.SIGKILL)
-            collect()
-
-
 def fork_map(fn, items):
     """``[fn(x) for x in items]``, the items shared across the usable cores.
 
@@ -215,17 +178,36 @@ def _map(fn, items, k):
 
 def _map_shares(fn, items, k):
     # _map's k interleaved shares, all but the first in forked children;
-    # None when a child failed or could not be started.
-    results = [None] * len(items)
-    with _forked(_send_results, [(fn, items[j::k]) for j in range(1, k)]) as collect:
-        if collect is None:
-            return None
+    # None when a child failed.  Each child pickles its results into its
+    # own unnamed temporary file in the default temporary directory and
+    # leaves through os._exit (status 0 when its share was mapped), so it
+    # never flushes the stdio buffers it inherited or runs exit handlers.
+    # On the way out, children still running (the caller's share raised, a
+    # start or another child failed) are killed, and every child is reaped.
+    results, pids, spills = [None] * len(items), [], []
+    try:
+        for j in range(1, k):
+            spills.append(tempfile.TemporaryFile())
+            if (pid := os.fork()) == 0:
+                try:
+                    _send_results(spills[-1].fileno(), fn, items[j::k])
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+            pids.append(pid)
         results[::k] = [fn(x) for x in items[::k]]
-        spills = collect()
-        if spills is None:
-            return None
+        while pids:
+            if os.waitpid(pids.pop(), 0)[1]:
+                return None
         for j, spill in enumerate(spills, start=1):
+            spill.seek(0)
             results[j::k] = pickle.load(spill)
+    finally:
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for spill in spills:
+            spill.close()
     return results
 
 
@@ -237,37 +219,30 @@ def _send_results(fd, fn, share):
 
 
 def _read_parts(path, delimiter, parts, digest):
-    # (array, sha256 hex or None) of the file parsed in ``parts`` byte
-    # ranges, all but the first in forked workers; None when a part is
-    # refused, holds no row, is cut short or has another width than the
-    # first.  The digest, when asked for, is taken while the workers parse.
-    bounds = _line_bounds(path, parts)
-    tasks = [(path, delimiter, lo, hi) for lo, hi in zip(bounds[1:-1], bounds[2:])]
-    with _forked(_send_part, tasks) as collect:
-        if collect is None:
-            return None
-        first = _load(_byte_lines(path, *bounds[:2]), delimiter)
-        if first is None:
-            return None
-        sha = file_sha256(path) if digest else None
-        if (spills := collect()) is None:
-            return None
-        if not spills:
-            return first, sha
-        shapes = np.zeros((len(spills), 2), dtype=np.int64)  # a header cut short has width 0
-        for spill, shape in zip(spills, shapes):
-            spill.readinto(shape)
-        if np.any(shapes[:, 1] != first.shape[1]):
-            return None
-        ends = np.cumsum([len(first), *shapes[:, 0]])
-        data = np.empty((ends[-1], first.shape[1]))
-        blocks = np.split(data, ends[:-1])
-        blocks[0][...] = first
-        del first
-        for spill, block in zip(spills, blocks[1:]):
-            if spill.readinto(block) < block.nbytes:
-                return None
-    return data, sha
+    # (array, sha256 hex or None) of the file cut into _RANGES byte ranges
+    # per process (one range when ``parts`` is 1), one parse per range mapped
+    # across ``parts`` processes; None when a range is refused, holds no row
+    # or has another width than the first.  Range 0 is the calling
+    # process's, which then hashes the file, when asked, while the workers
+    # parse.
+    bounds = _line_bounds(path, parts * _RANGES if parts > 1 else 1)
+
+    def parse(j):
+        block = _load(_byte_lines(path, bounds[j], bounds[j + 1]), delimiter)
+        return block, (file_sha256(path) if digest and j == 0 else None)
+
+    blocks, shas = zip(*_map(parse, range(len(bounds) - 1), parts))
+    if any(block is None or block.shape[1] != blocks[0].shape[1] for block in blocks):
+        return None
+    if len(blocks) == 1:
+        return blocks[0], shas[0]
+    ends = np.cumsum([0, *map(len, blocks)])
+    data = np.empty((ends[-1], blocks[0].shape[1]))
+    blocks = list(blocks)
+    for j in range(len(blocks)):
+        data[ends[j]:ends[j + 1]] = blocks[j]
+        blocks[j] = None  # dropped once copied
+    return data, shas[0]
 
 
 def _line_bounds(path, parts):
@@ -308,17 +283,6 @@ def _load(source, delimiter):
     except ValueError:
         return None
     return data if data.size else None
-
-
-def _send_part(fd, path, delimiter, start, end):
-    # A reader worker: parse bytes [start, end) and write the shape, then the
-    # values, to the temporary file ``fd``, left open.  It writes nothing
-    # when it finds no data or is refused.
-    with open(fd, "wb", closefd=False) as out:
-        data = _load(_byte_lines(path, start, end), delimiter)
-        if data is not None:
-            out.write(np.array(data.shape, dtype=np.int64))
-            out.write(np.ascontiguousarray(data))
 
 
 def _read_matrix_lines(path, delimiter):

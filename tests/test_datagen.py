@@ -83,6 +83,10 @@ class TestPlantedMultiview:
         with pytest.raises(ValueError, match="view dimension"):
             gen_planted_multiview(9, 5, [3], seed=0)
 
+    def test_no_view_rejected(self):
+        with pytest.raises(ValueError, match="view_dims must give at least one view"):
+            gen_planted_multiview(9, 2, [], seed=0)
+
 
 class TestNoiseSpec:
     def test_validation(self):
@@ -95,6 +99,20 @@ class TestNoiseSpec:
             NoiseSpec(kind="instance_replacement", fraction=1.5)
         with pytest.raises(ValueError, match="magnitude"):
             NoiseSpec(kind="pixel_replacement", fraction=0.5, magnitude=-1.0)
+
+    @pytest.mark.parametrize("magnitude, message", [
+        (-1, "magnitude must be >= 0"),
+        (True, "magnitude must be a number, not a bool"),
+        ("x", "magnitude must be a number, not a str"),
+    ])
+    @pytest.mark.parametrize("make", [
+        lambda m: NoiseSpec(kind="instance_replacement", fraction=0.5, magnitude=m),
+        lambda m: gen_point_set_views(magnitude=m),
+        lambda m: gen_cluster_retrieval_views(classes=2, per_class=10, magnitude=m),
+    ], ids=["noise-spec", "point-set", "cluster-retrieval"])
+    def test_magnitude_rejected_alike(self, make, magnitude, message):
+        with pytest.raises(ValueError, match=message):
+            make(magnitude)
 
 
 class TestCorruptInstances:

@@ -416,29 +416,54 @@ class TestSplitReader:
         def fail(*args):
             raise MemoryError
 
-        monkeypatch.setattr(robustmv.io, "_send_part", fail)
-        path = tmp_path / "m.csv"
-        path.write_text("\n".join(_fixed_rows(24)) + "\n")
-        got = read_matrix_csv(path)
-        assert np.array_equal(got, robustmv.io._read_matrix_lines(path, ","))
+        monkeypatch.setattr(robustmv.io, "_send_results", fail)
+        _read_ranges_in_process(tmp_path, split, monkeypatch)
         assert split.forks == split.parts - 1
-        assert split.whole_file_loads == 1
 
     @pytest.mark.parametrize("cut", ["in-header", "in-values"])
     def test_part_cut_short_is_redone_in_process(self, tmp_path, split, monkeypatch, cut):
-        send = robustmv.io._send_part
+        send = robustmv.io._send_results
 
         def cut_short(fd, *args):
             send(fd, *args)
             os.ftruncate(fd, 8 if cut == "in-header" else os.fstat(fd).st_size - 8)
 
-        monkeypatch.setattr(robustmv.io, "_send_part", cut_short)
-        path = tmp_path / "m.csv"
-        path.write_text("\n".join(_fixed_rows(24)) + "\n")
-        got = read_matrix_csv(path)
-        assert np.array_equal(got, robustmv.io._read_matrix_lines(path, ","))
+        monkeypatch.setattr(robustmv.io, "_send_results", cut_short)
+        _read_ranges_in_process(tmp_path, split, monkeypatch)
         assert split.forks == split.parts - 1
-        assert split.whole_file_loads == 1
+
+    def test_rows_longer_than_a_readline_chunk(self, tmp_path, split, monkeypatch):
+        # Five rows of about 380 KB: the cuts land inside rows, whose ends
+        # are found past several 64 KiB readline chunks.
+        values = 1.0 + np.random.default_rng(5).random((5, 20000))
+        path = tmp_path / "m.csv"
+        path.write_text("\n".join(",".join("%.17g" % x for x in row) for row in values) + "\n")
+        assert len(robustmv.io._line_bounds(path, split.parts * robustmv.io._RANGES)) == 6
+
+        def refuse(*args):
+            raise AssertionError("well-formed file fell back to the line parser")
+
+        monkeypatch.setattr(robustmv.io, "_read_matrix_lines", refuse)
+        got = read_matrix_csv(path)
+        assert np.array_equal(got, values)
+        assert split.forks == split.parts - 1
+        assert split.whole_file_loads == 0
+
+
+def _read_ranges_in_process(tmp_path, split, monkeypatch):
+    # A split read whose workers' parts are lost: the calling process parses
+    # every range itself, and neither reads the whole file in one part nor
+    # calls the line parser.
+    path = tmp_path / "m.csv"
+    path.write_text("\n".join(_fixed_rows(24)) + "\n")
+    want = robustmv.io._read_matrix_lines(path, ",")
+
+    def refuse(*args):
+        raise AssertionError("a lost part fell back to the line parser")
+
+    monkeypatch.setattr(robustmv.io, "_read_matrix_lines", refuse)
+    assert np.array_equal(read_matrix_csv(path), want)
+    assert split.whole_file_loads == 0
 
 
 class TestSplitTransport:
@@ -461,11 +486,11 @@ class TestSplitTransport:
         def fail(*args):  # only the calling process writes: the workers stall
             raise RuntimeError("injected failure")
 
-        worker, hook, caller = {"read": ("_send_part", "_byte_lines", fail_first_range),
-                                "write": ("_send_results", "write_matrix_csv", fail)}[direction]
+        hook, caller = {"read": ("_byte_lines", fail_first_range),
+                        "write": ("write_matrix_csv", fail)}[direction]
         path = tmp_path / "m.csv"
         path.write_text("\n".join(_fixed_rows(24)) + "\n")
-        monkeypatch.setattr(robustmv.io, worker, stall)
+        monkeypatch.setattr(robustmv.io, "_send_results", stall)
         monkeypatch.setattr(robustmv.io, hook, caller)
         start = time.perf_counter()
         with pytest.raises(RuntimeError, match="injected failure"):
@@ -497,11 +522,7 @@ class TestSplitTransport:
 
         monkeypatch.setattr(module, name, refuse)
         if direction == "read":
-            path = tmp_path / "m.csv"
-            path.write_text("\n".join(_fixed_rows(24)) + "\n")
-            got = read_matrix_csv(path)
-            assert np.array_equal(got, robustmv.io._read_matrix_lines(path, ","))
-            assert split.whole_file_loads == 1
+            _read_ranges_in_process(tmp_path, split, monkeypatch)
         else:
             TestSplitWriter._write(tmp_path, _symmetric(700))
         assert len(calls) == split.parts - 1
@@ -893,6 +914,12 @@ class TestDatasetFiles:
         np.testing.assert_array_equal(read_labels(tmp_path / "labels.csv"), [0, 1])
         assert list(dataset_files(views[:1])) == ["view1.csv"]
 
+    def test_non_integer_labels_rejected(self, tmp_path):
+        path = tmp_path / "labels.csv"
+        path.write_text("0\n1.5\n2\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: labels must be integers")):
+            read_labels(path)
+
 
 class TestWriteRun:
     def test_each_artifact_type_matches_its_writer(self, tmp_path, monkeypatch):
@@ -961,6 +988,13 @@ class TestIngestFeatures:
         assert fs.view_dims == [6, 3]
         assert fs.n_instances == 10
         np.testing.assert_allclose(fs.views[0], pix.T)
+
+    def test_uci_instance_count_mismatch(self, tmp_path):
+        np.savetxt(tmp_path / "mfeat-pix", np.ones((10, 6)), fmt="%.17g")
+        np.savetxt(tmp_path / "mfeat-zer", np.ones((9, 3)), fmt="%.17g")
+        with pytest.raises(ValueError) as err:
+            ingest_uci_directory(tmp_path, view_names=["pix", "zer"])
+        assert str(err.value) == f"{tmp_path}: views disagree on instance count [9, 10]"
 
 
 class TestIngestDissimilarities:
@@ -1889,9 +1923,15 @@ class TestCli:
          "--labels", ""],
         ["fit-mv", "--solver", "cmv", "--views", "VIEW", "VIEW", "--uci-dir", "",
          "--config", '{"latent_dim": 2}'],
-        # A generator without latent dimensions.
+        # A generator without latent dimensions, or without views.
         ["synth", "--kind", "planted", "--params", '{"latent_dim": 0}'],
         ["synth", "--kind", "labeled", "--params", '{"latent_dim": 0}'],
+        ["synth", "--kind", "planted", "--params", '{"view_dims": []}'],
+        # A distance generator's noise magnitude that is not a number >= 0.
+        ["synth", "--kind", "clusters", "--params", '{"magnitude": -1}'],
+        ["synth", "--kind", "clusters", "--params", '{"magnitude": true}'],
+        ["synth", "--kind", "clusters", "--params", '{"magnitude": "x"}'],
+        ["synth", "--kind", "pointset", "--params", '{"magnitude": -1}'],
     ])
     def test_rejected_run_leaves_no_output_directory(self, tmp_path, capsys, argv):
         files = {name: tmp_path / f"{name.lower()}.csv" for name in ("MISSING", "VIEW", "DIST")}
@@ -2023,6 +2063,23 @@ class TestRecipes:
     def test_unknown_recipe(self, tmp_path):
         with pytest.raises(ValueError, match="unknown recipe"):
             run_recipe("nope", out_dir=tmp_path)
+
+    @pytest.mark.parametrize("name, desk", [("uci-noise-1", 40), ("uci-noise-2", 20)])
+    def test_full_scale_draws_200_per_class(self, tmp_path, monkeypatch, name, desk):
+        # The generator's settings are captured, and the recipe stops there.
+        drawn = []
+
+        def capture(**kwargs):
+            drawn.append(kwargs)
+            raise LookupError("stop before fitting")
+
+        monkeypatch.setattr(robustmv.recipes, "gen_labeled_multiview", capture)
+        for full in (False, True):
+            with pytest.raises(LookupError, match="stop before fitting"):
+                run_recipe(name, seed=3, out_dir=tmp_path / "r", full_scale=full)
+        desk_scale, full_scale = drawn
+        assert desk_scale["per_class"] == desk and full_scale == {**desk_scale, "per_class": 200}
+        assert full_scale["seed"] == 3 and not (tmp_path / "r").exists()
 
     @pytest.mark.parametrize("name", ["pointset-25", "cluster-retrieval"])
     def test_full_scale_only_for_uci_noise(self, tmp_path, capsys, name):
